@@ -23,27 +23,13 @@ type benchVariant struct {
 	Slowdown  float64 `json:"slowdown"`
 }
 
-// schedTune bundles the parallel-scheduler tuning surface a bench
-// invocation applies to every deployment: worker count plus the
-// multiplexing/slack knobs. All host-side only — none of these change
-// simulated behaviour.
-type schedTune struct {
-	workers     int
-	multiplexed bool
-	ringSlack   int
-	balancePct  int
-}
-
 // sweepPoint is one measurement of the worker-sweep pass: one (nodes,
-// workers) cell. EffectiveWorkers and SchedUnits record what the runner
-// actually did — the requested count is capped at the endpoint-group
+// workers) cell. EffectiveWorkers records what the runner actually did — the requested count is capped at the endpoint-group
 // count, so a speedup is only attributable to the effective value.
 type sweepPoint struct {
 	Nodes            int     `json:"nodes"`
 	Workers          int     `json:"workers"`
 	EffectiveWorkers int     `json:"effective_workers"`
-	SchedUnits       int     `json:"sched_units"`
-	Multiplexed      bool    `json:"multiplexed"`
 	WallNanos        int64   `json:"wall_ns"`
 	SimHz            float64 `json:"sim_hz"`
 	// SpeedupVs1W is this cell's best wall time against the same size's
@@ -62,11 +48,9 @@ type benchResult struct {
 	RunMetrics         benchVariant `json:"run_metrics"`
 	RunParallelMetrics benchVariant `json:"run_parallel_metrics"`
 
-	// EffectiveWorkers/SchedUnits are what the parallel variant actually
-	// ran with (the -workers request is capped at the endpoint-group
-	// count; units are per-endpoint in pool mode, per-worker multiplexed).
+	// EffectiveWorkers is what the parallel variant actually ran with (the
+	// -workers request is capped at the endpoint-group count).
 	EffectiveWorkers int `json:"effective_workers"`
-	SchedUnits       int `json:"sched_units"`
 
 	// Overhead of enabling metrics, percent of wall time: the median of
 	// per-rep wall-time ratios. Each rep measures base and instrumented
@@ -97,13 +81,9 @@ type benchFile struct {
 	// Workers is the -workers flag (0 = GOMAXPROCS); GOMAXPROCS records
 	// what that default resolved to on the bench host, so speedup numbers
 	// can be read against the core count that produced them.
-	Workers    int  `json:"workers"`
-	GOMAXPROCS int  `json:"gomaxprocs"`
-	// Scheduler tuning the whole invocation ran under (see schedTune).
-	Multiplexed     bool          `json:"multiplexed,omitempty"`
-	RingSlack       int           `json:"ring_slack,omitempty"`
-	BalanceSlackPct int           `json:"balance_slack_pct,omitempty"`
-	Results         []benchResult `json:"results"`
+	Workers    int           `json:"workers"`
+	GOMAXPROCS int           `json:"gomaxprocs"`
+	Results    []benchResult `json:"results"`
 	// WorkerSweep is the multi-core scaling pass: every (nodes, workers)
 	// cell from -worker-sweep × -sweep-nodes, with per-cell effective
 	// worker counts and speedup-vs-1-worker.
@@ -143,7 +123,6 @@ type benchHistoryEntry struct {
 	// Worker-sweep digests, keyed "<nodes>n<workers>w" (e.g. "32n4w"):
 	// sim rate and speedup vs the same size's 1-worker baseline, plus the
 	// effective worker count that produced each cell.
-	Multiplexed  bool               `json:"multiplexed,omitempty"`
 	SweepHz      map[string]float64 `json:"sweep_hz,omitempty"`
 	SweepSpeedup map[string]float64 `json:"sweep_speedup,omitempty"`
 	SweepEffW    map[string]int     `json:"sweep_effective_workers,omitempty"`
@@ -163,9 +142,6 @@ func cmdBench(args []string) error {
 	reps := fs.Int("reps", 5, "repetitions per variant (best wall time wins)")
 	latencyUs := fs.Float64("latency-us", 2, "link latency in microseconds")
 	workers := fs.Int("workers", 0, "parallel scheduler worker count (0 = GOMAXPROCS)")
-	multiplexed := fs.Bool("multiplexed", false, "run parallel measurements in the many-nodes-per-worker scheduling mode")
-	ringSlack := fs.Int("ring-slack", 0, "extra producer-side rounds of slack on cross-worker rings")
-	balanceSlackPct := fs.Int("balance-slack-pct", 0, "percent the partitioner's balance cap may be exceeded to co-locate links")
 	workerSweep := fs.String("worker-sweep", "", "comma-separated worker counts for the multi-core scaling sweep (empty disables it)")
 	sweepNodes := fs.String("sweep-nodes", "8,16,32,64", "comma-separated rack sizes for the worker sweep")
 	sweepRounds := fs.Int("sweep-rounds", 0, "link-latency rounds per sweep measurement (0 = -rounds)")
@@ -199,13 +175,6 @@ func cmdBench(args []string) error {
 		return err
 	}
 
-	tune := schedTune{
-		workers:     *workers,
-		multiplexed: *multiplexed,
-		ringSlack:   *ringSlack,
-		balancePct:  *balanceSlackPct,
-	}
-
 	clk := clock.New(clock.DefaultTargetClock)
 	doc := benchFile{
 		GeneratedBy:       "firesim bench",
@@ -215,14 +184,11 @@ func cmdBench(args []string) error {
 		Reps:              *reps,
 		Workers:           *workers,
 		GOMAXPROCS:        runtime.GOMAXPROCS(0),
-		Multiplexed:       *multiplexed,
-		RingSlack:         *ringSlack,
-		BalanceSlackPct:   *balanceSlackPct,
 	}
 
 	table := stats.NewTable("Nodes", "Run", "RunParallel", "Speedup", "EffWorkers", "Metrics overhead")
 	for _, n := range sizes {
-		r, err := benchOneSize(n, *rounds, *reps, tune, clk.CyclesInMicros(*latencyUs))
+		r, err := benchOneSize(n, *rounds, *reps, *workers, clk.CyclesInMicros(*latencyUs))
 		if err != nil {
 			return fmt.Errorf("bench %d nodes: %w", n, err)
 		}
@@ -234,7 +200,7 @@ func cmdBench(args []string) error {
 			fmt.Sprintf("%+.1f%% / %+.1f%%", r.RunOverheadPct, r.RunParallelOverheadPct))
 	}
 
-	sweepTable := stats.NewTable("Nodes", "Workers", "EffWorkers", "SchedUnits", "SimHz", "Speedup vs 1w")
+	sweepTable := stats.NewTable("Nodes", "Workers", "EffWorkers", "SimHz", "Speedup vs 1w")
 	if *workerSweep != "" {
 		counts, err := parseFanouts(*workerSweep)
 		if err != nil {
@@ -248,13 +214,13 @@ func cmdBench(args []string) error {
 		if swRounds <= 0 {
 			swRounds = *rounds
 		}
-		points, err := benchWorkerSweep(swSizes, counts, swRounds, *reps, tune, clk.CyclesInMicros(*latencyUs))
+		points, err := benchWorkerSweep(swSizes, counts, swRounds, *reps, clk.CyclesInMicros(*latencyUs))
 		if err != nil {
 			return err
 		}
 		doc.WorkerSweep = points
 		for _, p := range points {
-			sweepTable.AddRow(p.Nodes, p.Workers, p.EffectiveWorkers, p.SchedUnits,
+			sweepTable.AddRow(p.Nodes, p.Workers, p.EffectiveWorkers,
 				clock.Hz(p.SimHz), fmt.Sprintf("%.2fx", p.SpeedupVs1W))
 		}
 	}
@@ -339,11 +305,7 @@ func cmdBench(args []string) error {
 		*rounds, *reps, *latencyUs)
 	fmt.Print(table.String())
 	if len(doc.WorkerSweep) > 0 {
-		mode := "pool"
-		if *multiplexed {
-			mode = "multiplexed"
-		}
-		fmt.Printf("multi-core worker sweep (%s mode, GOMAXPROCS=%d):\n", mode, doc.GOMAXPROCS)
+		fmt.Printf("multi-core worker sweep (GOMAXPROCS=%d):\n", doc.GOMAXPROCS)
 		fmt.Print(sweepTable.String())
 	}
 	if len(doc.ScaleCurve) > 0 {
@@ -431,7 +393,7 @@ func cmdBench(args []string) error {
 	// deployment and JSON noise).
 	if *cpuprofile != "" || *tracefile != "" {
 		largest := sizes[len(sizes)-1]
-		if err := profilePass(largest, *rounds, tune, clk.CyclesInMicros(*latencyUs), *cpuprofile, *tracefile); err != nil {
+		if err := profilePass(largest, *rounds, *workers, clk.CyclesInMicros(*latencyUs), *cpuprofile, *tracefile); err != nil {
 			return err
 		}
 		fmt.Printf("profiled %d-node round loops (cpu=%q trace=%q)\n", largest, *cpuprofile, *tracefile)
@@ -465,7 +427,6 @@ func appendBenchHistory(path string, doc *benchFile) error {
 		e.ParOverheadRawPct[key] = r.RunParallelOverheadRawPct
 	}
 	if len(doc.WorkerSweep) > 0 {
-		e.Multiplexed = doc.Multiplexed
 		e.SweepHz = map[string]float64{}
 		e.SweepSpeedup = map[string]float64{}
 		e.SweepEffW = map[string]int{}
@@ -522,9 +483,9 @@ func appendBenchHistory(path string, doc *benchFile) error {
 // size, the best-of-reps wall time at each requested worker count,
 // normalized against the same size's 1-worker baseline (which is measured
 // whether or not 1 appears in counts — a speedup needs its denominator).
-// Each cell records the runner's effective worker count and scheduling-
-// unit count, so a flat curve on a saturated host is attributable.
-func benchWorkerSweep(sizes, counts []int, rounds, reps int, tune schedTune, linkLatency clock.Cycles) ([]sweepPoint, error) {
+// Each cell records the runner's effective worker count, so a flat curve
+// on a saturated host is attributable.
+func benchWorkerSweep(sizes, counts []int, rounds, reps int, linkLatency clock.Cycles) ([]sweepPoint, error) {
 	withBase := counts
 	for _, w := range counts {
 		if w == 1 {
@@ -542,9 +503,7 @@ func benchWorkerSweep(sizes, counts []int, rounds, reps int, tune schedTune, lin
 	for _, nodes := range sizes {
 		var baseWall int64
 		for _, w := range withBase {
-			t := tune
-			t.workers = w
-			c, _, err := benchDeploy(nodes, rounds*(reps+1), t, linkLatency, true, false)
+			c, _, err := benchDeploy(nodes, rounds*(reps+1), w, linkLatency, true, false)
 			if err != nil {
 				return nil, fmt.Errorf("sweep %d nodes x %d workers: %w", nodes, w, err)
 			}
@@ -571,8 +530,6 @@ func benchWorkerSweep(sizes, counts []int, rounds, reps int, tune schedTune, lin
 				Nodes:            nodes,
 				Workers:          w,
 				EffectiveWorkers: c.Runner.EffectiveWorkers(),
-				SchedUnits:       c.Runner.SchedUnits(),
-				Multiplexed:      tune.multiplexed,
 			}
 			v := toVariant(region, best)
 			p.WallNanos, p.SimHz = v.WallNanos, v.SimHz
@@ -623,15 +580,9 @@ func checkSweepGate(points []sweepPoint, spec string) error {
 // armed, one warm-up slice already run with the requested scheduler so
 // cold caches and first-round batch allocation are never billed to a
 // measured rate.
-func benchDeploy(nodes, rounds int, tune schedTune, linkLatency clock.Cycles, parallel, withMetrics bool) (*core.Cluster, clock.Cycles, error) {
+func benchDeploy(nodes, rounds, workers int, linkLatency clock.Cycles, parallel, withMetrics bool) (*core.Cluster, clock.Cycles, error) {
 	c, err := core.Deploy(core.Rack("tor0", nodes, core.QuadCore),
-		core.DeployConfig{
-			LinkLatency:     linkLatency,
-			Workers:         tune.workers,
-			Multiplexed:     tune.multiplexed,
-			RingSlack:       tune.ringSlack,
-			BalanceSlackPct: tune.balancePct,
-		})
+		core.DeployConfig{LinkLatency: linkLatency, Workers: workers})
 	if err != nil {
 		return nil, 0, err
 	}
@@ -668,13 +619,13 @@ func benchDeploy(nodes, rounds int, tune schedTune, linkLatency clock.Cycles, pa
 // two flanking base regions (linear drift cancels exactly), and the
 // median across reps rejects the occasional region a GC pause or
 // scheduler preemption inflates. Displayed rates are best-of-regions.
-func benchOneSize(nodes, rounds, reps int, tune schedTune, linkLatency clock.Cycles) (benchResult, error) {
+func benchOneSize(nodes, rounds, reps, workers int, linkLatency clock.Cycles) (benchResult, error) {
 	res := benchResult{Nodes: nodes}
 	measurePair := func(parallel bool) (base, inst benchVariant, overhead, raw float64, err error) {
 		regions := 2*reps + 1
 		// One extra region's worth of pings covers the unbilled warm-up
 		// region below.
-		c, _, err := benchDeploy(nodes, rounds*(regions+1), tune, linkLatency, parallel, false)
+		c, _, err := benchDeploy(nodes, rounds*(regions+1), workers, linkLatency, parallel, false)
 		if err != nil {
 			return base, inst, 0, 0, err
 		}
@@ -738,7 +689,6 @@ func benchOneSize(nodes, rounds, reps int, tune schedTune, linkLatency clock.Cyc
 		}
 		if parallel {
 			res.EffectiveWorkers = c.Runner.EffectiveWorkers()
-			res.SchedUnits = c.Runner.SchedUnits()
 		}
 		return toVariant(region, bestBase), toVariant(region, bestInst), overhead, raw, nil
 	}
@@ -760,12 +710,12 @@ func benchOneSize(nodes, rounds, reps int, tune schedTune, linkLatency clock.Cyc
 // collectors from internal/obs armed around only the measured round
 // loops: deployment, ping arming and warm-up happen before Start, the
 // JSON/teardown after Stop.
-func profilePass(nodes, rounds int, tune schedTune, linkLatency clock.Cycles, cpuPath, tracePath string) error {
-	seq, seqCycles, err := benchDeploy(nodes, rounds, tune, linkLatency, false, false)
+func profilePass(nodes, rounds, workers int, linkLatency clock.Cycles, cpuPath, tracePath string) error {
+	seq, seqCycles, err := benchDeploy(nodes, rounds, workers, linkLatency, false, false)
 	if err != nil {
 		return err
 	}
-	par, parCycles, err := benchDeploy(nodes, rounds, tune, linkLatency, true, false)
+	par, parCycles, err := benchDeploy(nodes, rounds, workers, linkLatency, true, false)
 	if err != nil {
 		return err
 	}

@@ -19,21 +19,13 @@ func main() {
 	rounds := flag.Int("rounds", 400, "link-latency batches of target time to simulate")
 	parallel := flag.Bool("parallel", false, "measure with the parallel worker-pool scheduler")
 	workers := flag.Int("workers", 0, "parallel worker count (0 = GOMAXPROCS)")
-	multiplexed := flag.Bool("multiplexed", false, "fuse each worker's endpoints into one scheduling unit (implies -parallel)")
 	flag.Parse()
-	if *multiplexed {
-		*parallel = true
-	}
 
 	topo, err := core.Tree([]int{4, 8, 32}, core.QuadCore)
 	if err != nil {
 		log.Fatal(err)
 	}
-	cluster, err := core.Deploy(topo, core.DeployConfig{
-		Supernode:   true,
-		Workers:     *workers,
-		Multiplexed: *multiplexed,
-	})
+	cluster, err := core.Deploy(topo, core.DeployConfig{Supernode: true, Workers: *workers})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -65,8 +57,7 @@ func main() {
 		log.Fatal(err)
 	}
 	if *parallel {
-		fmt.Printf("parallel scheduler: %d effective workers, %d scheduling units (multiplexed=%v)\n",
-			cluster.Runner.EffectiveWorkers(), cluster.Runner.SchedUnits(), *multiplexed)
+		fmt.Printf("parallel scheduler: %d effective workers\n", cluster.Runner.EffectiveWorkers())
 	}
 	fmt.Printf("simulation rate on this host: %v\n", rate)
 	fmt.Printf("(the paper's EC2 F1 deployment ran this target at 3.42 MHz, <1000x slowdown)\n")

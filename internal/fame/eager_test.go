@@ -76,7 +76,7 @@ func (c *countingInjector) FilterInput(ep string, port int, start clock.Cycles, 
 func (c *countingInjector) FilterOutput(string, int, clock.Cycles, *token.Batch) {}
 
 // TestEagerStarterPrepass drives a topology containing an EagerStarter
-// endpoint through all three schedulers and asserts, for each: StartBatch
+// endpoint through one worker and through two, and asserts, for each: StartBatch
 // ran once per round strictly before TickBatch with the identical input
 // batch; the injector filtered the eager inputs exactly once per round;
 // and the delivered token stream is bit-identical to the same topology
@@ -95,13 +95,6 @@ func TestEagerStarterPrepass(t *testing.T) {
 			if err := r.SetWorkers(2); err != nil {
 				return err
 			}
-			return r.RunParallel(cycles)
-		}},
-		{"multiplexed", func(r *Runner) error {
-			if err := r.SetWorkers(2); err != nil {
-				return err
-			}
-			r.SetMultiplexed(true)
 			return r.RunParallel(cycles)
 		}},
 	}

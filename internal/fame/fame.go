@@ -16,10 +16,12 @@
 //   - Link plumbing with per-link latency, where batch size equals the
 //     link latency exactly as in the paper ("we always set our batch size
 //     to the target link latency being modeled"),
-//   - a deterministic sequential Runner and a parallel Runner (a fixed
-//     worker pool over a topology-aware endpoint partition, with
-//     latency-tolerant SPSC rings on cross-worker links; see parallel.go)
-//     that produce bit-identical token streams, and
+//   - one scheduler: each worker compiles its endpoints into a fused plan
+//     and runs it through the one round loop in worker.go. Run is a single
+//     worker on the caller's goroutine; RunParallel partitions the
+//     endpoints over Workers() workers joined by latency-deep SPSC rings
+//     (parallel.go). Every worker count yields bit-identical token
+//     streams, and
 //   - a FAME-5-style Multiplex wrapper that hosts several target models on
 //     one simulated physical pipeline.
 package fame
@@ -27,7 +29,7 @@ package fame
 import (
 	"errors"
 	"fmt"
-	"runtime/debug"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/clock"
@@ -64,8 +66,8 @@ type Endpoint interface {
 }
 
 // EagerStarter is an optional Endpoint capability for overlapping I/O
-// with computation. When an endpoint implements it, every scheduler runs
-// a per-round prepass before the normal tick order: the endpoint's input
+// with computation. When an endpoint implements it, its worker runs a
+// per-round prepass before the normal tick order: the endpoint's input
 // batches are popped (and injector-filtered) early and handed to
 // StartBatch, which may kick off asynchronous work — a transport.Bridge
 // puts its frame on the wire — before any endpoint in the round blocks.
@@ -114,8 +116,12 @@ type portRef struct {
 // latency/step empty batches before the simulation starts.
 type channel struct {
 	latency clock.Cycles
+	cons    int            // index of the consuming endpoint
 	queue   batchRing      // FIFO of batches in flight
 	free    []*token.Batch // recycled batch storage
+	// rp is non-nil only while a multi-worker RunParallel has moved the
+	// channel's contents into a cross-worker ring pair.
+	rp *ringPair
 }
 
 func (c *channel) take(n int) *token.Batch {
@@ -161,13 +167,6 @@ type Runner struct {
 	// coherent state. See panic.go.
 	poisoned bool
 
-	// emptyIn is the shared read-only batch handed to unconnected input
-	// ports; scratchOut[e][p] is a per-port discard batch for unconnected
-	// output ports (per-port so that one endpoint with several unconnected
-	// outputs never sees aliased batches).
-	emptyIn    *token.Batch
-	scratchOut [][]*token.Batch
-
 	// injector, when non-nil, filters every batch crossing an endpoint
 	// boundary (fault injection).
 	injector Injector
@@ -182,27 +181,16 @@ type Runner struct {
 	// zero means GOMAXPROCS (see SetWorkers in parallel.go).
 	workers int
 
-	// multiplexed selects the many-nodes-per-worker scheduling mode: each
-	// worker's endpoints are fused into one scheduling unit (see mux.go)
-	// instead of one plan entry per endpoint. Host-side only; token
-	// streams are bit-identical either way.
-	multiplexed bool
-
-	// ringSlack adds extra producer-side headroom (in rounds) to every
-	// cross-worker SPSC ring beyond the mandatory latency depth, and
-	// balanceSlackPct loosens the partitioner's balance cap by the given
-	// percentage in favour of link co-location. Both are host-side tuning
-	// knobs (see SetRingSlack / SetBalanceSlackPct in parallel.go).
-	ringSlack       int
-	balanceSlackPct int
-
-	// effWorkers and schedUnits record the shape of the most recent
-	// RunParallel: how many workers actually ran after endpoint-count
-	// capping, and how many scheduling units they executed. Benchmarks
-	// read them so sweep points are attributable to the real worker count
-	// rather than the requested one.
+	// effWorkers records how many workers the most recent RunParallel
+	// actually ran after endpoint-count capping, so benchmarks attribute a
+	// rate to the real worker count rather than the requested one.
 	effWorkers int
-	schedUnits int
+
+	// single is the one-worker plan Run executes, compiled on first use.
+	// Its bindings name channels, which never change after build (Restore
+	// refills the same ones), so it stays valid for the runner's lifetime
+	// and a Run call compiles and allocates nothing.
+	single *plan
 
 	// stepOverride, when non-zero, forces a smaller batch step than the
 	// latency GCD (it must divide every link latency). Target behaviour is
@@ -338,7 +326,7 @@ func (r *Runner) build() error {
 		if r.inCh[to.ep][to.port] != nil {
 			return fmt.Errorf("fame: input port %d of %q connected twice", to.port, r.endpoints[to.ep].Name())
 		}
-		ch := &channel{latency: lat}
+		ch := &channel{latency: lat, cons: to.ep}
 		// Pre-seed the link with latency worth of empty tokens, exactly as
 		// in the paper's walk-through: "each input token queue initialized
 		// with l tokens".
@@ -357,16 +345,6 @@ func (r *Runner) build() error {
 			return err
 		}
 	}
-	r.emptyIn = token.NewBatch(int(r.step))
-	r.scratchOut = make([][]*token.Batch, len(r.endpoints))
-	for i, e := range r.endpoints {
-		r.scratchOut[i] = make([]*token.Batch, e.NumPorts())
-		for p := 0; p < e.NumPorts(); p++ {
-			if r.outCh[i][p] == nil {
-				r.scratchOut[i][p] = token.NewBatch(int(r.step))
-			}
-		}
-	}
 	r.built = true
 	if r.metricsReg != nil {
 		r.initMetrics()
@@ -374,19 +352,38 @@ func (r *Runner) build() error {
 	return nil
 }
 
-// Run advances the simulation by the given number of target cycles using
-// the deterministic sequential scheduler. cycles must be a positive
-// multiple of Step (after the first Run, Step is fixed).
+// Run advances the simulation by the given number of target cycles on the
+// caller's goroutine: one worker running every endpoint (see worker.go).
+// cycles must be a positive multiple of Step (after the first Run, Step
+// is fixed).
 func (r *Runner) Run(cycles clock.Cycles) error {
 	_, err := r.run(cycles)
 	return err
 }
 
-// run is Run plus a wall-time measurement covering only the round loop:
-// topology build and scratch allocation happen before the clock starts,
-// so Measure's reported sim rate is not inflated by setup cost on short
-// runs.
-func (r *Runner) run(cycles clock.Cycles) (wall time.Duration, err error) {
+// run is Run plus a wall-time measurement covering only the round loop,
+// so Measure's reported sim rate is not inflated by the one-time plan
+// compile on short runs.
+func (r *Runner) run(cycles clock.Cycles) (time.Duration, error) {
+	rounds, err := r.rounds(cycles)
+	if err != nil {
+		return 0, err
+	}
+	if r.single == nil {
+		all := make([]int, len(r.endpoints))
+		for i := range all {
+			all[i] = i
+		}
+		r.single = r.compile(all)
+	}
+	var abort atomic.Bool
+	start := time.Now()
+	perr := r.work(r.single, r.cycle, rounds, true, &abort)
+	return r.finish(time.Since(start), rounds, perr)
+}
+
+// rounds validates a run request and returns its length in rounds.
+func (r *Runner) rounds(cycles clock.Cycles) (int, error) {
 	if err := r.build(); err != nil {
 		return 0, err
 	}
@@ -396,186 +393,33 @@ func (r *Runner) run(cycles clock.Cycles) (wall time.Duration, err error) {
 	if cycles <= 0 || cycles%r.step != 0 {
 		return 0, fmt.Errorf("fame: cycles %d must be a positive multiple of step %d", cycles, r.step)
 	}
-	rounds := cycles / r.step
-	n := int(r.step)
+	return int(cycles / r.step), nil
+}
 
-	// Panic containment: a model that panics mid-tick must not take the
-	// process down (in a shard process it would take every co-hosted
-	// partition with it). curIdx tracks which endpoint is being ticked so
-	// the recovered error can name it; the runner is poisoned because the
-	// round was torn mid-flight.
-	curIdx := -1
-	defer func() {
-		if v := recover(); v != nil {
-			r.poisoned = true
-			name := "<runner>"
-			if curIdx >= 0 && curIdx < len(r.endpoints) {
-				name = r.endpoints[curIdx].Name()
-			}
-			err = &EndpointPanicError{Endpoint: name, Cycle: r.cycle, Value: v, Stack: debug.Stack()}
-		}
-	}()
-
-	// Per-endpoint scratch slices, reused across rounds.
-	ins := make([][]*token.Batch, len(r.endpoints))
-	outs := make([][]*token.Batch, len(r.endpoints))
-	for i, e := range r.endpoints {
-		ins[i] = make([]*token.Batch, e.NumPorts())
-		outs[i] = make([]*token.Batch, e.NumPorts())
+// finish closes a run. After a contained panic the runner is poisoned and
+// target time stays at the run's start: the round was torn mid-flight, so
+// the start is the last coherent boundary a caller could have saved, and
+// the channel populations are not coherent until a Restore rewinds them.
+func (r *Runner) finish(wall time.Duration, rounds int, perr *EndpointPanicError) (time.Duration, error) {
+	if perr != nil {
+		r.poisoned = true
+		return wall, perr
 	}
-
-	// Eager endpoints (cut-point bridges) get a per-round prepass: inputs
-	// popped and filtered early, StartBatch called, and the main loop then
-	// reuses the pre-popped batches. See the EagerStarter contract.
-	type eagerEp struct {
-		i int
-		s EagerStarter
-	}
-	var eagers []eagerEp
-	isEager := make([]bool, len(r.endpoints))
-	for i, e := range r.endpoints {
-		if s, ok := e.(EagerStarter); ok {
-			eagers = append(eagers, eagerEp{i, s})
-			isEager[i] = true
-		}
-	}
-
-	m := r.metrics
-	var epAcc []uint64
-	if m != nil {
-		epAcc = make([]uint64, len(r.endpoints))
-	}
-	start := time.Now()
-	var lastTick time.Time
-	var accRounds, accToks uint64
-	for round := clock.Cycles(0); round < rounds; round++ {
-		sampled := m != nil && round&tickSampleMask == 0
-		if sampled {
-			lastTick = time.Now()
-		}
-		var roundToks uint64
-		for _, eg := range eagers {
-			i := eg.i
-			curIdx = i
-			in := ins[i]
-			for p := range in {
-				if ch := r.inCh[i][p]; ch != nil {
-					in[p] = ch.pop()
-				} else {
-					in[p] = r.emptyIn
-				}
-			}
-			if inj := r.injector; inj != nil {
-				name := r.endpoints[i].Name()
-				for p := range in {
-					if r.inCh[i][p] != nil {
-						inj.FilterInput(name, p, r.cycle, in[p])
-					}
-				}
-			}
-			eg.s.StartBatch(n, in)
-		}
-		for i, e := range r.endpoints {
-			curIdx = i
-			in := ins[i]
-			out := outs[i]
-			for p := range in {
-				if !isEager[i] {
-					if ch := r.inCh[i][p]; ch != nil {
-						in[p] = ch.pop()
-					} else {
-						in[p] = r.emptyIn
-					}
-				}
-				if ch := r.outCh[i][p]; ch != nil {
-					out[p] = ch.take(n)
-				} else {
-					sb := r.scratchOut[i][p]
-					sb.Reset(n)
-					out[p] = sb
-				}
-			}
-			if inj := r.injector; inj != nil && !isEager[i] {
-				name := e.Name()
-				for p := range in {
-					if r.inCh[i][p] != nil {
-						inj.FilterInput(name, p, r.cycle, in[p])
-					}
-				}
-			}
-			e.TickBatch(n, in, out)
-			if m != nil {
-				var toks uint64
-				for p := range out {
-					if r.outCh[i][p] != nil {
-						toks += uint64(len(out[p].Slots))
-					}
-				}
-				if toks > 0 {
-					// Batched locally like the heartbeat counters; flushed
-					// on sampled rounds and at run end.
-					epAcc[i] += toks
-					roundToks += toks
-				}
-				// Tick timing is sampled (every tickSampleMask+1 rounds) with
-				// chained clock reads: endpoint i's tick is measured from the
-				// previous endpoint's read, so a sampled round costs one
-				// time.Now per endpoint and an unsampled round costs none.
-				// The runner's own bookkeeping between ticks lands in the
-				// next endpoint's bucket — tick times are attribution, and a
-				// sampled round's tick times sum to its wall time.
-				if sampled {
-					now := time.Now()
-					m.tick[i].Observe(uint64(now.Sub(lastTick).Nanoseconds()))
-					lastTick = now
-				}
-			}
-			if inj := r.injector; inj != nil {
-				name := e.Name()
-				for p := range in {
-					if r.outCh[i][p] != nil {
-						inj.FilterOutput(name, p, r.cycle, out[p])
-					}
-				}
-			}
-			for p := range in {
-				if ch := r.outCh[i][p]; ch != nil {
-					ch.push(out[p])
-				}
-				if ch := r.inCh[i][p]; ch != nil {
-					ch.recycle(in[p])
-				}
-			}
-		}
-		r.cycle += r.step
-		if m != nil {
-			// Heartbeat counters batch locally and flush on sampled rounds:
-			// progress stays externally visible at sample granularity while
-			// quiet rounds touch no shared memory at all.
-			accRounds++
-			accToks += roundToks
-			if sampled {
-				m.flushProgress(&accRounds, &accToks, uint64(r.step), int64(r.cycle))
-				m.flushEpTokens(epAcc)
-			}
-		}
-	}
-	wall = time.Since(start)
-	if m != nil {
-		m.flushProgress(&accRounds, &accToks, uint64(r.step), int64(r.cycle))
-		m.flushEpTokens(epAcc)
+	r.cycle += clock.Cycles(rounds) * r.step
+	if m := r.metrics; m != nil {
 		m.runWall.Add(uint64(wall.Nanoseconds()))
+		m.cycleGauge.Set(int64(r.cycle))
 	}
 	return wall, nil
 }
 
 // RunParallel advances the simulation by the given number of target cycles
-// using the sharded worker pool scheduler (see parallel.go): endpoints are
-// partitioned across up to Workers() workers, and each worker runs
-// decoupled for up to a link latency of target cycles before synchronizing
-// with a neighbour. This mirrors the paper's distributed execution: hosts
-// may be simulating different target cycles at the same moment, yet the
-// token protocol guarantees results identical to the sequential scheduler.
+// on a worker pool (see parallel.go): endpoints are partitioned across up
+// to Workers() workers, and each worker runs decoupled for up to a link
+// latency of target cycles before synchronizing with a neighbour. This
+// mirrors the paper's distributed execution: hosts may be simulating
+// different target cycles at the same moment, yet the token protocol
+// guarantees results identical to Run.
 func (r *Runner) RunParallel(cycles clock.Cycles) error {
 	_, err := r.runParallel(cycles)
 	return err
@@ -585,12 +429,11 @@ func (r *Runner) RunParallel(cycles clock.Cycles) error {
 // in parallel) and returns the achieved simulation rate, which is how the
 // paper reports performance in Figures 8 and 9.
 //
-// Only the round loop is timed. Topology build, scratch allocation and the
+// Only the round loop is timed. Topology build, plan compilation and the
 // parallel runner's partition and ring construction all happen before the
-// clock starts
-// (and the parallel drain after it stops), so short calibration runs
-// report the same per-cycle cost as long ones instead of folding one-time
-// setup into the rate.
+// clock starts (and the ring drain after it stops), so short calibration
+// runs report the same per-cycle cost as long ones instead of folding
+// one-time setup into the rate.
 func (r *Runner) Measure(cycles clock.Cycles, freq clock.Hz, parallel bool) (clock.SimRate, error) {
 	var wall time.Duration
 	var err error

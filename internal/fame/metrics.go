@@ -12,13 +12,10 @@ import (
 //     executes exactly the pre-obs code (one pointer nil check per round);
 //   - every enabled-path record is an uncontended atomic add (obs
 //     instruments); clock reads — the one genuinely expensive part — are
-//     paid only on sampled rounds (one round in tickSampleMask+1). On a
-//     sampled round the sequential runner chains time.Now() reads across
-//     endpoints (one read per tick, the previous tick's end is this
-//     tick's start), while the parallel runner pays two reads per tick so
-//     ring-wait time never pollutes the tick histogram. firesim bench
-//     measures and reports the actual sim-rate overhead against the <5%
-//     budget.
+//     paid only on sampled rounds (one round in tickSampleMask+1), two
+//     per tick so ring-wait time never pollutes the tick histogram.
+//     firesim bench measures and reports the actual sim-rate overhead
+//     against the <5% budget.
 //
 // Metric names, all under the fame_ prefix:
 //
@@ -32,14 +29,11 @@ import (
 //	fame_tick_nanos{endpoint=E}              histogram: sampled TickBatch wall time
 //	fame_endpoint_tokens_total{endpoint=E}   valid tokens emitted by E
 //
-// Token and round counters are exact in every mode — they are pure
-// functions of target behaviour and the equivalence tests hold them to
-// it. fame_tick_nanos is host-side profiling and is sampled: both run
-// modes time the same rounds (round index ≡ 0 mod tickSampleMask+1), so
-// their histograms stay comparable. In sequential mode it is an
-// attribution — endpoint ticks include their share of the runner's
-// inter-tick bookkeeping, and a sampled round's tick times sum to its
-// wall time.
+// Token and round counters are exact for every worker count — they are
+// pure functions of target behaviour and the equivalence tests hold them
+// to it. fame_tick_nanos is host-side profiling and is sampled: every
+// worker times the same rounds (round index ≡ 0 mod tickSampleMask+1), so
+// histograms stay comparable across worker counts.
 type runnerMetrics struct {
 	rounds     *obs.Counter
 	cycles     *obs.Counter
@@ -101,45 +95,12 @@ func (r *Runner) initMetrics() {
 // round indices where round&tickSampleMask == 0, i.e. one round in 32.
 // The round index restarts at every Run/RunParallel call, so short
 // slices (a supervisor's 4-step health-check cadence) still sample at
-// least once per slice. A sampled round costs one time.Now per endpoint;
+// least once per slice. A sampled round costs two time.Now per endpoint;
 // on hosts with a slow clocksource that is the dominant instrumentation
-// cost, which is why the rate is this conservative. Untyped so it masks
-// both the sequential runner's clock.Cycles round index and the parallel
-// runner's int one.
+// cost, which is why the rate is this conservative.
 const tickSampleMask = 31
 
 // sampledRounds returns how many of n rounds carry tick timings — the
 // expected fame_tick_nanos observation count per endpoint for a run of n
 // rounds (exported to tests via the obs_test helpers).
 func sampledRounds(n uint64) uint64 { return (n + tickSampleMask) / (tickSampleMask + 1) }
-
-// flushProgress publishes locally accumulated heartbeat state: rounds
-// and tokens since the last flush, plus the current cycle gauge. The hot
-// loops call it on sampled rounds and at run end, so quiet rounds cost
-// no atomic RMW traffic while external readers still see progress at
-// sample granularity.
-func (m *runnerMetrics) flushProgress(rounds, toks *uint64, step uint64, cycle int64) {
-	if *rounds > 0 {
-		m.rounds.Add(*rounds)
-		m.cycles.Add(*rounds * step)
-		*rounds = 0
-	}
-	if *toks > 0 {
-		m.tokens.Add(*toks)
-		*toks = 0
-	}
-	m.cycleGauge.Set(cycle)
-}
-
-// flushEpTokens publishes locally accumulated per-endpoint token counts
-// (indexed like Runner.endpoints) and zeroes the accumulator. Same flush
-// cadence as flushProgress: sampled rounds and run end, so the hot loop
-// pays no per-round atomic RMW per endpoint.
-func (m *runnerMetrics) flushEpTokens(acc []uint64) {
-	for i, t := range acc {
-		if t > 0 {
-			m.epTokens[i].Add(t)
-			acc[i] = 0
-		}
-	}
-}

@@ -155,6 +155,31 @@ func TestParallelSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestRunStepZeroAllocs: a distributed shard calls Run(step) once per
+// token window, so a warm Run must compile nothing and allocate nothing
+// per call — the one-worker plan is cached on the runner.
+func TestRunStepZeroAllocs(t *testing.T) {
+	r := NewRunner()
+	src := NewSource("src")
+	sink := NewSink("sink")
+	r.Add(src)
+	r.Add(sink)
+	if err := r.Connect(src, 0, sink, 0, 8); err != nil {
+		t.Fatal(err)
+	}
+	step := r.Step()
+	if err := r.Run(4 * step); err != nil {
+		t.Fatal(err)
+	}
+	var err error
+	if allocs := testing.AllocsPerRun(100, func() { err = r.Run(step) }); allocs != 0 {
+		t.Errorf("Run(step) allocates %.1f times per call, want 0", allocs)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestParallelPoolNoDropsUnderMixedRuns drives alternating sequential and
 // parallel runs (the seeding path the original ring sizing got wrong) and
 // asserts the pool tripwires stay clean.

@@ -120,13 +120,13 @@ func restoreChainState(t *testing.T, stream []byte, r *Runner, comps ...snapshot
 	}
 }
 
-// testPanicContainment is the satellite's core property, shared by the
-// sequential and parallel schedulers: a deliberately panicking endpoint
-// surfaces as a structured EndpointPanicError naming the endpoint and
-// cycle window, the runner refuses further runs and saves while
-// poisoned, and restoring the pre-panic checkpoint then re-running (with
-// the fault disarmed) lands bit-identical to an undisturbed run.
-func testPanicContainment(t *testing.T, parallel, mux bool) {
+// testPanicContainment is the satellite's core property, shared by Run
+// and RunParallel: a deliberately panicking endpoint surfaces as a
+// structured EndpointPanicError naming the endpoint and cycle window, the
+// runner refuses further runs and saves while poisoned, and restoring the
+// pre-panic checkpoint then re-running (with the fault disarmed) lands
+// bit-identical to an undisturbed run.
+func testPanicContainment(t *testing.T, parallel bool) {
 	run := func(r *Runner, cycles clock.Cycles) error {
 		if parallel {
 			return r.RunParallel(cycles)
@@ -137,7 +137,6 @@ func testPanicContainment(t *testing.T, parallel, mux bool) {
 	// Undisturbed reference.
 	ref, aR, r1R, r2R, zR := faultChain()
 	ref.SetWorkers(2)
-	ref.SetMultiplexed(mux)
 	if err := run(ref, 64); err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +145,6 @@ func testPanicContainment(t *testing.T, parallel, mux bool) {
 	// Faulty run: checkpoint at 32, arm r2 to blow up at cycle 40.
 	r, a, r1, r2, z := faultChain()
 	r.SetWorkers(2)
-	r.SetMultiplexed(mux)
 	if err := run(r, 32); err != nil {
 		t.Fatal(err)
 	}
@@ -167,12 +165,10 @@ func testPanicContainment(t *testing.T, parallel, mux bool) {
 	if len(pe.Stack) == 0 || !strings.Contains(string(pe.Stack), "TickBatch") {
 		t.Error("panic error carries no usable stack")
 	}
-	// The sequential loop advances cycle per completed round (so it may
-	// read the panic window's start); the parallel loop only advances at
-	// the end (so it stays at 32). Neither may claim cycles past the
-	// panic window as simulated.
-	if got := r.Cycle(); got < 32 || got > pe.Cycle {
-		t.Errorf("cycle = %d after torn run, want within [32, %d]", got, pe.Cycle)
+	// A torn run leaves target time at the run's start, the last boundary
+	// a caller could have checkpointed.
+	if got := r.Cycle(); got != 32 {
+		t.Errorf("cycle = %d after torn run, want the run's start 32", got)
 	}
 
 	// Poisoned: running and saving must both refuse.
@@ -199,8 +195,8 @@ func testPanicContainment(t *testing.T, parallel, mux bool) {
 	}
 }
 
-func TestSequentialPanicContainment(t *testing.T) { testPanicContainment(t, false, false) }
-func TestParallelPanicContainment(t *testing.T)   { testPanicContainment(t, true, false) }
+func TestSequentialPanicContainment(t *testing.T) { testPanicContainment(t, false) }
+func TestParallelPanicContainment(t *testing.T)   { testPanicContainment(t, true) }
 
 // disjointPairs is a 4-endpoint topology made of two independent pairs —
 // the shape of one shard process hosting two re-packed partition units.

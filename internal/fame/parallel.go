@@ -3,7 +3,6 @@ package fame
 import (
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -14,22 +13,21 @@ import (
 	"repro/internal/token"
 )
 
-// This file implements the parallel scheduler: a fixed, GOMAXPROCS-aware
-// worker pool over a topology-aware partition of endpoints, replacing the
-// original goroutine-per-endpoint design (which benchmarked *slower* than
-// the sequential scheduler at every topology size — two Go channel
-// operations per port per round plus scheduler churn swamped the
-// per-round work).
+// This file implements RunParallel: a fixed, GOMAXPROCS-aware worker pool
+// over a topology-aware partition of endpoints, each worker running the
+// round loop of worker.go over its own plan. It replaced a
+// goroutine-per-endpoint design that benchmarked *slower* than one worker
+// at every topology size (two Go channel operations per port per round
+// plus scheduler churn swamped the per-round work).
 //
-// The new design follows the paper's actual performance mechanism:
+// The design follows the paper's actual performance mechanism:
 // simulators run decoupled for up to a link latency of target cycles
 // between synchronizations.
 //
 //   - partition() groups endpoints so that pairs exchanging tokens
 //     co-locate on one worker whenever load balance allows. A link whose
 //     two ends share a worker needs no synchronization at all: the worker
-//     drives the link's persistent batch ring exactly as the sequential
-//     scheduler does.
+//     drives the link's persistent channel exactly as Run does.
 //   - links that do cross workers become spscRing pairs (data + recycled
 //     storage) sized to the link's latency depth. A worker can execute up
 //     to LinkLatency/Step rounds ahead of a neighbour before a ring runs
@@ -37,21 +35,11 @@ import (
 //     slack window instead of paying two channel ops per port per round.
 //   - each worker ticks its endpoints in global registration order, which
 //     together with FIFO link order makes the token streams bit-identical
-//     to the sequential scheduler — with or without an Injector installed
-//     (hooks remain keyed on absolute target cycle).
+//     to Run — with or without an Injector installed (hooks remain keyed
+//     on absolute target cycle).
 //
 // Worker count: SetWorkers(n) (0 = GOMAXPROCS), capped at the endpoint
-// count. With one worker the partition is a single group with zero
-// cross-worker links, and runParallel runs the sequential round loop
-// directly — on a single-core host "actually parallel" means "no slower
-// than sequential", which the old design failed.
-//
-// Scheduling granularity: by default each endpoint is its own schedule
-// entry within its worker. SetMultiplexed(true) selects the FAME-style
-// many-nodes-per-worker mode instead, where a worker's whole endpoint
-// group is fused into one scheduling unit (see mux.go) — datacenter-scale
-// topologies then need only Workers() scheduling units, not one per
-// endpoint.
+// count. When the partition is a single group, RunParallel is Run.
 //
 // Deadlock freedom: every cross-worker data ring has capacity ≥ depth+1
 // (at least one free slot beyond the seeded in-flight population), so any
@@ -84,64 +72,20 @@ func (r *Runner) Workers() int {
 
 // EffectiveWorkers reports how many workers the most recent RunParallel
 // actually ran after capping at the endpoint count and dropping empty
-// partition bins (1 when the run delegated to the sequential loop, 0
-// before any RunParallel). Benchmarks record this per sweep point so a
-// measured speedup is attributable to the worker count that produced it,
+// partition bins (0 before any RunParallel). Benchmarks record this so a
+// measured rate is attributable to the worker count that produced it,
 // not the requested one.
 func (r *Runner) EffectiveWorkers() int { return r.effWorkers }
 
-// SchedUnits reports how many scheduling units the most recent
-// RunParallel compiled: one per endpoint in the default pool mode (the
-// sequential delegate also schedules each endpoint individually), one per
-// worker in multiplexed mode. This is the number the many-nodes-per-worker
-// mode exists to bound: a 1024-node topology multiplexed onto 8 workers
-// runs as 8 units, not ~1100.
-func (r *Runner) SchedUnits() int { return r.schedUnits }
-
-// SetRingSlack adds n rounds of producer-side headroom to every
-// cross-worker SPSC ring: the data ring grows by n slots and the free
-// ring is pre-seeded with n spare batches, so a worker can run up to
-// 1+n rounds ahead of a lagging consumer before blocking (the consumer
-// side already has the full latency depth of slack). Host-side tuning
-// only — rings are FIFO, so token streams are bit-identical for every
-// value. The default is 0: on the single-core host this repo is grown on
-// the measured sweep shows no benefit (workers time-slice anyway), and
-// extra slack only costs memory; multi-core hosts with bursty endpoint
-// costs can widen the window via `firesim bench -ring-slack`.
-func (r *Runner) SetRingSlack(n int) error {
-	if n < 0 {
-		return fmt.Errorf("fame: ring slack must be >= 0, got %d", n)
-	}
-	r.ringSlack = n
-	return nil
-}
-
-// RingSlack reports the configured cross-worker ring slack, in rounds.
-func (r *Runner) RingSlack() int { return r.ringSlack }
-
-// SetBalanceSlackPct loosens the partitioner's balance cap by p percent:
-// merged link groups may grow to ceil(total/workers)*(100+p)/100 weight
-// before a merge is refused. More slack trades worker balance for link
-// co-location (fewer cross-worker rings). Host-side tuning only; the
-// partition stays deterministic for every value. Default 0 — the measured
-// sweep at 8–64 nodes shows the star/tree benches are ring-bound only at
-// the ToR boundary, which no cap setting can co-locate without collapsing
-// to one worker.
-func (r *Runner) SetBalanceSlackPct(p int) error {
-	if p < 0 {
-		return fmt.Errorf("fame: balance slack must be >= 0 percent, got %d", p)
-	}
-	r.balanceSlackPct = p
-	return nil
-}
-
-// BalanceSlackPct reports the partitioner's balance-cap slack, percent.
-func (r *Runner) BalanceSlackPct() int { return r.balanceSlackPct }
+// SetMultiplexed is kept for existing callers.
+//
+// Deprecated: every worker runs its endpoints as one fused plan; this
+// does nothing.
+func (r *Runner) SetMultiplexed(bool) {}
 
 // partition splits endpoint indices into at most `workers` groups. It is
-// deterministic (a pure function of the registered topology, the worker
-// count and the balance-slack knob) and aims for two properties, in
-// order:
+// deterministic (a pure function of the registered topology and the
+// worker count) and aims for two properties, in order:
 //
 //  1. balance: group weights stay near total/workers, with an endpoint's
 //     port count as its cost proxy (a switch ticking 32 ports does
@@ -150,15 +94,15 @@ func (r *Runner) BalanceSlackPct() int { return r.balanceSlackPct }
 //     the balance cap allows, so their links need no synchronization.
 //
 // Greedy merge over links in registration order (union-find, capped at
-// ceil(total/workers) plus the configured slack), then the merged groups
-// are packed by hostplatform.PackUnits — descending weight onto the
-// least-loaded bin (worst-fit decreasing, the LPT balancing heuristic;
-// NOT first-fit-decreasing, which minimises bin count rather than
-// balancing a fixed bin set), ties broken by ascending group then bin
-// index. This is the same packing the distributed reshard path uses, so
-// in-process workers and multi-process shards balance identically. Empty
-// bins are dropped; each returned group is sorted by endpoint index,
-// which is the worker's tick order.
+// ceil(total/workers)), then the merged groups are packed by
+// hostplatform.PackUnits — descending weight onto the least-loaded bin
+// (worst-fit decreasing, the LPT balancing heuristic; NOT
+// first-fit-decreasing, which minimises bin count rather than balancing a
+// fixed bin set), ties broken by ascending group then bin index. This is
+// the same packing the distributed reshard path uses, so in-process
+// workers and multi-process shards balance identically. Empty bins are
+// dropped; each returned group is sorted by endpoint index, which is the
+// worker's tick order.
 func (r *Runner) partition(workers int) [][]int {
 	ne := len(r.endpoints)
 	if workers > ne {
@@ -183,7 +127,6 @@ func (r *Runner) partition(workers int) [][]int {
 		total += w
 	}
 	maxGroup := (total + workers - 1) / workers
-	maxGroup += maxGroup * r.balanceSlackPct / 100
 
 	parent := make([]int, ne)
 	wsum := make([]int, ne)
@@ -258,25 +201,23 @@ type ringPair struct {
 // newRingPair moves ch's in-flight queue and free pool into fresh rings.
 //
 // Sizing invariant (checked, not assumed — see TestRingPairSizing):
-//   - data holds depth+1+slack slots: depth seeded in-flight batches,
-//     plus one slot so the producer can push its round's output before
-//     the consumer pops (the transient the sequential scheduler also
-//     exhibits at a round boundary), plus the configured ring slack;
-//   - free holds depth+3+slack slots: the circulating population is
-//     bounded by depth seeded batches + one in each side's hands + slack
-//     spares = depth+2+slack, and one more slot keeps the bound strict
-//     rather than exact, so seeding overflow is impossible by
-//     construction.
+//   - data holds depth+1 slots: depth seeded in-flight batches, plus one
+//     slot so the producer can push its round's output before the
+//     consumer pops (the transient Run also exhibits at a round
+//     boundary);
+//   - free holds depth+3 slots: the circulating population is bounded by
+//     depth seeded batches + one in each side's hands = depth+2, and one
+//     more slot keeps the bound strict rather than exact, so seeding
+//     overflow is impossible by construction.
 //
 // Overflow is therefore a counted error, not a silent GC drop: hitting it
 // means a broken invariant and the run must not proceed on a leaking
 // pool.
 func (r *Runner) newRingPair(ch *channel, m *runnerMetrics) (*ringPair, error) {
 	depth := int(ch.latency / r.step)
-	slack := r.ringSlack
 	rp := &ringPair{
-		data: newSPSCRing(depth + 1 + slack),
-		free: newSPSCRing(depth + 3 + slack),
+		data: newSPSCRing(depth + 1),
+		free: newSPSCRing(depth + 3),
 		ch:   ch,
 	}
 	for ch.queue.len() > 0 {
@@ -295,23 +236,25 @@ func (r *Runner) newRingPair(ch *channel, m *runnerMetrics) (*ringPair, error) {
 		}
 	}
 	ch.free = ch.free[:0]
-	// Top the free ring up to `slack` spare batches so the producer can
-	// actually run ahead without allocating: extra data-ring capacity is
-	// useless unless the circulating population can fill it. The top-up
-	// happens at most once per link lifetime — the spares drain back into
-	// the channel's recycle pool after the run and re-seed the ring on the
-	// next one, so repeated RunParallel calls do not grow the pool.
-	for rp.free.len() < slack {
-		if !rp.free.push(token.NewBatch(int(r.step))) {
-			break // unreachable: free cap depth+3+slack > slack
-		}
-	}
 	return rp, nil
 }
 
+// take returns a batch for the producer to fill: recycled storage when the
+// consumer has returned some, a fresh allocation (counted) otherwise.
+func (rp *ringPair) take(n int, m *runnerMetrics) *token.Batch {
+	if b, ok := rp.free.pop(); ok {
+		b.Reset(n)
+		return b
+	}
+	if m != nil {
+		m.poolAllocs.Inc()
+	}
+	return token.NewBatch(n)
+}
+
 // drain moves all ring contents back into the persistent channel, in FIFO
-// order, so a subsequent sequential Run or a checkpoint Save sees exactly
-// the state it would after a sequential run.
+// order, so a subsequent Run or a checkpoint Save sees exactly the state
+// it would after Run.
 func (rp *ringPair) drain() {
 	for {
 		b, ok := rp.data.pop()
@@ -327,30 +270,7 @@ func (rp *ringPair) drain() {
 		}
 		rp.ch.recycle(b)
 	}
-}
-
-// portBind resolves one endpoint port for the worker loop: exactly one of
-// ch (intra-worker link), rp (cross-worker link) is non-nil, or neither
-// (unconnected port).
-type portBind struct {
-	ch *channel
-	rp *ringPair
-}
-
-func (b portBind) connected() bool { return b.ch != nil || b.rp != nil }
-
-// epPlan is one endpoint's precompiled schedule entry: port bindings and
-// reusable scratch, so the hot loop performs no lookups.
-type epPlan struct {
-	idx     int // index into Runner.endpoints (and metrics arrays)
-	ep      Endpoint
-	name    string
-	eager   EagerStarter // non-nil when ep wants the per-round prepass
-	in, out []portBind
-	ins     []*token.Batch
-	outs    []*token.Batch
-	scratch []*token.Batch // per unconnected output port
-	empty   *token.Batch   // read-only input for unconnected input ports
+	rp.ch.rp = nil
 }
 
 // ringSpin is how many failed pop/push attempts a worker burns before
@@ -393,15 +313,15 @@ func pushWait(q *spscRing, b *token.Batch, abort *atomic.Bool) bool {
 }
 
 // buildCrossRings replaces every channel whose producer and consumer land
-// on different workers with an SPSC ring pair. On error the already-built
-// rings are drained back so the runner state stays coherent
-// (checkpointable, sequentially runnable).
-func (r *Runner) buildCrossRings(owner []int) (map[*channel]*ringPair, error) {
-	consOf := r.chanConsumer()
-	rings := make(map[*channel]*ringPair, 2*len(r.links))
+// on different workers with an SPSC ring pair (recorded in channel.rp for
+// compile), in endpoint/port order. On error the already-built rings are
+// drained back so the runner state stays coherent (checkpointable,
+// runnable).
+func (r *Runner) buildCrossRings(owner []int) ([]*ringPair, error) {
+	var rings []*ringPair
 	for i := range r.endpoints {
 		for _, ch := range r.outCh[i] {
-			if ch == nil || owner[i] == owner[consOf[ch]] {
+			if ch == nil || owner[i] == owner[ch.cons] {
 				continue
 			}
 			rp, err := r.newRingPair(ch, r.metrics)
@@ -411,97 +331,26 @@ func (r *Runner) buildCrossRings(owner []int) (map[*channel]*ringPair, error) {
 				}
 				return nil, err
 			}
-			rings[ch] = rp
+			ch.rp = rp
+			rings = append(rings, rp)
 		}
 	}
 	return rings, nil
 }
 
-// buildPlans precompiles each worker's schedule: one epPlan per endpoint,
-// port bindings resolved against the cross-worker rings.
-func (r *Runner) buildPlans(parts [][]int, rings map[*channel]*ringPair, n int) [][]*epPlan {
-	plans := make([][]*epPlan, len(parts))
-	for w, eps := range parts {
-		empty := token.NewBatch(n)
-		for _, i := range eps {
-			e := r.endpoints[i]
-			np := e.NumPorts()
-			pl := &epPlan{
-				idx:     i,
-				ep:      e,
-				name:    e.Name(),
-				eager:   asEagerStarter(e),
-				in:      make([]portBind, np),
-				out:     make([]portBind, np),
-				ins:     make([]*token.Batch, np),
-				outs:    make([]*token.Batch, np),
-				scratch: make([]*token.Batch, np),
-				empty:   empty,
-			}
-			for p := 0; p < np; p++ {
-				if ch := r.inCh[i][p]; ch != nil {
-					if rp := rings[ch]; rp != nil {
-						pl.in[p] = portBind{rp: rp}
-					} else {
-						pl.in[p] = portBind{ch: ch}
-					}
-				}
-				if ch := r.outCh[i][p]; ch != nil {
-					if rp := rings[ch]; rp != nil {
-						pl.out[p] = portBind{rp: rp}
-					} else {
-						pl.out[p] = portBind{ch: ch}
-					}
-				} else {
-					pl.scratch[p] = token.NewBatch(n)
-				}
-			}
-			plans[w] = append(plans[w], pl)
-		}
-	}
-	return plans
-}
-
-// asEagerStarter resolves the optional prepass capability once at plan
-// build time, so the hot loops test a field instead of a type assertion.
-func asEagerStarter(e Endpoint) EagerStarter {
-	if s, ok := e.(EagerStarter); ok {
-		return s
-	}
-	return nil
-}
-
 // runParallel is RunParallel plus a wall-time measurement covering only
-// the decoupled round loop: build, partitioning, ring construction and
-// the final drain all happen outside the clock, matching what run times
-// for the sequential scheduler.
+// the decoupled round loop: partitioning, ring construction, plan
+// compilation and the final drain all happen outside the clock.
 func (r *Runner) runParallel(cycles clock.Cycles) (time.Duration, error) {
-	if err := r.build(); err != nil {
+	rounds, err := r.rounds(cycles)
+	if err != nil {
 		return 0, err
 	}
-	if r.poisoned {
-		return 0, ErrPoisoned
-	}
-	if cycles <= 0 || cycles%r.step != 0 {
-		return 0, fmt.Errorf("fame: cycles %d must be a positive multiple of step %d", cycles, r.step)
-	}
-
 	parts := r.partition(r.Workers())
 	r.effWorkers = len(parts)
 	if len(parts) == 1 {
-		// One worker owns every endpoint, so there is nothing to
-		// synchronize: the worker-pool loop would be the sequential loop
-		// with extra indirection. Run the sequential scheduler itself —
-		// this is what makes RunParallel no slower than Run on a
-		// single-core host. The sequential loop schedules each endpoint
-		// individually, so the unit count matches pool mode.
-		r.schedUnits = len(r.endpoints)
 		return r.run(cycles)
 	}
-
-	rounds := int(cycles / r.step)
-	n := int(r.step)
-	m := r.metrics
 
 	owner := make([]int, len(r.endpoints))
 	for w, eps := range parts {
@@ -509,281 +358,45 @@ func (r *Runner) runParallel(cycles clock.Cycles) (time.Duration, error) {
 			owner[i] = w
 		}
 	}
-
 	rings, err := r.buildCrossRings(owner)
 	if err != nil {
 		return 0, err
 	}
-	plans := r.buildPlans(parts, rings, n)
-
-	var wall time.Duration
-	var panicErr *EndpointPanicError
-	if r.multiplexed {
-		r.schedUnits = len(parts)
-		wall, panicErr = r.muxLoop(buildMuxPlans(plans), owner[0], rounds, n, m)
-	} else {
-		r.schedUnits = len(r.endpoints)
-		wall, panicErr = r.poolLoop(plans, owner[0], rounds, n, m)
+	plans := make([]*plan, len(parts))
+	for w, eps := range parts {
+		plans[w] = r.compile(eps)
 	}
 
-	// Move ring state back into the persistent channel queues so a
-	// subsequent sequential Run or checkpoint Save continues seamlessly.
-	// Iterate in endpoint/port order (not map order) for a deterministic
-	// drain sequence.
-	for i := range r.endpoints {
-		for _, ch := range r.outCh[i] {
-			if ch == nil {
-				continue
-			}
-			if rp := rings[ch]; rp != nil {
-				rp.drain()
-			}
-		}
-	}
-	if panicErr != nil {
-		// Target time does not advance: the run was torn mid-round, so
-		// r.cycle still names the last coherent checkpointable boundary a
-		// caller could have saved. The drained channel populations are NOT
-		// coherent (workers unwound at arbitrary points), hence the poison
-		// until Restore rewinds them.
-		r.poisoned = true
-		return wall, panicErr
-	}
-	r.cycle += clock.Cycles(rounds) * r.step
-	if m != nil {
-		m.runWall.Add(uint64(wall.Nanoseconds()))
-		m.cycleGauge.Set(int64(r.cycle))
-	}
-	return wall, nil
-}
-
-// poolLoop runs the default per-endpoint scheduling mode: one goroutine
-// per worker, each iterating its endpoints' plans in global registration
-// order every round. Returns the round-loop wall time and the contained
-// panic, if any (the caller drains rings and poisons the runner).
-func (r *Runner) poolLoop(plans [][]*epPlan, hbWorker, rounds, n int, m *runnerMetrics) (time.Duration, *EndpointPanicError) {
-	base := r.cycle
-	start := time.Now()
-
-	// Panic containment (see panic.go): the first worker whose endpoint
-	// panics records the structured error and raises abort; every other
+	// The first worker whose endpoint panics raises abort; every other
 	// worker notices on its next slow-path ring wait (or round boundary)
-	// and unwinds. The rings are drained by the caller regardless, so the
-	// runner stays structurally coherent — just poisoned until a Restore.
+	// and unwinds.
 	var abort atomic.Bool
-	var panicMu sync.Mutex
-	var panicErr *EndpointPanicError
-
+	perrs := make([]*EndpointPanicError, len(plans))
 	var wg sync.WaitGroup
-	for w := range plans {
+	start := time.Now()
+	for w, p := range plans {
 		wg.Add(1)
-		go func(w int, plans []*epPlan) {
+		go func(w int, p *plan) {
 			defer wg.Done()
-			curName := "<worker>"
-			curWin := base
-			defer func() {
-				if v := recover(); v != nil {
-					abort.Store(true)
-					panicMu.Lock()
-					if panicErr == nil {
-						panicErr = &EndpointPanicError{Endpoint: curName, Cycle: curWin, Value: v, Stack: debug.Stack()}
-					}
-					panicMu.Unlock()
-				}
-			}()
-			heartbeat := hbWorker == w
-			var hbRounds, accToks uint64
-			// Per-endpoint token counts batch locally (indexed like this
-			// worker's plans) and flush on sampled rounds and at run end,
-			// mirroring the sequential runner.
-			var epAcc []uint64
-			if m != nil {
-				epAcc = make([]uint64, len(plans))
-			}
-			// Eager endpoints on this worker: their inputs pop early each
-			// round so StartBatch overlaps the rest of the round.
-			var eagers []*epPlan
-			for _, pl := range plans {
-				if pl.eager != nil {
-					eagers = append(eagers, pl)
-				}
-			}
-			for round := 0; round < rounds; round++ {
-				if abort.Load() {
-					return
-				}
-				winStart := base + clock.Cycles(round)*r.step
-				curWin = winStart
-				for _, pl := range eagers {
-					curName = pl.name
-					in := pl.ins
-					for p := range pl.in {
-						switch bind := pl.in[p]; {
-						case bind.rp != nil:
-							b, ok := popWait(bind.rp.data, &abort)
-							if !ok {
-								return
-							}
-							in[p] = b
-						case bind.ch != nil:
-							in[p] = bind.ch.pop()
-						default:
-							in[p] = pl.empty
-						}
-					}
-					if inj := r.injector; inj != nil {
-						for p := range pl.in {
-							if pl.in[p].connected() {
-								inj.FilterInput(pl.name, p, winStart, in[p])
-							}
-						}
-					}
-					pl.eager.StartBatch(n, in)
-				}
-				// Tick timing samples the same round indices as the
-				// sequential runner so the histograms stay comparable;
-				// each tick pays its own two clock reads so ring-wait
-				// time never pollutes the histogram.
-				sampled := m != nil && round&tickSampleMask == 0
-				for pi, pl := range plans {
-					curName = pl.name
-					in, out := pl.ins, pl.outs
-					for p := range pl.in {
-						if pl.eager == nil {
-							switch bind := pl.in[p]; {
-							case bind.rp != nil:
-								b, ok := popWait(bind.rp.data, &abort)
-								if !ok {
-									return
-								}
-								in[p] = b
-							case bind.ch != nil:
-								in[p] = bind.ch.pop()
-							default:
-								in[p] = pl.empty
-							}
-						}
-						switch bind := pl.out[p]; {
-						case bind.rp != nil:
-							if b, ok := bind.rp.free.pop(); ok {
-								b.Reset(n)
-								out[p] = b
-							} else {
-								if m != nil {
-									m.poolAllocs.Inc()
-								}
-								out[p] = token.NewBatch(n)
-							}
-						case bind.ch != nil:
-							out[p] = bind.ch.take(n)
-						default:
-							pl.scratch[p].Reset(n)
-							out[p] = pl.scratch[p]
-						}
-					}
-					if inj := r.injector; inj != nil && pl.eager == nil {
-						for p := range pl.in {
-							if pl.in[p].connected() {
-								inj.FilterInput(pl.name, p, winStart, in[p])
-							}
-						}
-					}
-					var t0 time.Time
-					if sampled {
-						t0 = time.Now()
-					}
-					pl.ep.TickBatch(n, in, out)
-					if sampled {
-						m.tick[pl.idx].Observe(uint64(time.Since(t0).Nanoseconds()))
-					}
-					if m != nil {
-						var toks uint64
-						for p := range pl.out {
-							if pl.out[p].connected() {
-								toks += uint64(len(out[p].Slots))
-							}
-						}
-						if toks > 0 {
-							epAcc[pi] += toks
-							accToks += toks
-						}
-					}
-					if inj := r.injector; inj != nil {
-						for p := range pl.out {
-							if pl.out[p].connected() {
-								inj.FilterOutput(pl.name, p, winStart, out[p])
-							}
-						}
-					}
-					for p := range pl.out {
-						switch bind := pl.out[p]; {
-						case bind.rp != nil:
-							if !pushWait(bind.rp.data, out[p], &abort) {
-								return
-							}
-						case bind.ch != nil:
-							bind.ch.push(out[p])
-						}
-						switch bind := pl.in[p]; {
-						case bind.rp != nil:
-							if !bind.rp.free.push(in[p]) {
-								// Unreachable with the depth+3+slack sizing;
-								// the counter is a regression tripwire
-								// asserted zero by tests.
-								if m != nil {
-									m.poolDrops.Inc()
-								}
-							}
-						case bind.ch != nil:
-							bind.ch.recycle(in[p])
-						}
-					}
-				}
-				if m != nil {
-					if sampled {
-						if accToks > 0 {
-							m.tokens.Add(accToks)
-							accToks = 0
-						}
-						for pi, t := range epAcc {
-							if t > 0 {
-								m.epTokens[plans[pi].idx].Add(t)
-								epAcc[pi] = 0
-							}
-						}
-					}
-					// Workers advance decoupled, so any one is an equally
-					// good progress heartbeat; the worker owning endpoint 0
-					// reports for the group. The gauge is corrected to the
-					// exact final cycle after the barrier below.
-					if heartbeat {
-						hbRounds++
-						if sampled {
-							m.rounds.Add(hbRounds)
-							m.cycles.Add(hbRounds * uint64(r.step))
-							hbRounds = 0
-							m.cycleGauge.Set(int64(winStart + r.step))
-						}
-					}
-				}
-			}
-			if m != nil {
-				if hbRounds > 0 {
-					m.rounds.Add(hbRounds)
-					m.cycles.Add(hbRounds * uint64(r.step))
-				}
-				if accToks > 0 {
-					m.tokens.Add(accToks)
-				}
-				for pi, t := range epAcc {
-					if t > 0 {
-						m.epTokens[plans[pi].idx].Add(t)
-					}
-				}
-			}
-		}(w, plans[w])
+			perrs[w] = r.work(p, r.cycle, rounds, w == owner[0], &abort)
+		}(w, p)
 	}
 	wg.Wait()
 	wall := time.Since(start)
-	return wall, panicErr
+
+	// Move ring state back into the persistent channel queues so a
+	// subsequent Run or checkpoint Save continues seamlessly — also after
+	// a panic, so the runner stays structurally coherent, just poisoned
+	// until a Restore.
+	for _, rp := range rings {
+		rp.drain()
+	}
+	var perr *EndpointPanicError
+	for _, e := range perrs {
+		if e != nil {
+			perr = e
+			break
+		}
+	}
+	return r.finish(wall, rounds, perr)
 }

@@ -169,15 +169,12 @@ func buildSweepTopology(t *testing.T, inject bool) (*Runner, *Sink, *Sink) {
 	return r, sinkA, sinkB
 }
 
-// testWorkerSweepEquivalence is the tentpole determinism contract: for
+// TestWorkerSweepEquivalence is the tentpole determinism contract: for
 // every worker count (including counts above the endpoint count), with and
 // without fault injection, RunParallel must deliver streams bit-identical
-// to the sequential scheduler. On a single-core host this still exercises
-// the multi-worker ring path — workers make progress via Gosched. The mux
-// flag runs the same contract through the many-nodes-per-worker mode
-// (TestMuxWorkerSweepEquivalence), which must be indistinguishable on
-// every observable except the scheduling-unit count, asserted here too.
-func testWorkerSweepEquivalence(t *testing.T, mux bool) {
+// to Run. On a single-core host this still exercises the multi-worker ring
+// path — workers make progress via Gosched.
+func TestWorkerSweepEquivalence(t *testing.T) {
 	const numEndpoints = 5 // buildSweepTopology registers five
 	for _, inject := range []bool{false, true} {
 		ref, refA, refB := buildSweepTopology(t, inject)
@@ -192,7 +189,6 @@ func testWorkerSweepEquivalence(t *testing.T, mux bool) {
 			if err := r.SetWorkers(workers); err != nil {
 				t.Fatal(err)
 			}
-			r.SetMultiplexed(mux)
 			if err := r.RunParallel(240); err != nil {
 				t.Fatal(err)
 			}
@@ -202,37 +198,23 @@ func testWorkerSweepEquivalence(t *testing.T, mux bool) {
 			if !reflect.DeepEqual(refB.Received, sb.Received) {
 				t.Errorf("inject=%v workers=%d: sinkB diverged from sequential", inject, workers)
 			}
-			// Accounting: the effective worker count is what actually ran
-			// (capped at the endpoint count, empty bins dropped), and the
-			// scheduling-unit count is per-endpoint in pool mode but
-			// per-worker in multiplexed mode.
+			// The effective worker count is what actually ran (capped at
+			// the endpoint count, empty bins dropped).
 			eff := r.EffectiveWorkers()
 			if eff < 1 || eff > workers || eff > numEndpoints {
 				t.Errorf("inject=%v workers=%d: EffectiveWorkers() = %d out of range [1, min(%d, %d)]",
 					inject, workers, eff, workers, numEndpoints)
 			}
-			wantUnits := numEndpoints
-			if mux && eff > 1 {
-				wantUnits = eff
-			}
-			if got := r.SchedUnits(); got != wantUnits {
-				t.Errorf("inject=%v workers=%d mux=%v: SchedUnits() = %d, want %d",
-					inject, workers, mux, got, wantUnits)
-			}
 		}
 	}
 }
 
-func TestWorkerSweepEquivalence(t *testing.T) { testWorkerSweepEquivalence(t, false) }
-
-// testCheckpointMidParallel is the keystone snapshot property under
+// TestCheckpointMidParallelWorkers is the keystone snapshot property under
 // the worker pool: checkpoint between RunParallel batches with forced
 // multi-worker scheduling, restore, re-run — state bytes must match the
 // uninterrupted run exactly. This is what requires runParallel to drain
-// its rings back into the persistent channel queues. The mux flag holds
-// the multiplexed mode to the identical contract
-// (TestMuxCheckpointMidRun).
-func testCheckpointMidParallel(t *testing.T, mux bool) {
+// its rings back into the persistent channel queues.
+func TestCheckpointMidParallelWorkers(t *testing.T) {
 	const n, m = 64, 128
 	save := func(r *Runner, a, z *pulse) []byte {
 		var buf bytes.Buffer
@@ -256,7 +238,6 @@ func testCheckpointMidParallel(t *testing.T, mux bool) {
 	if err := r1.SetWorkers(2); err != nil {
 		t.Fatal(err)
 	}
-	r1.SetMultiplexed(mux)
 	if err := r1.RunParallel(n); err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +252,6 @@ func testCheckpointMidParallel(t *testing.T, mux bool) {
 		if err := r2.SetWorkers(workers); err != nil {
 			t.Fatal(err)
 		}
-		r2.SetMultiplexed(mux)
 		rd, _, err := snapshot.NewReader(bytes.NewReader(ck))
 		if err != nil {
 			t.Fatal(err)
@@ -293,15 +273,11 @@ func testCheckpointMidParallel(t *testing.T, mux bool) {
 	}
 }
 
-func TestCheckpointMidParallelWorkers(t *testing.T) { testCheckpointMidParallel(t, false) }
-
-// testMultiWorkerMetrics forces the cross-worker ring path and holds it
-// to the same fame_* contract the default path satisfies: exact
+// TestMultiWorkerMetricsEquivalence forces the cross-worker ring path and
+// holds it to the same fame_* contract Run satisfies: exact
 // round/cycle/token counters, one tick observation per sampled round per
 // endpoint, and zero pool drops (the counted-error seeding satellite).
-// With mux it holds the multiplexed mode's flattened accounting to the
-// same numbers (TestMuxMetricsEquivalence).
-func testMultiWorkerMetrics(t *testing.T, mux bool) {
+func TestMultiWorkerMetricsEquivalence(t *testing.T) {
 	const latency = clock.Cycles(8)
 	const cycles = clock.Cycles(8 * 50)
 
@@ -320,7 +296,6 @@ func testMultiWorkerMetrics(t *testing.T, mux bool) {
 		if err := par.SetWorkers(workers); err != nil {
 			t.Fatal(err)
 		}
-		par.SetMultiplexed(mux)
 		if err := par.RunParallel(cycles); err != nil {
 			t.Fatal(err)
 		}
@@ -353,8 +328,6 @@ func testMultiWorkerMetrics(t *testing.T, mux bool) {
 		}
 	}
 }
-
-func TestMultiWorkerMetricsEquivalence(t *testing.T) { testMultiWorkerMetrics(t, false) }
 
 // TestRandomTopologyWorkerEquivalence reuses the property-test generator
 // idea at a smaller scale: random stars, random worker counts, streams
@@ -413,35 +386,28 @@ func TestRandomTopologyWorkerEquivalence(t *testing.T) {
 	}
 }
 
-// TestParallelKnobValidation covers the tuning-knob surface: negative
-// values are rejected, accepted values round-trip through the accessors,
-// and the multiplexed toggle reads back.
+// TestParallelKnobValidation: the worker count is the only scheduler knob.
+// The deprecated SetMultiplexed toggle must change nothing — streams and
+// the effective worker count are those of the same run without it.
 func TestParallelKnobValidation(t *testing.T) {
-	r := NewRunner()
-	if err := r.SetRingSlack(-1); err == nil {
-		t.Error("SetRingSlack(-1) accepted")
+	run := func(toggle bool) (*Runner, *Sink, *Sink) {
+		r, sa, sb := buildSweepTopology(t, true)
+		if err := r.SetWorkers(3); err != nil {
+			t.Fatal(err)
+		}
+		r.SetMultiplexed(toggle)
+		if err := r.RunParallel(240); err != nil {
+			t.Fatal(err)
+		}
+		return r, sa, sb
 	}
-	if err := r.SetRingSlack(4); err != nil {
-		t.Fatal(err)
+	plain, pa, pb := run(false)
+	toggled, ta, tb := run(true)
+	if !reflect.DeepEqual(pa.Received, ta.Received) || !reflect.DeepEqual(pb.Received, tb.Received) {
+		t.Error("SetMultiplexed(true) changed the token streams")
 	}
-	if got := r.RingSlack(); got != 4 {
-		t.Errorf("RingSlack() = %d, want 4", got)
-	}
-	if err := r.SetBalanceSlackPct(-1); err == nil {
-		t.Error("SetBalanceSlackPct(-1) accepted")
-	}
-	if err := r.SetBalanceSlackPct(50); err != nil {
-		t.Fatal(err)
-	}
-	if got := r.BalanceSlackPct(); got != 50 {
-		t.Errorf("BalanceSlackPct() = %d, want 50", got)
-	}
-	if r.Multiplexed() {
-		t.Error("Multiplexed() true by default")
-	}
-	r.SetMultiplexed(true)
-	if !r.Multiplexed() {
-		t.Error("SetMultiplexed(true) did not stick")
+	if plain.EffectiveWorkers() != toggled.EffectiveWorkers() {
+		t.Errorf("SetMultiplexed(true) changed EffectiveWorkers: %d vs %d", toggled.EffectiveWorkers(), plain.EffectiveWorkers())
 	}
 }
 
@@ -514,7 +480,7 @@ func TestPartitionEdgeCases(t *testing.T) {
 
 	t.Run("zero-port endpoints", func(t *testing.T) {
 		// Zero-port endpoints weigh 1 (cost floor), partition cleanly,
-		// and run without port bindings in both scheduler modes.
+		// and run without port bindings.
 		r := NewRunner()
 		a := NewSource("a")
 		z := NewSink("z")
@@ -531,14 +497,11 @@ func TestPartitionEdgeCases(t *testing.T) {
 			t.Fatal(err)
 		}
 		cover(t, r, r.partition(3), 3)
-		for _, mux := range []bool{false, true} {
-			if err := r.SetWorkers(3); err != nil {
-				t.Fatal(err)
-			}
-			r.SetMultiplexed(mux)
-			if err := r.RunParallel(16); err != nil {
-				t.Fatalf("mux=%v: %v", mux, err)
-			}
+		if err := r.SetWorkers(3); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.RunParallel(16); err != nil {
+			t.Fatal(err)
 		}
 		if len(z.Received) != 1 {
 			t.Errorf("sink received %d tokens, want 1", len(z.Received))
@@ -590,83 +553,62 @@ func TestPartitionPackingTieBreak(t *testing.T) {
 	}
 }
 
-// TestPartitionBalanceSlackCoLocates shows the balance-slack knob doing
-// its one job: a linked pair whose merge the strict cap refuses co-locates
-// once the cap is loosened, and the partition stays deterministic at every
-// setting.
-func TestPartitionBalanceSlackCoLocates(t *testing.T) {
-	build := func() *Runner {
-		r := NewRunner()
-		a := &hub{name: "a", ports: 2}
-		b := &hub{name: "b", ports: 2}
-		c := &hub{name: "c", ports: 1}
-		d := &hub{name: "d", ports: 1}
-		for _, e := range []*hub{a, b, c, d} {
-			r.Add(e)
-		}
-		if err := r.Connect(a, 0, b, 0, 8); err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	ownerOf := func(r *Runner, slackPct int) (int, int) {
-		if err := r.SetBalanceSlackPct(slackPct); err != nil {
-			t.Fatal(err)
-		}
-		if err := r.build(); err != nil {
-			t.Fatal(err)
-		}
-		parts := r.partition(2)
-		owner := make(map[int]int)
-		for w, part := range parts {
-			for _, idx := range part {
-				owner[idx] = w
-			}
-		}
-		return owner[0], owner[1]
-	}
-	// total weight 6, 2 workers, cap 3: the a—b merge (weight 4) is
-	// refused and worst-fit packing seeds a and b into different bins.
-	if oa, ob := ownerOf(build(), 0); oa == ob {
-		t.Errorf("strict cap: a and b co-located (slack should be required)")
-	}
-	// 50%% slack: cap 4, the merge fits, the pair shares a worker.
-	if oa, ob := ownerOf(build(), 50); oa != ob {
-		t.Errorf("50%% slack: linked pair a—b still split")
-	}
-}
-
-// TestRingSlackEquivalence sweeps the tuning knobs across both scheduler
-// modes: whatever slack the rings carry and however loose the balance
-// cap, the streams must stay bit-identical to the sequential scheduler —
-// the knobs are host-side only.
-func TestRingSlackEquivalence(t *testing.T) {
-	ref, refA, refB := buildSweepTopology(t, true)
-	if err := ref.Run(240); err != nil {
+// TestCompilePlanSpans audits the one plan builder: every worker's plan
+// lists its part's endpoints in registration order, member spans tile the
+// flat port arrays exactly, and a port binds to a ring exactly when its
+// link crosses workers.
+func TestCompilePlanSpans(t *testing.T) {
+	r, _, _ := buildSweepTopology(t, false)
+	if err := r.build(); err != nil {
 		t.Fatal(err)
 	}
-	for _, mux := range []bool{false, true} {
-		for _, ringSlack := range []int{1, 4} {
-			for _, balancePct := range []int{0, 100} {
-				r, sa, sb := buildSweepTopology(t, true)
-				if err := r.SetWorkers(3); err != nil {
-					t.Fatal(err)
-				}
-				r.SetMultiplexed(mux)
-				if err := r.SetRingSlack(ringSlack); err != nil {
-					t.Fatal(err)
-				}
-				if err := r.SetBalanceSlackPct(balancePct); err != nil {
-					t.Fatal(err)
-				}
-				if err := r.RunParallel(240); err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(refA.Received, sa.Received) || !reflect.DeepEqual(refB.Received, sb.Received) {
-					t.Errorf("mux=%v ringSlack=%d balancePct=%d: streams diverged from sequential",
-						mux, ringSlack, balancePct)
+	parts := r.partition(3)
+	owner := make([]int, len(r.endpoints))
+	for w, eps := range parts {
+		for _, i := range eps {
+			owner[i] = w
+		}
+	}
+	rings, err := r.buildCrossRings(owner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		for _, rp := range rings {
+			rp.drain()
+		}
+	}()
+	if len(rings) == 0 {
+		t.Fatal("partition(3) of the sweep topology left no link crossing workers")
+	}
+	for w, eps := range parts {
+		p := r.compile(eps)
+		if len(p.members) != len(eps) {
+			t.Errorf("plan %d has %d members, part has %d endpoints", w, len(p.members), len(eps))
+		}
+		at := 0
+		for mi, mem := range p.members {
+			if mem.idx != eps[mi] {
+				t.Errorf("plan %d member %d is endpoint %d, want %d (registration order)", w, mi, mem.idx, eps[mi])
+			}
+			if mem.lo != at {
+				t.Errorf("plan %d member %d span starts at %d, want %d (spans must tile)", w, mi, mem.lo, at)
+			}
+			if want := r.endpoints[mem.idx].NumPorts(); mem.hi-mem.lo != want {
+				t.Errorf("plan %d member %d span width %d, want %d ports", w, mi, mem.hi-mem.lo, want)
+			}
+			for q := mem.lo; q < mem.hi; q++ {
+				if ch := r.outCh[mem.idx][q-mem.lo]; ch != nil {
+					if cross := owner[ch.cons] != w; cross != (p.out[q].rp != nil) {
+						t.Errorf("plan %d member %d port %d: crosses workers %v, bound to ring %v", w, mi, q-mem.lo, cross, p.out[q].rp != nil)
+					}
 				}
 			}
+			at = mem.hi
+		}
+		if at != len(p.in) || len(p.in) != len(p.out) || len(p.in) != len(p.ins) || len(p.in) != len(p.outs) {
+			t.Errorf("plan %d flat arrays ragged: spans end %d, in %d, out %d, ins %d, outs %d",
+				w, at, len(p.in), len(p.out), len(p.ins), len(p.outs))
 		}
 	}
 }

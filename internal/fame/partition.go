@@ -19,19 +19,6 @@ import (
 // the partition unit's members, so one runner can checkpoint and restore
 // each hosted unit independently.
 
-// chanConsumer maps each channel to the endpoint index consuming it.
-func (r *Runner) chanConsumer() map[*channel]int {
-	consOf := make(map[*channel]int, 2*len(r.links))
-	for i := range r.endpoints {
-		for _, ch := range r.inCh[i] {
-			if ch != nil {
-				consOf[ch] = i
-			}
-		}
-	}
-	return consOf
-}
-
 // unitChannel is one (producer, port) entry selected by an include
 // predicate, in the canonical (name, port) order both save and restore
 // walk.
@@ -47,7 +34,6 @@ type unitChannel struct {
 // keeps a unit's stream self-contained: a channel reaching outside the
 // unit would need state from an endpoint some other process owns.
 func (r *Runner) unitChannels(include func(name string) bool) []unitChannel {
-	consOf := r.chanConsumer()
 	var out []unitChannel
 	for i, e := range r.endpoints {
 		if !include(e.Name()) {
@@ -57,8 +43,7 @@ func (r *Runner) unitChannels(include func(name string) bool) []unitChannel {
 			if ch == nil {
 				continue
 			}
-			cons := r.endpoints[consOf[ch]]
-			if !include(cons.Name()) {
+			if !include(r.endpoints[ch.cons].Name()) {
 				continue
 			}
 			out = append(out, unitChannel{name: e.Name(), ep: i, port: p, ch: ch})

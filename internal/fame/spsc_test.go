@@ -144,71 +144,60 @@ func TestSPSCRingInvalidCapPanics(t *testing.T) {
 }
 
 // TestRingPairSizing documents the cross-worker link sizing invariant:
-// the data ring holds depth+1+slack slots (depth seeded batches plus one
-// transient push-before-pop slot plus the configured slack) and the free
-// ring depth+3+slack (the whole circulating population, strictly), with
-// the free ring topped up to exactly `slack` spares. Draining and
-// rebuilding must keep the population fixed — repeated RunParallel calls
-// may not grow the recycle pool.
+// the data ring holds depth+1 slots (depth seeded batches plus one
+// transient push-before-pop slot) and the free ring depth+3 (the whole
+// circulating population, strictly). Draining and rebuilding must keep
+// the population fixed — repeated RunParallel calls may not grow the
+// recycle pool.
 func TestRingPairSizing(t *testing.T) {
-	for _, slack := range []int{0, 2, 5} {
-		r, _, _ := pulsePair()
-		if err := r.SetRingSlack(slack); err != nil {
-			t.Fatal(err)
-		}
-		if err := r.build(); err != nil {
-			t.Fatal(err)
-		}
-		ch := r.outCh[0][0]
-		if ch == nil {
-			t.Fatal("pulsePair endpoint 0 port 0 has no output channel")
-		}
-		depth := int(ch.latency / r.step)
-		if got := ch.queue.len(); got != depth {
-			t.Fatalf("slack=%d: channel seeded with %d batches, want depth %d", slack, got, depth)
-		}
+	r, _, _ := pulsePair()
+	if err := r.build(); err != nil {
+		t.Fatal(err)
+	}
+	ch := r.outCh[0][0]
+	if ch == nil {
+		t.Fatal("pulsePair endpoint 0 port 0 has no output channel")
+	}
+	depth := int(ch.latency / r.step)
+	if got := ch.queue.len(); got != depth {
+		t.Fatalf("channel seeded with %d batches, want depth %d", got, depth)
+	}
 
-		rp, err := r.newRingPair(ch, nil)
+	rp, err := r.newRingPair(ch, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, min := rp.data.cap(), depth+1; got < min {
+		t.Errorf("data cap %d < depth+1 = %d", got, min)
+	}
+	if got, min := rp.free.cap(), depth+3; got < min {
+		t.Errorf("free cap %d < depth+3 = %d", got, min)
+	}
+	if got := rp.data.len(); got != depth {
+		t.Errorf("data ring seeded with %d batches, want depth %d", got, depth)
+	}
+	if got := rp.free.len(); got != 0 {
+		t.Errorf("free ring seeded with %d spares, want 0", got)
+	}
+
+	// Drain: the in-flight population returns to the channel queue.
+	rp.drain()
+	if got := ch.queue.len(); got != depth {
+		t.Errorf("drain left %d batches in flight, want %d", got, depth)
+	}
+
+	// Rebuild twice more: the circulating population stays fixed.
+	for i := 0; i < 2; i++ {
+		rp, err = r.newRingPair(ch, nil)
 		if err != nil {
-			t.Fatalf("slack=%d: %v", slack, err)
+			t.Fatalf("rebuild %d: %v", i, err)
 		}
-		if got, min := rp.data.cap(), depth+1+slack; got < min {
-			t.Errorf("slack=%d: data cap %d < depth+1+slack = %d", slack, got, min)
+		if got := rp.data.len() + rp.free.len(); got != depth {
+			t.Errorf("rebuild %d: ring population %d, want %d (must not grow)", i, got, depth)
 		}
-		if got, min := rp.free.cap(), depth+3+slack; got < min {
-			t.Errorf("slack=%d: free cap %d < depth+3+slack = %d", slack, got, min)
-		}
-		if got := rp.data.len(); got != depth {
-			t.Errorf("slack=%d: data ring seeded with %d batches, want depth %d", slack, got, depth)
-		}
-		if got := rp.free.len(); got != slack {
-			t.Errorf("slack=%d: free ring topped up to %d spares, want %d", slack, got, slack)
-		}
-
-		// Drain: the in-flight population returns to the channel queue and
-		// the spares land in the recycle pool.
 		rp.drain()
-		if got := ch.queue.len(); got != depth {
-			t.Errorf("slack=%d: drain left %d batches in flight, want %d", slack, got, depth)
-		}
-		if got := len(ch.free); got != slack {
-			t.Errorf("slack=%d: drain recycled %d spares, want %d", slack, got, slack)
-		}
-
-		// Rebuild twice more: spares re-seed the free ring instead of being
-		// topped up again, so the circulating population stays fixed.
-		for i := 0; i < 2; i++ {
-			rp, err = r.newRingPair(ch, nil)
-			if err != nil {
-				t.Fatalf("slack=%d rebuild %d: %v", slack, i, err)
-			}
-			if got := rp.free.len(); got != slack {
-				t.Errorf("slack=%d rebuild %d: free population %d, want %d (must not grow)", slack, i, got, slack)
-			}
-			rp.drain()
-			if got := len(ch.free); got != slack {
-				t.Errorf("slack=%d rebuild %d: recycle pool %d, want %d (must not grow)", slack, i, got, slack)
-			}
+		if got := len(ch.free); got != 0 {
+			t.Errorf("rebuild %d: recycle pool %d, want 0 (must not grow)", i, got)
 		}
 	}
 }

@@ -5,6 +5,9 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"testing"
+
+	"repro/internal/clock"
+	"repro/internal/softstack"
 )
 
 // controlSeed frames one message and returns the raw bytes.
@@ -56,6 +59,9 @@ func FuzzControlRead(f *testing.F) {
 		}
 	}
 	// Targeted malformations.
+	badWorkload := spec
+	badWorkload.Workload = &WorkloadSpec{Kind: "stream", FrameBytes: 5, Gbps: 1}
+	f.Add(controlSeed(msgAssign, AssignMsg{Epoch: 1, Spec: badWorkload, Units: []UnitAssign{{Unit: 0}}}))
 	badMagic := append([]byte(nil), seeds[0]...)
 	badMagic[0] ^= 0xff
 	f.Add(badMagic)
@@ -87,8 +93,13 @@ func FuzzControlRead(f *testing.F) {
 			var m AssignMsg
 			if decodeControl(typ, payload, &m) == nil {
 				// A structurally valid assign may still carry a hostile
-				// spec; Topology() must bound and reject, not panic.
-				_, _, _ = m.Spec.Topology()
+				// spec; Topology() must bound and reject, not panic, and
+				// a workload it accepts must install on a node.
+				if _, _, err := m.Spec.Topology(); err == nil && m.Spec.Workload != nil {
+					w := m.Spec.Workload
+					n := softstack.NewNode(softstack.Config{Name: "fuzz"})
+					n.StartRawStream(clock.Cycles(w.StartAt), 0, w.FrameBytes, w.Gbps, clock.Cycles(w.StopAt))
+				}
 			}
 		case msgRunTo:
 			var m RunToMsg

@@ -1057,9 +1057,11 @@ func (c *coordinator) applyTearChaos() {
 func (c *coordinator) recover(f *epochFailure) (map[string][]int, error) {
 	// A suspectless progress stall was (when armed) the chaos stall
 	// doing its job: mark it consumed so the victim is not re-stalled
-	// every epoch. The process stays alive — it heals by rewind.
+	// every epoch. The process stays alive — it heals by rewind. A failure
+	// with suspects (a kill detected after the victim ran past its stall
+	// cycle) leaves the stall armed for the next epoch.
 	for _, p := range c.procs {
-		if p.stallArmed != nil && p.lastCycle.Load() >= p.stallArmed.ev.Cycle {
+		if len(f.suspects) == 0 && p.stallArmed != nil && p.lastCycle.Load() >= p.stallArmed.ev.Cycle {
 			p.stallArmed.done.Store(true)
 		}
 	}

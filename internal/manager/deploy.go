@@ -53,21 +53,6 @@ type DeployConfig struct {
 	// (0 = GOMAXPROCS). Host-side tuning only: simulated behaviour is
 	// bit-identical for every value, so it is excluded from TopologyHash.
 	Workers int
-	// Multiplexed selects the many-nodes-per-worker scheduling mode: each
-	// worker's endpoint group runs as one fused scheduling unit instead of
-	// one unit per endpoint (fame.SetMultiplexed). Host-side tuning only,
-	// bit-identical to the default mode, so it too is excluded from
-	// TopologyHash.
-	Multiplexed bool
-	// RingSlack adds producer-side headroom (in rounds) to every
-	// cross-worker SPSC ring (fame.SetRingSlack). Host-side tuning only;
-	// excluded from TopologyHash.
-	RingSlack int
-	// BalanceSlackPct loosens the parallel partitioner's balance cap by
-	// this percentage, trading worker balance for link co-location
-	// (fame.SetBalanceSlackPct). Host-side tuning only; excluded from
-	// TopologyHash.
-	BalanceSlackPct int
 }
 
 // Cluster is a deployed simulation: the token-level runner plus handles to
@@ -340,13 +325,6 @@ func Deploy(root *SwitchNode, cfg DeployConfig) (*Cluster, error) {
 		Runner:      fame.NewRunner(),
 	}
 	if err := c.Runner.SetWorkers(cfg.Workers); err != nil {
-		return nil, err
-	}
-	c.Runner.SetMultiplexed(cfg.Multiplexed)
-	if err := c.Runner.SetRingSlack(cfg.RingSlack); err != nil {
-		return nil, err
-	}
-	if err := c.Runner.SetBalanceSlackPct(cfg.BalanceSlackPct); err != nil {
 		return nil, err
 	}
 

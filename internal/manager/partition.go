@@ -84,7 +84,7 @@ type Partition struct {
 	Servers     []*softstack.Node
 	Switches    []*switchmodel.Switch
 	Bridges     map[int]*transport.Bridge // unit → bridge endpoint
-	Units       []int                     // real units hosted (shard) or bridged (root)
+	Units       []int                     // real units hosted (shard) or bridged (root), ascending
 	IsRoot      bool
 	TopoHash    uint64 // full-tree hash: both sides of every bridge carry it
 	Step        clock.Cycles
@@ -309,6 +309,7 @@ func BuildPartition(spec ClusterSpec, units []int, bridgeTimeout time.Duration) 
 	if p.Step != half {
 		return nil, fmt.Errorf("manager: partition: step %d, want half-link %d", p.Step, half)
 	}
+	sort.Ints(p.Units)
 	return p, nil
 }
 
@@ -332,13 +333,11 @@ func (p *Partition) CloseBridges() {
 	}
 }
 
-// BridgeErr returns the first latched bridge error, if any — checked
-// after every slice, because a dead bridge degrades to silence rather
-// than halting the runner.
+// BridgeErr returns the first latched bridge error in unit order, if any
+// — checked after every slice, because a dead bridge degrades to silence
+// rather than halting the runner.
 func (p *Partition) BridgeErr() error {
-	units := append([]int(nil), p.Units...)
-	sort.Ints(units)
-	for _, u := range units {
+	for _, u := range p.Units {
 		if err := p.Bridges[u].Err(); err != nil {
 			return err
 		}

@@ -9,8 +9,10 @@ package manager
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 
 	"repro/internal/clock"
+	"repro/internal/ethernet"
 )
 
 // NodeSpec is one topology node in serializable form. Exactly one of
@@ -216,6 +218,9 @@ func (s ClusterSpec) Topology() (*SwitchNode, DeployConfig, error) {
 	if err := Validate(root); err != nil {
 		return nil, DeployConfig{}, err
 	}
+	if err := s.Workload.validate(); err != nil {
+		return nil, DeployConfig{}, err
+	}
 	cfg := DeployConfig{
 		LinkLatency:      clock.Cycles(s.LinkLatency),
 		SwitchingLatency: clock.Cycles(s.SwitchingLatency),
@@ -243,30 +248,46 @@ func DecodeSpec(data []byte) (ClusterSpec, error) {
 	return s, nil
 }
 
+// validate rejects a workload Apply could not install: an unknown kind, a
+// frame that cannot hold an Ethernet header or exceeds the maximum frame
+// length, a rate that is not a positive finite number, or a stream that
+// stops before it starts. A spec arrives over the control wire, so this
+// must return an error where StartRawStream would panic.
+func (w *WorkloadSpec) validate() error {
+	switch {
+	case w == nil:
+		return nil
+	case w.Kind != "stream":
+		return fmt.Errorf("manager: workload: unknown kind %q", w.Kind)
+	case w.FrameBytes <= ethernet.HeaderLen || w.FrameBytes > ethernet.MaxFrameLen:
+		return fmt.Errorf("manager: workload: frame of %d bytes outside (%d, %d]", w.FrameBytes, ethernet.HeaderLen, ethernet.MaxFrameLen)
+	case !(w.Gbps > 0) || math.IsInf(w.Gbps, 1):
+		return fmt.Errorf("manager: workload: rate %v Gbit/s must be positive and finite", w.Gbps)
+	case w.StopAt != 0 && w.StopAt <= w.StartAt:
+		return fmt.Errorf("manager: workload: stops at cycle %d, not after its start %d", w.StopAt, w.StartAt)
+	}
+	return nil
+}
+
 // Apply installs the spec's workload on the locally instantiated nodes.
 // ids must be the cluster-wide assignment-ordered identities — the
 // destination ring is computed over the FULL cluster so every process
 // agrees on who streams to whom — and only identities with an
 // instantiated Node are touched.
 func (w *WorkloadSpec) Apply(ids []*NodeIdentity) error {
-	if w == nil {
-		return nil
+	if err := w.validate(); err != nil || w == nil {
+		return err
 	}
-	switch w.Kind {
-	case "stream":
-		n := len(ids)
-		if n == 0 {
-			return fmt.Errorf("manager: workload: no servers")
-		}
-		for _, id := range ids {
-			if id.Node == nil {
-				continue
-			}
-			dst := ids[(id.Index+1)%n].MAC
-			id.Node.StartRawStream(clock.Cycles(w.StartAt), dst, w.FrameBytes, w.Gbps, clock.Cycles(w.StopAt))
-		}
-		return nil
-	default:
-		return fmt.Errorf("manager: workload: unknown kind %q", w.Kind)
+	n := len(ids)
+	if n == 0 {
+		return fmt.Errorf("manager: workload: no servers")
 	}
+	for _, id := range ids {
+		if id.Node == nil {
+			continue
+		}
+		dst := ids[(id.Index+1)%n].MAC
+		id.Node.StartRawStream(clock.Cycles(w.StartAt), dst, w.FrameBytes, w.Gbps, clock.Cycles(w.StopAt))
+	}
+	return nil
 }

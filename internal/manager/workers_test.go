@@ -11,17 +11,11 @@ import (
 // worker count.
 func workersRack(t *testing.T, workers int) *Cluster {
 	t.Helper()
-	return tunedRack(t, DeployConfig{Seed: 7, LinkLatency: 3200, Workers: workers})
-}
-
-// tunedRack is workersRack with the full scheduler-tuning config surface.
-func tunedRack(t *testing.T, cfg DeployConfig) *Cluster {
-	t.Helper()
 	topo := NewSwitchNode("tor0")
 	for i := 0; i < 4; i++ {
 		topo.AddDownlinks(NewServerNode(fmt.Sprintf("s%d", i), QuadCore))
 	}
-	c, err := Deploy(topo, cfg)
+	c, err := Deploy(topo, DeployConfig{Seed: 7, LinkLatency: 3200, Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,59 +102,31 @@ func TestSupervisorParallel(t *testing.T) {
 	}
 }
 
-// TestDeployMultiplexedEquivalence pins the DeployConfig.Multiplexed,
-// RingSlack and BalanceSlackPct plumbing to the same contract as Workers:
-// pure host-side tuning, byte-identical checkpoint state, and no effect
-// on the topology hash (a tuned cluster must still handshake with an
-// untuned peer).
+// TestDeployMultiplexedEquivalence: four servers and a switch multiplexed
+// onto fewer workers is host-side scheduling only. Workers must leave the
+// topology hash unchanged (a cluster deployed with any worker count still
+// handshakes with a peer deployed with another) and land on the same state.
 func TestDeployMultiplexedEquivalence(t *testing.T) {
 	const horizon = clock.Cycles(40 * 3200)
 
-	ref := workersRack(t, 0)
-	if err := ref.RunFor(horizon); err != nil {
+	ref := workersRack(t, 1)
+	if err := ref.Runner.RunParallel(horizon); err != nil {
 		t.Fatal(err)
 	}
 	want, err := ref.StateHash()
 	if err != nil {
 		t.Fatal(err)
 	}
-
 	for _, workers := range []int{2, 3} {
-		cfg := DeployConfig{
-			Seed: 7, LinkLatency: 3200, Workers: workers,
-			Multiplexed: true, RingSlack: 2, BalanceSlackPct: 25,
-		}
-		c := tunedRack(t, cfg)
-		if !c.Runner.Multiplexed() {
-			t.Fatal("DeployConfig.Multiplexed not plumbed to runner")
-		}
-		if got := c.Runner.RingSlack(); got != 2 {
-			t.Fatalf("DeployConfig.RingSlack not plumbed to runner (got %d)", got)
-		}
-		if got := c.Runner.BalanceSlackPct(); got != 25 {
-			t.Fatalf("DeployConfig.BalanceSlackPct not plumbed to runner (got %d)", got)
-		}
+		c := workersRack(t, workers)
 		if c.TopoHash != ref.TopoHash {
-			t.Errorf("workers=%d: scheduler tuning changed the topology hash", workers)
+			t.Errorf("workers=%d: worker count changed the topology hash", workers)
 		}
 		if err := c.Runner.RunParallel(horizon); err != nil {
 			t.Fatal(err)
 		}
-		got, err := c.StateHash()
-		if err != nil {
-			t.Fatal(err)
+		if got, err := c.StateHash(); err != nil || got != want {
+			t.Errorf("workers=%d: state hash %#x (err %v), want %#x", workers, got, err, want)
 		}
-		if got != want {
-			t.Errorf("workers=%d multiplexed: state hash %#x diverged from sequential %#x", workers, got, want)
-		}
-	}
-
-	bad := NewSwitchNode("t")
-	bad.AddDownlinks(NewServerNode("s", QuadCore))
-	if _, err := Deploy(bad, DeployConfig{RingSlack: -1}); err == nil {
-		t.Error("Deploy accepted a negative ring slack")
-	}
-	if _, err := Deploy(bad, DeployConfig{BalanceSlackPct: -1}); err == nil {
-		t.Error("Deploy accepted a negative balance slack")
 	}
 }

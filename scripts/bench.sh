@@ -29,7 +29,7 @@
 # parameters — the paper's full 1024-node datacenter is opt-in because it
 # multiplies the bench wall time:
 #
-#   scripts/bench.sh -worker-sweep 1,2 -sweep-nodes 8,16 -multiplexed
+#   scripts/bench.sh -worker-sweep 1,2 -sweep-nodes 8,16
 #   scripts/bench.sh -scale-nodes 8,64,256,1024
 set -euo pipefail
 cd "$(dirname "$0")/.."
