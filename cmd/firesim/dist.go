@@ -139,15 +139,12 @@ func cmdRunDist(args []string) error {
 		if err != nil {
 			return fmt.Errorf("reference run: %w", err)
 		}
-		bad := 0
-		for k, want := range ref {
-			if got, ok := report.Hashes[k]; !ok || got != want {
-				fmt.Printf("  MISMATCH %s: distributed %016x, reference %016x\n", k, report.Hashes[k], want)
-				bad++
-			}
+		diffs := manager.DiffHashes(report.Hashes, ref)
+		for _, d := range diffs {
+			fmt.Printf("  MISMATCH %s\n", d)
 		}
-		if len(report.Hashes) != len(ref) || bad > 0 || report.Combined != manager.CombineHashes(ref) {
-			return fmt.Errorf("distributed run is NOT bit-identical to the in-process reference (%d mismatching components)", bad)
+		if len(diffs) > 0 || report.Combined != manager.CombineHashes(ref) {
+			return fmt.Errorf("distributed run is NOT bit-identical to the in-process reference (%d mismatching components)", len(diffs))
 		}
 		fmt.Printf("  verify: bit-identical to the in-process reference (%d components)\n", len(ref))
 	}

@@ -9,9 +9,13 @@
 //	firesim deploy   -fanouts 4,8,32 -supernode
 //	firesim ping     -nodes 8 -latency-us 2 -count 10
 //	firesim memcached -threads 5 -qps 135000
-//	firesim bench    -nodes 2,4,8 -out BENCH_fame.json
+//	firesim figures  -exp fig5,fig9
 //	firesim top      -nodes 8 -format prometheus
 //	firesim snap     verify -nodes 4 -cycles 65536 -extra 65536
+//	firesim run-dist -nodes 8 -procs 3 -verify
+//
+// Simulator speed (target cycles per host second) is measured by the
+// repository benchmark, `go run ./bench`, not by this command.
 package main
 
 import (
@@ -51,8 +55,8 @@ func main() {
 		err = cmdMemcached(os.Args[2:])
 	case "workload":
 		err = cmdWorkload(os.Args[2:])
-	case "bench":
-		err = cmdBench(os.Args[2:])
+	case "figures":
+		err = cmdFigures(os.Args[2:])
 	case "top":
 		err = cmdTop(os.Args[2:])
 	case "snap":
@@ -85,7 +89,7 @@ commands:
   faults     list fault scenarios or preview a deterministic fault schedule
   memcached  run a memcached+mutilate load test on a rack
   workload   run a reusable workload description on a deployed topology
-  bench      measure sim-rate across topology sizes, write BENCH_fame.json
+  figures    regenerate the paper's tables and figures (-exp, -full, -list)
   top        run an instrumented rack and watch live metrics
   snap       checkpoint/restore a cluster (save, restore, inspect, verify)
   run-dist   coordinate a self-healing multi-process run (spawns shards)
@@ -209,6 +213,9 @@ func cmdPing(args []string) error {
 	faultSeed := fs.Uint64("fault-seed", 1, "seed for the deterministic fault schedule")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *nodes < 2 {
+		return fmt.Errorf("ping: -nodes must be at least 2 (got %d): one node cannot ping another", *nodes)
 	}
 	clk := clock.New(clock.DefaultTargetClock)
 	c, err := core.Deploy(core.Rack("tor0", *nodes, core.QuadCore), core.DeployConfig{

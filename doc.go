@@ -10,8 +10,9 @@
 // overview, DESIGN.md for the system inventory and per-experiment index,
 // and EXPERIMENTS.md for paper-vs-measured results.
 //
-// The benchmarks in bench_test.go regenerate every table and figure of
-// the paper's evaluation:
+// `firesim figures` regenerates every table and figure of the paper's
+// evaluation, and `go run ./bench` measures how fast the simulator runs:
 //
-//	go test -bench=. -benchmem
+//	go run ./cmd/firesim figures
+//	go run ./bench
 package repro

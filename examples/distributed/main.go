@@ -15,6 +15,7 @@ import (
 	"log"
 	"os"
 	"os/exec"
+	"strings"
 
 	"repro/internal/clock"
 	"repro/internal/faults"
@@ -97,10 +98,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for k, want := range ref {
-		if got := report.Hashes[k]; got != want {
-			log.Fatalf("component %s diverged: distributed %016x, reference %016x", k, got, want)
-		}
+	if diffs := manager.DiffHashes(report.Hashes, ref); len(diffs) > 0 {
+		log.Fatalf("components diverged from the reference:\n  %s", strings.Join(diffs, "\n  "))
 	}
 	if report.Combined != manager.CombineHashes(ref) {
 		log.Fatal("combined hash diverged")

@@ -14,8 +14,8 @@ import (
 //     instruments); clock reads — the one genuinely expensive part — are
 //     paid only on sampled rounds (one round in tickSampleMask+1), two
 //     per tick so ring-wait time never pollutes the tick histogram.
-//     firesim bench measures and reports the actual sim-rate overhead
-//     against the <5% budget.
+//     The sim-rate cost has a <5% budget; `go test -bench DeployedRun
+//     ./internal/manager` measures it.
 //
 // Metric names, all under the fame_ prefix:
 //

@@ -109,20 +109,6 @@ type DistReport struct {
 	Epochs     int
 	// FinalProcs is the number of shard processes at completion.
 	FinalProcs int
-	// Token-plane wire accounting for the final (successful) epoch,
-	// summed over the root partition's bridges: bytes that actually
-	// crossed the wire in each direction, and what the sent traffic
-	// would have cost under the v2 fixed-width codec (the compression
-	// baseline). Windows is the number of batch exchanges the horizon
-	// required per bridge (Cycle / token step), so
-	// WireBytesSent/Windows is the root's per-window wire cost. The
-	// root drives one side of every cut link, so the sent totals are
-	// exact for the root→shard direction without any cross-process
-	// collection.
-	WireBytesSent uint64
-	WireBytesRecv uint64
-	PrecodecBytes uint64
-	Windows       uint64
 }
 
 // chaosState tracks one scheduled chaos event; done flips exactly once
@@ -852,23 +838,11 @@ func (c *coordinator) runSlices(e *epochRun, procs []*shardProc) (*DistReport, *
 		if err != nil {
 			return nil, c.collectFailure(e, err.Error())
 		}
-		rep := &DistReport{
+		return &DistReport{
 			Cycle:    target,
 			Hashes:   all,
 			Combined: CombineHashes(all),
-		}
-		// Wire accounting while the epoch's bridges are still alive
-		// (runEpoch closes them on return). Safe here: the bridges'
-		// driving goroutine is this one, and the run is complete.
-		for _, br := range e.part.Bridges {
-			rep.WireBytesSent += br.WireBytesSent()
-			rep.WireBytesRecv += br.WireBytesRecv()
-			rep.PrecodecBytes += br.PrecodecBytes()
-		}
-		if step := uint64(e.part.Step); step > 0 {
-			rep.Windows = target / step
-		}
-		return rep, nil
+		}, nil
 	}
 }
 

@@ -89,6 +89,37 @@ func CombineHashes(m map[string]uint64) uint64 {
 	return h.Sum64()
 }
 
+// DiffHashes compares a run's component hashes against a reference and
+// returns one line per bad component over the sorted union of their keys:
+// "missing" (only in want), "extra" (only in got) or "differs". An empty
+// result means the two maps are identical.
+func DiffHashes(got, want map[string]uint64) []string {
+	keys := make([]string, 0, len(want))
+	for k := range want {
+		keys = append(keys, k)
+	}
+	for k := range got {
+		if _, ok := want[k]; !ok {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	var out []string
+	for _, k := range keys {
+		g, inGot := got[k]
+		w, inWant := want[k]
+		switch {
+		case !inGot:
+			out = append(out, fmt.Sprintf("%s: missing (reference %016x)", k, w))
+		case !inWant:
+			out = append(out, fmt.Sprintf("%s: extra (run %016x)", k, g))
+		case g != w:
+			out = append(out, fmt.Sprintf("%s: differs (run %016x, reference %016x)", k, g, w))
+		}
+	}
+	return out
+}
+
 // ReferenceHashes runs the spec's cluster to the horizon in-process —
 // whole tree, no partitioning, no bridges — and returns its component
 // hashes: the ground truth a distributed (and possibly recovered and
