@@ -13,7 +13,7 @@ import (
 
 // cmdTop is the observability showcase: it deploys a rack with every
 // layer instrumented, drives ping traffic across it, and prints a
-// top-style heartbeat per supervisor slice — live proof that the
+// top-style heartbeat per run slice — live proof that the
 // metrics advance while the simulation runs. The final snapshot renders
 // in the chosen format, so `firesim top -format prometheus` doubles as
 // a scrape-format smoke test.
@@ -50,8 +50,6 @@ func cmdTop(args []string) error {
 	}
 	reg := obs.NewRegistry("firesim")
 	c.EnableMetrics(reg)
-	sup := c.Supervise()
-	sup.EnableMetrics(reg)
 
 	// Ring of pings so every link carries traffic for the whole run.
 	horizon := clk.CyclesInMicros(*horizonUs)
@@ -63,13 +61,16 @@ func cmdTop(args []string) error {
 	}
 
 	fmt.Printf("firesim top: %d nodes, link %.3g us, horizon %.0f us\n\n", *nodes, *latencyUs, *horizonUs)
-	fmt.Printf("%12s %12s %14s %14s %10s\n", "cycle", "sim rate", "tokens", "flits", "peers up")
+	fmt.Printf("%12s %12s %14s %14s\n", "cycle", "sim rate", "tokens", "flits")
+	step := c.Runner.Step()
 	var lastCycles, lastWall, lastTokens uint64
 	for s := 1; s <= *slices; s++ {
 		target := horizon * clock.Cycles(s) / clock.Cycles(*slices)
-		rep, err := sup.RunTo(target)
-		if err != nil {
-			return err
+		target -= target % step
+		if n := target - c.Runner.Cycle(); n > 0 {
+			if err := c.Runner.Run(n); err != nil {
+				return err
+			}
 		}
 		snap := reg.Snapshot()
 		cycles := snap.Counters["fame_cycles_total"]
@@ -86,14 +87,8 @@ func cmdTop(args []string) error {
 				flits += v
 			}
 		}
-		up := len(c.Servers)
-		for _, n := range rep.Nodes {
-			if !n.Up {
-				up--
-			}
-		}
-		fmt.Printf("%12d %12v %14d %14d %7d/%d\n",
-			snap.Gauges["fame_cycle"], rate.EffectiveHz(), tokens-lastTokens, flits, up, len(c.Servers))
+		fmt.Printf("%12d %12v %14d %14d\n",
+			snap.Gauges["fame_cycle"], rate.EffectiveHz(), tokens-lastTokens, flits)
 		lastCycles, lastWall, lastTokens = cycles, wall, tokens
 	}
 

@@ -94,8 +94,8 @@ func (r *Runner) initMetrics() {
 // tickSampleMask selects the rounds whose endpoint ticks are timed:
 // round indices where round&tickSampleMask == 0, i.e. one round in 32.
 // The round index restarts at every Run/RunParallel call, so short
-// slices (a supervisor's 4-step health-check cadence) still sample at
-// least once per slice. A sampled round costs two time.Now per endpoint;
+// slices (a few steps between heartbeats) still sample at least once per
+// slice. A sampled round costs two time.Now per endpoint;
 // on hosts with a slow clocksource that is the dominant instrumentation
 // cost, which is why the rate is this conservative.
 const tickSampleMask = 31

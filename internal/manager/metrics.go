@@ -4,112 +4,10 @@ import (
 	"repro/internal/obs"
 )
 
-// This file wires the distributed-run control plane into the
-// observability layer (internal/obs). The supervisor is the natural
-// heartbeat source for a partition: it regains control between run
-// slices, so publishing the local cycle there gives an external observer
-// (firesim top, a Prometheus scrape) a progress signal that advances even
-// while the hot loop is busy. Per-node liveness mirrors the supervisor's
-// report so "which half of the simulation is dead" is answerable from
-// metrics alone.
-//
-// Metric names:
-//
-//	manager_slices_total             run slices completed by RunTo
-//	manager_checks_total             bridge health sweeps performed
-//	manager_recoveries_total         peers revived from a checkpoint
-//	manager_local_cycle              gauge: local partition target cycle
-//	manager_peers_watched            gauge: bridges under supervision
-//	manager_peers_down               gauge: peers degraded so far
-//	manager_node_up{node=N}          gauge: 1 while N's partition is reachable
-//	manager_node_last_cycle{node=N}  gauge: last cycle N is known to have reached
-type supervisorMetrics struct {
-	reg        *obs.Registry
-	slices     *obs.Counter
-	checks     *obs.Counter
-	recoveries *obs.Counter
-	localCycle *obs.Gauge
-	watched    *obs.Gauge
-	down       *obs.Gauge
-
-	nodeUp   map[string]*obs.Gauge
-	nodeLast map[string]*obs.Gauge
-}
-
-// EnableMetrics attaches the supervisor to a registry: RunTo publishes a
-// per-slice progress heartbeat and per-node liveness from then on. Every
-// bridge already under Watch is instrumented too (transport_* metrics),
-// as are bridges Watched later. Passing nil detaches the supervisor but
-// not previously instrumented bridges.
-func (s *Supervisor) EnableMetrics(reg *obs.Registry) {
-	if reg == nil {
-		s.metrics = nil
-		return
-	}
-	s.metrics = &supervisorMetrics{
-		reg:        reg,
-		slices:     reg.Counter("manager_slices_total"),
-		checks:     reg.Counter("manager_checks_total"),
-		recoveries: reg.Counter("manager_recoveries_total"),
-		localCycle: reg.Gauge("manager_local_cycle"),
-		watched:    reg.Gauge("manager_peers_watched"),
-		down:       reg.Gauge("manager_peers_down"),
-		nodeUp:     make(map[string]*obs.Gauge),
-		nodeLast:   make(map[string]*obs.Gauge),
-	}
-	for _, name := range s.local {
-		s.metrics.trackNode(name)
-	}
-	for _, p := range s.peers {
-		p.br.EnableMetrics(reg)
-		for _, name := range p.nodes {
-			s.metrics.trackNode(name)
-		}
-	}
-	s.metrics.watched.Set(int64(len(s.peers)))
-}
-
-// trackNode get-or-creates the per-node liveness gauges; a tracked node
-// starts up with an unknown (zero) last cycle.
-func (m *supervisorMetrics) trackNode(name string) {
-	if _, ok := m.nodeUp[name]; ok {
-		return
-	}
-	m.nodeUp[name] = m.reg.Gauge(obs.Label("manager_node_up", "node", name))
-	m.nodeLast[name] = m.reg.Gauge(obs.Label("manager_node_last_cycle", "node", name))
-	m.nodeUp[name].Set(1)
-}
-
-// publish mirrors the supervisor's current view into the gauges. Called
-// between slices, never from the hot loop.
-func (s *Supervisor) publishMetrics() {
-	m := s.metrics
-	cycle := int64(s.runner.Cycle())
-	m.localCycle.Set(cycle)
-	for _, name := range s.local {
-		m.nodeLast[name].Set(cycle)
-	}
-	downCount := 0
-	for _, p := range s.peers {
-		up, last := int64(1), cycle
-		if p.down {
-			downCount++
-			up = 0
-			last = int64(p.br.Received()) * int64(p.br.Step())
-		}
-		for _, name := range p.nodes {
-			m.nodeUp[name].Set(up)
-			m.nodeLast[name].Set(last)
-		}
-	}
-	m.down.Set(int64(downCount))
-}
-
 // EnableMetrics instruments every component of the deployed cluster —
 // the runner's hot loop (fame_*) and every switch (switch_*) — against
 // one registry. Bridges joining this cluster to remote partitions are
-// instrumented separately via Supervisor.EnableMetrics or
-// Bridge.EnableMetrics.
+// instrumented separately via Bridge.EnableMetrics.
 func (c *Cluster) EnableMetrics(reg *obs.Registry) {
 	c.Runner.EnableMetrics(reg)
 	for _, sw := range c.Switches {

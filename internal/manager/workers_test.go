@@ -65,43 +65,6 @@ func TestDeployWorkersEquivalence(t *testing.T) {
 	}
 }
 
-// TestSupervisorParallel runs the supervisor's slice loop through the
-// worker-pool scheduler and checks it lands on the same state as the
-// sequential slice loop.
-func TestSupervisorParallel(t *testing.T) {
-	const horizon = clock.Cycles(40 * 3200)
-
-	ref := workersRack(t, 0)
-	if _, err := ref.Supervise().RunTo(horizon); err != nil {
-		t.Fatal(err)
-	}
-	want, err := ref.StateHash()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	c := workersRack(t, 2)
-	s := c.Supervise()
-	s.Parallel = true
-	rep, err := s.RunTo(horizon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Cycle != horizon {
-		t.Errorf("parallel supervised run stopped at %d, want %d", rep.Cycle, horizon)
-	}
-	if rep.Partial {
-		t.Error("healthy parallel run flagged partial")
-	}
-	got, err := c.StateHash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Errorf("parallel supervised state %#x diverged from sequential %#x", got, want)
-	}
-}
-
 // TestDeployMultiplexedEquivalence: four servers and a switch multiplexed
 // onto fewer workers is host-side scheduling only. Workers must leave the
 // topology hash unchanged (a cluster deployed with any worker count still

@@ -1,8 +1,8 @@
-// Store is the crash-safe on-disk home for checkpoint generations. The
-// in-memory checkpoint history the supervisor keeps dies with its
-// process, which is exactly the failure a multi-process deployment must
-// survive: a shard that is SIGKILLed mid-run — or mid-checkpoint-write —
-// must come back and find an intact generation to rewind to.
+// Store is the crash-safe on-disk home for checkpoint generations. A
+// checkpoint history kept in memory dies with its process, which is
+// exactly the failure a multi-process deployment must survive: a shard
+// that is SIGKILLed mid-run — or mid-checkpoint-write — must come back and
+// find an intact generation to rewind to.
 //
 // Durability discipline, per generation:
 //

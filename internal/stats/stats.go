@@ -117,8 +117,8 @@ func (ts *TimeSeries) Points() (times []int64, totals []float64) {
 
 // Counters is a set of named monotonic counters with deterministic
 // (sorted) iteration order, safe for concurrent use. The fault-injection
-// subsystem and the distributed-run supervisor both report through it, so
-// two runs with the same seed render byte-identical counter tables.
+// subsystem reports through it, so two runs with the same seed render
+// byte-identical counter tables.
 type Counters struct {
 	mu sync.Mutex
 	m  map[string]uint64

@@ -32,10 +32,10 @@ import (
 //     ring of recently sent batches, so a transient drop heals without
 //     losing a single token — cycle counts after recovery are identical
 //     to an undisturbed run (asserted by tests);
-//   - an explicit degraded mode (Degrade) for the supervisor: a bridge
-//     whose peer is declared permanently dead stops touching the network
-//     and emits empty batches, letting the surviving partition drain and
-//     report partial results instead of hanging.
+//   - a latched permanent error: once reconnection is exhausted the
+//     bridge stops touching the network and emits empty batches, so the
+//     local runner never hangs on a dead peer and the run-dist coordinator
+//     regains control to detect the failure and heal the run.
 
 // Protocol constants for the framed bridge stream.
 const (
@@ -43,10 +43,6 @@ const (
 	helloVersion uint16 = 3 // bumped for the v3 run-length frame codec
 	helloSize           = 32
 )
-
-// ErrDegraded is latched on a bridge that the supervisor has marked
-// permanently down; its TickBatch is a no-op from then on.
-var ErrDegraded = errors.New("transport: bridge degraded (peer declared dead)")
 
 // ErrClosed is latched on a bridge another goroutine has Closed; any
 // in-flight or subsequent TickBatch fails fast instead of blocking.
@@ -123,8 +119,7 @@ type ringEntry struct {
 // identical batch steps (validated by the handshake).
 //
 // A Bridge is driven from a single scheduler goroutine; it is not safe
-// for concurrent TickBatch calls. Degrade is intended to be called
-// between Run steps (the supervisor's pattern).
+// for concurrent TickBatch calls.
 type Bridge struct {
 	name string
 	cfg  BridgeConfig
@@ -141,8 +136,7 @@ type Bridge struct {
 	closed atomic.Bool
 	stop   chan struct{}
 
-	err      error
-	degraded bool
+	err error
 
 	handshaken bool
 	step       int
@@ -264,21 +258,17 @@ func (b *Bridge) currentConn() io.ReadWriter {
 // Transient errors healed by reconnection are not reported here.
 func (b *Bridge) Err() error { return b.err }
 
-// Degraded reports whether the bridge has been marked permanently down.
-func (b *Bridge) Degraded() bool { return b.degraded }
-
 // Reconnects reports how many times the bridge successfully re-established
 // its connection.
 func (b *Bridge) Reconnects() int { return b.reconnects }
 
-// Sent and Received report how many batches have been exchanged, which
-// tells a supervisor the last target cycle the peer confirmed.
-func (b *Bridge) Sent() uint64     { return b.nextSend }
+// Received reports how many batches the peer has delivered, which tells
+// the caller the last target cycle the peer confirmed.
 func (b *Bridge) Received() uint64 { return b.nextRecv }
 
 // Step reports the negotiated batch step in target cycles (0 before the
 // handshake). Received()*Step() is the last target cycle the peer
-// confirmed, which a supervisor reports for a dead partition.
+// confirmed.
 func (b *Bridge) Step() int { return b.step }
 
 // WireBytesSent and WireBytesRecv report the exact byte totals that
@@ -383,30 +373,13 @@ func (b *Bridge) encodeFrame(seq uint64, in *token.Batch) {
 	}
 }
 
-// Degrade marks the bridge permanently down: TickBatch becomes a no-op
-// that emits empty batches (the surviving partition sees silence from the
-// dead one, exactly as if those links went dark). The underlying
-// connection is closed if it supports Close.
-func (b *Bridge) Degrade() {
-	b.degraded = true
-	if b.err == nil {
-		b.err = ErrDegraded
-	}
-	if m := b.metrics; m != nil {
-		m.degraded.Set(1)
-	}
-	b.closeConn()
-	b.stopWriter()
-}
-
-// Reset revives a bridge (possibly degraded or errored) onto a fresh
-// connection, rewinding both sequence counters to seq. It is the
-// supervisor's recovery path: after restoring a dead peer from a
-// checkpoint taken at cycle C, both sides resume the token stream at
-// batch C/step, so the bridge must forget everything after that point —
-// including its resend ring, whose retained batches belong to an
-// abandoned timeline. The next TickBatch re-handshakes on the new
-// connection.
+// Reset revives a bridge (possibly errored or closed) onto a fresh
+// connection, rewinding both sequence counters to seq. It is the recovery
+// path: after restoring a dead peer from a checkpoint taken at cycle C,
+// both sides resume the token stream at batch C/step, so the bridge must
+// forget everything after that point — including its resend ring, whose
+// retained batches belong to an abandoned timeline. The next TickBatch
+// re-handshakes on the new connection.
 func (b *Bridge) Reset(conn io.ReadWriter, seq uint64) {
 	if conn != b.currentConn() {
 		// Keep the connection alive when a fresh bridge is reset onto the
@@ -431,16 +404,12 @@ func (b *Bridge) Reset(conn io.ReadWriter, seq uint64) {
 		b.stop = make(chan struct{})
 	}
 	b.err = nil
-	b.degraded = false
 	b.handshaken = false
 	b.step = 0
 	b.nextSend = seq
 	b.nextRecv = seq
 	b.resendLow = seq
 	b.ring = nil
-	if m := b.metrics; m != nil {
-		m.degraded.Set(0)
-	}
 }
 
 func (b *Bridge) closeConn() {
@@ -484,10 +453,10 @@ func (b *Bridge) fail(err error) {
 // TickBatch implements fame.Endpoint: ship the local batch and block for
 // the peer's batch covering the same target window, handshaking first and
 // transparently reconnecting on transient failures. After a permanent
-// failure (or Degrade) it is a no-op, so the local runner keeps advancing
-// with empty input from the dead partition instead of hanging.
+// failure it is a no-op, so the local runner keeps advancing with empty
+// input from the dead partition instead of hanging.
 func (b *Bridge) TickBatch(n int, in, out []*token.Batch) {
-	if b.err != nil || b.degraded {
+	if b.err != nil {
 		return
 	}
 	if b.closed.Load() {
@@ -629,11 +598,11 @@ func (b *Bridge) ringPut(seq uint64, frame []byte) {
 // of them blocks on a receive — K cut points cost ~1 round-trip per
 // window instead of K serial round-trips. It is a best-effort no-op
 // whenever the bridge is not in clean steady state (unhandshaken,
-// errored, degraded, closed, resynchronising, or step mismatch); the
+// errored, closed, resynchronising, or step mismatch); the
 // following TickBatch then performs the full synchronous exchange,
 // including the first window's handshake.
 func (b *Bridge) StartBatch(n int, in []*token.Batch) {
-	if b.err != nil || b.degraded || b.closed.Load() || !b.handshaken {
+	if b.err != nil || b.closed.Load() || !b.handshaken {
 		return
 	}
 	if n != b.step || b.sendSubmitted || b.resendLow != b.nextSend {

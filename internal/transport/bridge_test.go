@@ -170,7 +170,8 @@ func TestBridgeTopologyHashMismatch(t *testing.T) {
 
 // TestBridgeDeadPeerTimesOut: the peer handshakes then goes silent with
 // the connection open. With a read deadline and no way to reconnect, the
-// bridge must give up in bounded time instead of blocking forever.
+// bridge must give up in bounded time instead of blocking forever, and
+// count the latched error exactly once.
 func TestBridgeDeadPeerTimesOut(t *testing.T) {
 	c1, c2 := net.Pipe()
 	go func() {
@@ -189,42 +190,23 @@ func TestBridgeDeadPeerTimesOut(t *testing.T) {
 			return nil, fmt.Errorf("no path to host")
 		},
 	})
+	reg := obs.NewRegistry("deadpeer")
+	br.EnableMetrics(reg)
 	start := time.Now()
 	tickOnce(br, 16, 1)
 	elapsed := time.Since(start)
 	if br.Err() == nil {
 		t.Fatal("hung peer not detected")
 	}
+	tickOnce(br, 16, 2)
+	if got := reg.Snapshot().Counters[obs.Label("transport_errors_total", "bridge", "patient")]; got != 1 {
+		t.Errorf("transport_errors_total = %d, want 1", got)
+	}
 	if elapsed > 2*time.Second {
 		t.Errorf("gave up after %v; deadline+backoff should bound this well under 2s", elapsed)
 	}
 	if redials != 2 {
 		t.Errorf("redial attempts = %d, want 2 (bounded retry)", redials)
-	}
-}
-
-// TestBridgeDegrade: a degraded bridge is inert and reports ErrDegraded.
-func TestBridgeDegrade(t *testing.T) {
-	c1, _ := net.Pipe()
-	br := NewBridge("down", c1)
-	br.Degrade()
-	if !br.Degraded() {
-		t.Fatal("Degraded() false after Degrade")
-	}
-	if !errors.Is(br.Err(), ErrDegraded) {
-		t.Fatalf("Err() = %v, want ErrDegraded", br.Err())
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if out := tickOnce(br, 16, 1); !out.IsEmpty() {
-			t.Error("degraded bridge emitted tokens")
-		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(time.Second):
-		t.Fatal("degraded bridge blocked in TickBatch")
 	}
 }
 

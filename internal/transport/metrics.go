@@ -29,7 +29,6 @@ import (
 //	transport_dup_frames_total{bridge=B}       duplicate frames discarded
 //	transport_seq_gaps_total{bridge=B}         fatal sequence gaps observed
 //	transport_errors_total{bridge=B}           permanent transport errors latched
-//	transport_degraded{bridge=B}               gauge: 1 once the bridge is degraded
 //
 // The byte counters are fed by counting shims wrapped around the
 // connection itself (see setConn), so they report what actually crossed
@@ -51,7 +50,6 @@ type bridgeMetrics struct {
 	dupFrames     *obs.Counter
 	seqGaps       *obs.Counter
 	errors        *obs.Counter
-	degraded      *obs.Gauge
 }
 
 // EnableMetrics attaches the bridge to a registry: every subsequent
@@ -77,7 +75,6 @@ func (b *Bridge) EnableMetrics(reg *obs.Registry) {
 		dupFrames:     reg.Counter(label("transport_dup_frames_total")),
 		seqGaps:       reg.Counter(label("transport_seq_gaps_total")),
 		errors:        reg.Counter(label("transport_errors_total")),
-		degraded:      reg.Gauge(label("transport_degraded")),
 	}
 }
 

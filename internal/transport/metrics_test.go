@@ -102,13 +102,4 @@ func TestBridgeMetricsCleanRun(t *testing.T) {
 			t.Errorf("%s = %d on a clean run, want 0", m, got)
 		}
 	}
-	if got := s.Gauges[obs.Label("transport_degraded", "bridge", "local")]; got != 0 {
-		t.Errorf("degraded gauge = %d on a live bridge, want 0", got)
-	}
-
-	br.Degrade()
-	s = reg.Snapshot()
-	if got := s.Gauges[obs.Label("transport_degraded", "bridge", "local")]; got != 1 {
-		t.Errorf("degraded gauge = %d after Degrade, want 1", got)
-	}
 }

@@ -3,6 +3,7 @@ package transport
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"net"
 	"time"
 )
@@ -53,23 +54,11 @@ func ReadTokenPreamble(c net.Conn, timeout time.Duration) (subtree, epoch uint32
 	var pre [12]byte
 	c.SetReadDeadline(time.Now().Add(timeout))
 	defer c.SetReadDeadline(time.Time{})
-	if _, err := readFull(c, pre[:]); err != nil {
+	if _, err := io.ReadFull(c, pre[:]); err != nil {
 		return 0, 0, fmt.Errorf("transport: token preamble: %w", err)
 	}
 	if m := binary.BigEndian.Uint32(pre[0:4]); m != tokenPreambleMagic {
 		return 0, 0, fmt.Errorf("transport: token preamble: bad magic %#x", m)
 	}
 	return binary.BigEndian.Uint32(pre[4:8]), binary.BigEndian.Uint32(pre[8:12]), nil
-}
-
-func readFull(c net.Conn, p []byte) (int, error) {
-	n := 0
-	for n < len(p) {
-		m, err := c.Read(p[n:])
-		n += m
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, nil
 }

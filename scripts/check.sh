@@ -36,6 +36,8 @@ echo "== checkpoint determinism smoke =="
 # bit-identical, under both runners. Exits non-zero on divergence.
 go run ./cmd/firesim snap verify -nodes 4 -cycles 2048 -extra 2048 >/dev/null
 go run ./cmd/firesim snap verify -nodes 4 -cycles 2048 -extra 2048 -parallel >/dev/null
+# firesim top has no unit tests: drive it once end to end.
+go run ./cmd/firesim top -nodes 4 -slices 2 -horizon-us 50 -format prometheus >/dev/null
 
 echo "== distributed chaos smoke =="
 # Self-healing multi-process runs: shards SIGKILLed, SIGSTOPped and stalled
