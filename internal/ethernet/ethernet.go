@@ -93,38 +93,57 @@ type Frame struct {
 
 // Encode serialises the frame.
 func (f *Frame) Encode() ([]byte, error) {
-	total := HeaderLen + len(f.Payload)
-	if total > MaxFrameLen {
-		return nil, fmt.Errorf("ethernet: frame length %d exceeds max %d", total, MaxFrameLen)
+	buf, err := AppendHeader(make([]byte, 0, HeaderLen+len(f.Payload)), f.Dst, f.Src, f.Type, len(f.Payload))
+	if err != nil {
+		return nil, err
 	}
-	buf := make([]byte, total)
-	binary.BigEndian.PutUint16(buf[0:2], uint16(total))
-	db := f.Dst.Bytes()
-	sb := f.Src.Bytes()
-	copy(buf[2:8], db[:])
-	copy(buf[8:14], sb[:])
-	binary.BigEndian.PutUint16(buf[14:16], uint16(f.Type))
-	copy(buf[16:], f.Payload)
-	return buf, nil
+	return append(buf, f.Payload...), nil
 }
 
-// DecodeFrame parses a serialised frame, tolerating trailing padding bytes
-// introduced by flit alignment.
-func DecodeFrame(buf []byte) (*Frame, error) {
+// AppendHeader appends the header of a frame carrying plen payload bytes
+// to b. The caller appends the payload.
+func AppendHeader(b []byte, dst, src MAC, typ EtherType, plen int) ([]byte, error) {
+	total := HeaderLen + plen
+	if total > MaxFrameLen {
+		return b, fmt.Errorf("ethernet: frame length %d exceeds max %d", total, MaxFrameLen)
+	}
+	b = binary.BigEndian.AppendUint16(b, uint16(total))
+	b = appendMAC(b, dst)
+	b = appendMAC(b, src)
+	return binary.BigEndian.AppendUint16(b, uint16(typ)), nil
+}
+
+func appendMAC(b []byte, m MAC) []byte {
+	return append(b, byte(m>>40), byte(m>>32), byte(m>>24), byte(m>>16), byte(m>>8), byte(m))
+}
+
+// ParseFrame parses a serialised frame, tolerating trailing padding bytes
+// introduced by flit alignment. It does not allocate: the returned
+// frame's Payload aliases buf.
+func ParseFrame(buf []byte) (Frame, error) {
 	if len(buf) < HeaderLen {
-		return nil, fmt.Errorf("ethernet: frame too short: %d bytes", len(buf))
+		return Frame{}, fmt.Errorf("ethernet: frame too short: %d bytes", len(buf))
 	}
 	total := int(binary.BigEndian.Uint16(buf[0:2]))
 	if total < HeaderLen || total > len(buf) {
-		return nil, fmt.Errorf("ethernet: bad frame length field %d (have %d bytes)", total, len(buf))
+		return Frame{}, fmt.Errorf("ethernet: bad frame length field %d (have %d bytes)", total, len(buf))
 	}
-	f := &Frame{
-		Dst:  MACFromBytes(buf[2:8]),
-		Src:  MACFromBytes(buf[8:14]),
-		Type: EtherType(binary.BigEndian.Uint16(buf[14:16])),
+	return Frame{
+		Dst:     MACFromBytes(buf[2:8]),
+		Src:     MACFromBytes(buf[8:14]),
+		Type:    EtherType(binary.BigEndian.Uint16(buf[14:16])),
+		Payload: buf[HeaderLen:total],
+	}, nil
+}
+
+// DecodeFrame is ParseFrame with the payload copied out of buf.
+func DecodeFrame(buf []byte) (*Frame, error) {
+	f, err := ParseFrame(buf)
+	if err != nil {
+		return nil, err
 	}
-	f.Payload = append([]byte(nil), buf[16:total]...)
-	return f, nil
+	f.Payload = append([]byte(nil), f.Payload...)
+	return &f, nil
 }
 
 // FlitSize is the link word size in bytes: 64-bit flits, matching the
@@ -134,21 +153,33 @@ const FlitSize = 8
 // ToFlits splits a serialised frame into 64-bit link flits, padding the
 // final flit with zeros.
 func ToFlits(buf []byte) []uint64 {
-	n := (len(buf) + FlitSize - 1) / FlitSize
-	flits := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		var word [8]byte
-		copy(word[:], buf[i*FlitSize:])
-		flits[i] = binary.BigEndian.Uint64(word[:])
+	return AppendFlits(make([]uint64, 0, (len(buf)+FlitSize-1)/FlitSize), buf)
+}
+
+// AppendFlits appends buf to flits as 64-bit link words, padding the final
+// word with zeros.
+func AppendFlits(flits []uint64, buf []byte) []uint64 {
+	for len(buf) >= FlitSize {
+		flits = append(flits, binary.BigEndian.Uint64(buf))
+		buf = buf[FlitSize:]
+	}
+	if len(buf) > 0 {
+		var word [FlitSize]byte
+		copy(word[:], buf)
+		flits = append(flits, binary.BigEndian.Uint64(word[:]))
 	}
 	return flits
 }
 
 // FromFlits reassembles the byte stream carried by a sequence of flits.
 func FromFlits(flits []uint64) []byte {
-	buf := make([]byte, len(flits)*FlitSize)
-	for i, f := range flits {
-		binary.BigEndian.PutUint64(buf[i*FlitSize:], f)
+	return AppendFlitBytes(make([]byte, 0, len(flits)*FlitSize), flits)
+}
+
+// AppendFlitBytes appends the byte stream carried by flits to buf.
+func AppendFlitBytes(buf []byte, flits []uint64) []byte {
+	for _, f := range flits {
+		buf = binary.BigEndian.AppendUint64(buf, f)
 	}
 	return buf
 }

@@ -1,0 +1,96 @@
+package ethernet
+
+import (
+	"bytes"
+	"encoding/binary"
+	"testing"
+)
+
+// FuzzParseFrame feeds arbitrary bytes through every parser layer. The
+// non-allocating Parse* views and the copying Decode* wrappers must agree
+// on acceptance and on every field, nothing may panic, an accepted frame
+// must re-encode to the bytes it was parsed from, and any buffer must
+// survive the flit round trip.
+func FuzzParseFrame(f *testing.F) {
+	echo := func(typ ICMPType) []byte {
+		icmp := (&ICMP{Type: typ, ID: 7, Seq: 3, SentCycle: 99}).Encode()
+		ip := (&IPv4{Src: 1, Dst: 2, Proto: ProtoICMP, TTL: 64, Payload: icmp}).Encode()
+		buf, _ := (&Frame{Dst: 0x22, Src: 0x11, Type: TypeIPv4, Payload: ip}).Encode()
+		return buf
+	}
+	full := echo(ICMPEchoRequest)
+	f.Add(full)
+	f.Add(full[:HeaderLen-1]) // truncated header
+	short := append([]byte(nil), full...)
+	binary.BigEndian.PutUint16(short, HeaderLen-1) // length field < HeaderLen
+	f.Add(short)
+	long := append([]byte(nil), full...)
+	binary.BigEndian.PutUint16(long, uint16(len(full)+1)) // length field > buffer
+	f.Add(long)
+	overrun := append([]byte(nil), full...)
+	binary.BigEndian.PutUint16(overrun[HeaderLen+10:], 0xffff) // IPv4 plen overrun
+	f.Add(overrun)
+	shortICMP := append([]byte(nil), full...)
+	binary.BigEndian.PutUint16(shortICMP[HeaderLen+10:], ICMPLen-1) // short ICMP
+	binary.BigEndian.PutUint16(shortICMP, uint16(len(full)-1))
+	f.Add(shortICMP[:len(full)-1])
+	f.Add(echo(ICMPEchoReply))
+	udp := (&UDP{SrcPort: 5, DstPort: 9, Payload: []byte("hello")}).Encode()
+	ip := (&IPv4{Src: 1, Dst: 2, Proto: ProtoUDP, TTL: 64, Payload: udp}).Encode()
+	buf, _ := (&Frame{Dst: 0x22, Src: 0x11, Type: TypeIPv4, Payload: ip}).Encode()
+	f.Add(buf)
+	arp, _ := (&Frame{Dst: Broadcast, Src: 0x11, Type: TypeARP, Payload: (&ARP{Op: ARPRequest, SenderMAC: 0x11, SenderIP: 1, TargetIP: 2}).Encode()}).Encode()
+	f.Add(arp)
+
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		fr, err := ParseFrame(buf)
+		dfr, derr := DecodeFrame(buf)
+		if (err == nil) != (derr == nil) {
+			t.Fatalf("ParseFrame err %v, DecodeFrame err %v", err, derr)
+		}
+		body := buf // parse the inner layers from the raw bytes when the frame fails
+		if err == nil {
+			if fr.Dst != dfr.Dst || fr.Src != dfr.Src || fr.Type != dfr.Type || !bytes.Equal(fr.Payload, dfr.Payload) {
+				t.Fatalf("ParseFrame %+v, DecodeFrame %+v", fr, *dfr)
+			}
+			enc, err := fr.Encode()
+			if err != nil || !bytes.Equal(enc, buf[:HeaderLen+len(fr.Payload)]) {
+				t.Fatalf("re-encode = %x, %v; parsed from %x", enc, err, buf)
+			}
+			body = fr.Payload
+		}
+
+		ip, err := ParseIPv4(body)
+		dip, derr := DecodeIPv4(body)
+		if (err == nil) != (derr == nil) {
+			t.Fatalf("ParseIPv4 err %v, DecodeIPv4 err %v", err, derr)
+		}
+		if err == nil {
+			if ip.Src != dip.Src || ip.Dst != dip.Dst || ip.Proto != dip.Proto || ip.TTL != dip.TTL || !bytes.Equal(ip.Payload, dip.Payload) {
+				t.Fatalf("ParseIPv4 %+v, DecodeIPv4 %+v", ip, *dip)
+			}
+			body = ip.Payload
+		}
+
+		m, err := ParseICMP(body)
+		dm, derr := DecodeICMP(body)
+		if (err == nil) != (derr == nil) || err == nil && m != *dm {
+			t.Fatalf("ParseICMP %+v, %v; DecodeICMP %+v, %v", m, err, dm, derr)
+		}
+		u, err := ParseUDP(body)
+		du, derr := DecodeUDP(body)
+		if (err == nil) != (derr == nil) || err == nil && (u.SrcPort != du.SrcPort || u.DstPort != du.DstPort || !bytes.Equal(u.Payload, du.Payload)) {
+			t.Fatalf("ParseUDP %+v, %v; DecodeUDP %+v, %v", u, err, du, derr)
+		}
+		a, err := ParseARP(body)
+		da, derr := DecodeARP(body)
+		if (err == nil) != (derr == nil) || err == nil && a != *da {
+			t.Fatalf("ParseARP %+v, %v; DecodeARP %+v, %v", a, err, da, derr)
+		}
+
+		flits := ToFlits(buf)
+		if back := FromFlits(flits); len(back) < len(buf) || !bytes.Equal(back[:len(buf)], buf) {
+			t.Fatalf("flit round trip of %x gave %x", buf, back)
+		}
+	})
+}

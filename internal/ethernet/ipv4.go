@@ -15,9 +15,9 @@ const (
 	ProtoTCP  Protocol = 6
 )
 
-// ipv4HeaderLen is the fixed (option-free) header length used in
+// IPv4HeaderLen is the fixed (option-free) header length used in
 // simulation.
-const ipv4HeaderLen = 12
+const IPv4HeaderLen = 12
 
 // IPv4 is a simplified option-free IPv4 header plus payload.
 type IPv4 struct {
@@ -36,32 +36,46 @@ type IPv4 struct {
 //	bytes 10..11 payload length
 //	bytes 12..  payload
 func (p *IPv4) Encode() []byte {
-	buf := make([]byte, ipv4HeaderLen+len(p.Payload))
-	binary.BigEndian.PutUint32(buf[0:4], uint32(p.Src))
-	binary.BigEndian.PutUint32(buf[4:8], uint32(p.Dst))
-	buf[8] = byte(p.Proto)
-	buf[9] = p.TTL
-	binary.BigEndian.PutUint16(buf[10:12], uint16(len(p.Payload)))
-	copy(buf[12:], p.Payload)
-	return buf
+	buf := AppendIPv4Header(make([]byte, 0, IPv4HeaderLen+len(p.Payload)), p.Src, p.Dst, p.Proto, p.TTL, len(p.Payload))
+	return append(buf, p.Payload...)
 }
 
-// DecodeIPv4 parses a serialised IPv4 packet.
-func DecodeIPv4(buf []byte) (*IPv4, error) {
-	if len(buf) < ipv4HeaderLen {
-		return nil, fmt.Errorf("ethernet: ipv4 packet too short: %d bytes", len(buf))
+// AppendIPv4Header appends the header of a packet carrying plen payload
+// bytes to b. The caller appends the payload.
+func AppendIPv4Header(b []byte, src, dst IP, proto Protocol, ttl uint8, plen int) []byte {
+	b = binary.BigEndian.AppendUint32(b, uint32(src))
+	b = binary.BigEndian.AppendUint32(b, uint32(dst))
+	b = append(b, byte(proto), ttl)
+	return binary.BigEndian.AppendUint16(b, uint16(plen))
+}
+
+// ParseIPv4 parses a serialised IPv4 packet without allocating: the
+// returned packet's Payload aliases buf.
+func ParseIPv4(buf []byte) (IPv4, error) {
+	if len(buf) < IPv4HeaderLen {
+		return IPv4{}, fmt.Errorf("ethernet: ipv4 packet too short: %d bytes", len(buf))
 	}
 	plen := int(binary.BigEndian.Uint16(buf[10:12]))
-	if ipv4HeaderLen+plen > len(buf) {
-		return nil, fmt.Errorf("ethernet: ipv4 payload length %d exceeds buffer", plen)
+	if IPv4HeaderLen+plen > len(buf) {
+		return IPv4{}, fmt.Errorf("ethernet: ipv4 payload length %d exceeds buffer", plen)
 	}
-	return &IPv4{
+	return IPv4{
 		Src:     IP(binary.BigEndian.Uint32(buf[0:4])),
 		Dst:     IP(binary.BigEndian.Uint32(buf[4:8])),
 		Proto:   Protocol(buf[8]),
 		TTL:     buf[9],
-		Payload: append([]byte(nil), buf[ipv4HeaderLen:ipv4HeaderLen+plen]...),
+		Payload: buf[IPv4HeaderLen : IPv4HeaderLen+plen],
 	}, nil
+}
+
+// DecodeIPv4 is ParseIPv4 with the payload copied out of buf.
+func DecodeIPv4(buf []byte) (*IPv4, error) {
+	p, err := ParseIPv4(buf)
+	if err != nil {
+		return nil, err
+	}
+	p.Payload = append([]byte(nil), p.Payload...)
+	return &p, nil
 }
 
 // ICMPType distinguishes echo requests from replies.
@@ -83,22 +97,27 @@ type ICMP struct {
 	SentCycle uint64
 }
 
+// ICMPLen is the serialised ICMP echo message length.
+const ICMPLen = 16
+
 // Encode serialises the message.
-func (m *ICMP) Encode() []byte {
-	buf := make([]byte, 16)
-	buf[0] = byte(m.Type)
-	binary.BigEndian.PutUint16(buf[2:4], m.ID)
-	binary.BigEndian.PutUint16(buf[4:6], m.Seq)
-	binary.BigEndian.PutUint64(buf[8:16], m.SentCycle)
-	return buf
+func (m *ICMP) Encode() []byte { return m.Append(make([]byte, 0, ICMPLen)) }
+
+// Append appends the serialised message to b.
+func (m *ICMP) Append(b []byte) []byte {
+	b = append(b, byte(m.Type), 0)
+	b = binary.BigEndian.AppendUint16(b, m.ID)
+	b = binary.BigEndian.AppendUint16(b, m.Seq)
+	b = append(b, 0, 0)
+	return binary.BigEndian.AppendUint64(b, m.SentCycle)
 }
 
-// DecodeICMP parses a serialised ICMP message.
-func DecodeICMP(buf []byte) (*ICMP, error) {
-	if len(buf) < 16 {
-		return nil, fmt.Errorf("ethernet: icmp message too short: %d bytes", len(buf))
+// ParseICMP parses a serialised ICMP message.
+func ParseICMP(buf []byte) (ICMP, error) {
+	if len(buf) < ICMPLen {
+		return ICMP{}, fmt.Errorf("ethernet: icmp message too short: %d bytes", len(buf))
 	}
-	return &ICMP{
+	return ICMP{
 		Type:      ICMPType(buf[0]),
 		ID:        binary.BigEndian.Uint16(buf[2:4]),
 		Seq:       binary.BigEndian.Uint16(buf[4:6]),
@@ -106,8 +125,17 @@ func DecodeICMP(buf []byte) (*ICMP, error) {
 	}, nil
 }
 
-// udpHeaderLen is the serialised UDP header length.
-const udpHeaderLen = 8
+// DecodeICMP is ParseICMP returning a pointer.
+func DecodeICMP(buf []byte) (*ICMP, error) {
+	m, err := ParseICMP(buf)
+	if err != nil {
+		return nil, err
+	}
+	return &m, nil
+}
+
+// UDPHeaderLen is the serialised UDP header length.
+const UDPHeaderLen = 8
 
 // UDP is a datagram header plus payload.
 type UDP struct {
@@ -117,28 +145,43 @@ type UDP struct {
 
 // Encode serialises the datagram.
 func (u *UDP) Encode() []byte {
-	buf := make([]byte, udpHeaderLen+len(u.Payload))
-	binary.BigEndian.PutUint16(buf[0:2], u.SrcPort)
-	binary.BigEndian.PutUint16(buf[2:4], u.DstPort)
-	binary.BigEndian.PutUint32(buf[4:8], uint32(len(u.Payload)))
-	copy(buf[8:], u.Payload)
-	return buf
+	buf := AppendUDPHeader(make([]byte, 0, UDPHeaderLen+len(u.Payload)), u.SrcPort, u.DstPort, len(u.Payload))
+	return append(buf, u.Payload...)
 }
 
-// DecodeUDP parses a serialised datagram.
-func DecodeUDP(buf []byte) (*UDP, error) {
-	if len(buf) < udpHeaderLen {
-		return nil, fmt.Errorf("ethernet: udp datagram too short: %d bytes", len(buf))
+// AppendUDPHeader appends the header of a datagram carrying plen payload
+// bytes to b. The caller appends the payload.
+func AppendUDPHeader(b []byte, srcPort, dstPort uint16, plen int) []byte {
+	b = binary.BigEndian.AppendUint16(b, srcPort)
+	b = binary.BigEndian.AppendUint16(b, dstPort)
+	return binary.BigEndian.AppendUint32(b, uint32(plen))
+}
+
+// ParseUDP parses a serialised datagram without allocating: the returned
+// datagram's Payload aliases buf.
+func ParseUDP(buf []byte) (UDP, error) {
+	if len(buf) < UDPHeaderLen {
+		return UDP{}, fmt.Errorf("ethernet: udp datagram too short: %d bytes", len(buf))
 	}
 	plen := int(binary.BigEndian.Uint32(buf[4:8]))
-	if udpHeaderLen+plen > len(buf) {
-		return nil, fmt.Errorf("ethernet: udp payload length %d exceeds buffer", plen)
+	if UDPHeaderLen+plen > len(buf) {
+		return UDP{}, fmt.Errorf("ethernet: udp payload length %d exceeds buffer", plen)
 	}
-	return &UDP{
+	return UDP{
 		SrcPort: binary.BigEndian.Uint16(buf[0:2]),
 		DstPort: binary.BigEndian.Uint16(buf[2:4]),
-		Payload: append([]byte(nil), buf[8:8+plen]...),
+		Payload: buf[UDPHeaderLen : UDPHeaderLen+plen],
 	}, nil
+}
+
+// DecodeUDP is ParseUDP with the payload copied out of buf.
+func DecodeUDP(buf []byte) (*UDP, error) {
+	u, err := ParseUDP(buf)
+	if err != nil {
+		return nil, err
+	}
+	u.Payload = append([]byte(nil), u.Payload...)
+	return &u, nil
 }
 
 // ARPOp distinguishes ARP requests from replies.
@@ -161,27 +204,40 @@ type ARP struct {
 	TargetIP  IP
 }
 
+// ARPLen is the serialised ARP message length.
+const ARPLen = 2 + 8 + 4 + 8 + 4
+
 // Encode serialises the message.
-func (a *ARP) Encode() []byte {
-	buf := make([]byte, 2+8+4+8+4)
-	binary.BigEndian.PutUint16(buf[0:2], uint16(a.Op))
-	binary.BigEndian.PutUint64(buf[2:10], uint64(a.SenderMAC))
-	binary.BigEndian.PutUint32(buf[10:14], uint32(a.SenderIP))
-	binary.BigEndian.PutUint64(buf[14:22], uint64(a.TargetMAC))
-	binary.BigEndian.PutUint32(buf[22:26], uint32(a.TargetIP))
-	return buf
+func (a *ARP) Encode() []byte { return a.Append(make([]byte, 0, ARPLen)) }
+
+// Append appends the serialised message to b.
+func (a *ARP) Append(b []byte) []byte {
+	b = binary.BigEndian.AppendUint16(b, uint16(a.Op))
+	b = binary.BigEndian.AppendUint64(b, uint64(a.SenderMAC))
+	b = binary.BigEndian.AppendUint32(b, uint32(a.SenderIP))
+	b = binary.BigEndian.AppendUint64(b, uint64(a.TargetMAC))
+	return binary.BigEndian.AppendUint32(b, uint32(a.TargetIP))
 }
 
-// DecodeARP parses a serialised ARP message.
-func DecodeARP(buf []byte) (*ARP, error) {
-	if len(buf) < 26 {
-		return nil, fmt.Errorf("ethernet: arp message too short: %d bytes", len(buf))
+// ParseARP parses a serialised ARP message.
+func ParseARP(buf []byte) (ARP, error) {
+	if len(buf) < ARPLen {
+		return ARP{}, fmt.Errorf("ethernet: arp message too short: %d bytes", len(buf))
 	}
-	return &ARP{
+	return ARP{
 		Op:        ARPOp(binary.BigEndian.Uint16(buf[0:2])),
 		SenderMAC: MAC(binary.BigEndian.Uint64(buf[2:10])),
 		SenderIP:  IP(binary.BigEndian.Uint32(buf[10:14])),
 		TargetMAC: MAC(binary.BigEndian.Uint64(buf[14:22])),
 		TargetIP:  IP(binary.BigEndian.Uint32(buf[22:26])),
 	}, nil
+}
+
+// DecodeARP is ParseARP returning a pointer.
+func DecodeARP(buf []byte) (*ARP, error) {
+	a, err := ParseARP(buf)
+	if err != nil {
+		return nil, err
+	}
+	return &a, nil
 }

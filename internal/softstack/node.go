@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/ethernet"
+	"repro/internal/minheap"
 	"repro/internal/token"
 )
 
@@ -34,6 +35,9 @@ type txFrame struct {
 	flits   []uint64
 	readyAt clock.Cycles
 	flit    int
+	// pooled marks flits taken from the node's free list, returned there
+	// once the frame is sent. A generator's shared frame is never pooled.
+	pooled bool
 }
 
 // generator produces paced raw frames for bandwidth experiments.
@@ -63,14 +67,27 @@ type PingResult struct {
 	RTT clock.Cycles
 }
 
+// pinger is one Ping train. Only its next send is queued: send i fires at
+// start+i*interval with event seq seq0+i, seqs Ping reserved up front.
 type pinger struct {
 	dst      ethernet.IP
+	start    clock.Cycles
 	count    int
 	interval clock.Cycles
+	seq0     uint64
+	next     int // sends issued so far
 	results  []PingResult
-	sentAt   map[uint16]clock.Cycles
-	done     func([]PingResult)
+	// sentAt holds each wire sequence number's latest send cycle. Sends go
+	// out in order, so wire seq w has been sent iff w < len(sentAt).
+	sentAt []clock.Cycles
+	done   func([]PingResult)
+	// finished is set once all results are in; a pinger whose sends are
+	// still queued stays registered until the last one fires.
+	finished bool
 }
+
+// maxWireSeq is the number of distinct ICMP sequence numbers.
+const maxWireSeq = 1 << 16
 
 // Node is a modeled-OS server on the token network, implementing
 // fame.Endpoint with a single network port.
@@ -80,7 +97,7 @@ type Node struct {
 	costs Costs
 
 	cycle    clock.Cycles
-	events   eventHeap
+	events   minheap.Heap[event]
 	eventSeq uint64
 
 	sched   *scheduler
@@ -91,14 +108,24 @@ type Node struct {
 	arpWaiting map[ethernet.IP][]func(now clock.Cycles, mac ethernet.MAC)
 	udp        map[uint16]UDPHandler
 	rxFlits    []uint64
+	rxBuf      []byte // the frame being parsed, reused
 
-	// TX engine
+	// TX engine. txq[txHead:] is the queue; the consumed head is reclaimed
+	// when the queue empties or the backing array fills.
 	txq      []txFrame
+	txHead   int
 	txCursor clock.Cycles
 	gen      *generator
+	txBuf    []byte     // frame being encoded, reused
+	flitPool [][]uint64 // free list of sent frames' flit slices
 
 	pingers map[uint16]*pinger
 	nextID  uint16
+
+	// calls holds the closures and payloads of queued events; callFree
+	// lists its vacant slots.
+	calls    []callback
+	callFree []int32
 
 	// RemoteMemHandler, when set, receives TypeRemoteMem frames (the
 	// disaggregated-memory protocol of Section VI) after IRQ latency. It
@@ -174,61 +201,25 @@ func (n *Node) TickBatch(nCycles int, in, out []*token.Batch) {
 	for _, slot := range in[0].Slots {
 		n.rxFlits = append(n.rxFlits, slot.Tok.Data)
 		if slot.Tok.Last {
-			flits := make([]uint64, len(n.rxFlits))
-			copy(flits, n.rxFlits)
-			n.rxFlits = n.rxFlits[:0]
 			arrival := start + clock.Cycles(slot.Offset)
 			n.stats.FramesRecv++
-			n.stats.BytesRecv += uint64(len(flits) * ethernet.FlitSize)
-			n.handleFrame(arrival, flits)
+			n.stats.BytesRecv += uint64(len(n.rxFlits) * ethernet.FlitSize)
+			n.rxBuf = ethernet.AppendFlitBytes(n.rxBuf[:0], n.rxFlits)
+			n.rxFlits = n.rxFlits[:0]
+			n.handleFrame(arrival, n.rxBuf)
 		}
 	}
 
 	// 2. Drain due events (events may schedule more events within the
-	// window; the heap keeps everything in cycle order).
-	for len(n.events) > 0 && n.events[0].at < end {
-		ev := n.events[0]
-		popEvent(&n.events)
-		now := ev.at
-		if now < start {
-			now = start
-		}
-		ev.fn(now)
+	// window; the heap keeps everything in (cycle, seq) order).
+	for n.events.Len() > 0 && n.events.Min().At < end {
+		ev := n.events.Pop()
+		n.fire(max(ev.At, start), &ev.Val)
 	}
 
 	// 3. Egress: emit queued frames, one flit per cycle.
 	n.emitTX(start, end, out[0])
 	n.cycle = end
-}
-
-func popEvent(h *eventHeap) {
-	// container/heap Pop via the interface allocates; inline the fix-down
-	// for the hot path.
-	old := *h
-	nh := len(old) - 1
-	old[0] = old[nh]
-	*h = old[:nh]
-	if nh > 0 {
-		siftDown(*h, 0)
-	}
-}
-
-func siftDown(h eventHeap, i int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < len(h) && h.Less(l, m) {
-			m = l
-		}
-		if r < len(h) && h.Less(r, m) {
-			m = r
-		}
-		if m == i {
-			return
-		}
-		h.Swap(i, m)
-		i = m
-	}
 }
 
 // emitTX drains the TX queue into the output batch for cycles [start,end).
@@ -249,10 +240,10 @@ func (n *Node) emitTX(start, end clock.Cycles, out *token.Batch) {
 		cursor = start
 	}
 	for {
-		if len(n.txq) == 0 && !n.refillFromGenerator(end) {
+		if n.txHead == len(n.txq) && !n.refillFromGenerator(end) {
 			break
 		}
-		f := &n.txq[0]
+		f := &n.txq[n.txHead]
 		if f.readyAt > cursor {
 			cursor = f.readyAt
 		}
@@ -267,11 +258,29 @@ func (n *Node) emitTX(start, end clock.Cycles, out *token.Batch) {
 		}
 		n.txCursor = cursor
 		if f.flit == len(f.flits) {
-			n.txq = n.txq[1:]
 			n.stats.FramesSent++
 			n.stats.BytesSent += uint64(len(f.flits) * ethernet.FlitSize)
+			if f.pooled {
+				n.flitPool = append(n.flitPool, f.flits)
+			}
+			n.txq[n.txHead] = txFrame{}
+			n.txHead++
+			if n.txHead == len(n.txq) {
+				n.txq, n.txHead = n.txq[:0], 0
+			}
 		}
 	}
+}
+
+// pushTX appends a frame to the TX queue, reclaiming the consumed head
+// before the backing array would have to grow.
+func (n *Node) pushTX(f txFrame) {
+	if n.txHead > 0 && len(n.txq) == cap(n.txq) {
+		k := copy(n.txq, n.txq[n.txHead:])
+		clear(n.txq[k:])
+		n.txq, n.txHead = n.txq[:k], 0
+	}
+	n.txq = append(n.txq, f)
 }
 
 // refillFromGenerator produces the next paced raw frame if a stream is
@@ -289,24 +298,160 @@ func (n *Node) refillFromGenerator(end clock.Cycles) bool {
 	if next >= end {
 		return false
 	}
-	n.txq = append(n.txq, txFrame{flits: g.flits, readyAt: next})
+	n.pushTX(txFrame{flits: g.flits, readyAt: next})
 	g.next += g.interval
 	return true
 }
 
-// sendFrameAt queues a frame for transmission no earlier than ready.
-func (n *Node) sendFrameAt(ready clock.Cycles, f *ethernet.Frame) {
-	flits, err := f.FrameFlits()
+// frame starts encoding a frame with a payload of plen bytes in the
+// node's scratch buffer: it returns the header, and the caller appends
+// exactly plen payload bytes and passes the result to queueFrame.
+func (n *Node) frame(dst ethernet.MAC, typ ethernet.EtherType, plen int) []byte {
+	b, err := ethernet.AppendHeader(n.txBuf[:0], dst, n.cfg.MAC, typ, plen)
 	if err != nil {
 		panic(fmt.Sprintf("softstack: %v", err))
 	}
-	n.txq = append(n.txq, txFrame{flits: flits, readyAt: ready})
+	return b
+}
+
+// queueFrame queues an encoded frame for transmission no earlier than
+// ready, packing it into flits from the free list.
+func (n *Node) queueFrame(ready clock.Cycles, b []byte) {
+	n.txBuf = b
+	var flits []uint64
+	if k := len(n.flitPool); k > 0 {
+		flits = n.flitPool[k-1][:0]
+		n.flitPool[k-1] = nil
+		n.flitPool = n.flitPool[:k-1]
+	}
+	n.pushTX(txFrame{flits: ethernet.AppendFlits(flits, b), readyAt: ready, pooled: true})
+}
+
+// ipv4 starts encoding an IPv4 frame like frame does: the caller appends
+// the transport header and payload, plen bytes in all.
+func (n *Node) ipv4(dstMAC ethernet.MAC, dst ethernet.IP, proto ethernet.Protocol, plen int) []byte {
+	b := n.frame(dstMAC, ethernet.TypeIPv4, ethernet.IPv4HeaderLen+plen)
+	return ethernet.AppendIPv4Header(b, n.cfg.IP, dst, proto, 64, plen)
+}
+
+// sendICMP queues an ICMP message to dst at ready.
+func (n *Node) sendICMP(ready clock.Cycles, dstMAC ethernet.MAC, dst ethernet.IP, msg ethernet.ICMP) {
+	b := n.ipv4(dstMAC, dst, ethernet.ProtoICMP, ethernet.ICMPLen)
+	n.queueFrame(ready, msg.Append(b))
+}
+
+// sendARP queues an ARP message to dstMAC at ready.
+func (n *Node) sendARP(ready clock.Cycles, dstMAC ethernet.MAC, msg ethernet.ARP) {
+	b := n.frame(dstMAC, ethernet.TypeARP, ethernet.ARPLen)
+	n.queueFrame(ready, msg.Append(b))
+}
+
+// --- kernel events ---
+
+// evKind selects what a queued event does when it fires. Kernel work is
+// typed: its payload is plain data in the event record, and fire
+// dispatches on the kind. Only an application callback (At, Job.Fn) or a
+// received payload that must outlive its frame is parked in Node.calls.
+type evKind uint8
+
+const (
+	evCall        evKind = iota // run calls[ref].fn (At)
+	evJobDone                   // the job on core id of thread arg completes; calls[ref].fn is Job.Fn
+	evPingSend                  // pinger id sends its next echo request
+	evEchoRequest               // answer echo request id/seq, SentCycle arg, from ip at mac
+	evEchoReply                 // credit echo reply id/seq to its pinger
+	evARP                       // ARP op id from sender ip at mac, target IP arg
+	evUDP                       // deliver calls[ref].data from ip, source port id, to calls[ref].udp
+	evRemoteMem                 // deliver calls[ref].data from mac to RemoteMemHandler
+)
+
+// event is one unit of scheduled node work, a pointer-free record whose
+// kind says which fields are meaningful. The queue orders events by
+// (cycle, seq), seq taken from Node.eventSeq when the event is scheduled.
+type event struct {
+	kind evKind
+	id   uint16
+	seq  uint16
+	ref  int32 // index into Node.calls
+	ip   ethernet.IP
+	mac  ethernet.MAC
+	arg  uint64
+}
+
+// callback is the part of an event that is not plain data: a closure, or
+// a received payload with its socket handler.
+type callback struct {
+	fn   func(now clock.Cycles)
+	udp  UDPHandler
+	data []byte
+}
+
+// park stores c in the callback table and returns its index.
+func (n *Node) park(c callback) int32 {
+	if k := len(n.callFree); k > 0 {
+		i := n.callFree[k-1]
+		n.callFree = n.callFree[:k-1]
+		n.calls[i] = c
+		return i
+	}
+	n.calls = append(n.calls, c)
+	return int32(len(n.calls) - 1)
+}
+
+// unpark removes and returns callback i.
+func (n *Node) unpark(i int32) callback {
+	c := n.calls[i]
+	n.calls[i] = callback{}
+	n.callFree = append(n.callFree, i)
+	return c
+}
+
+// schedule queues ev at the given absolute cycle. Events scheduled for
+// the past run at the current processing point (monotonicity is
+// preserved by the drain loop).
+func (n *Node) schedule(cycle clock.Cycles, ev event) {
+	n.events.Push(cycle, n.eventSeq, ev)
+	n.eventSeq++
+}
+
+// At schedules an application callback at an absolute cycle.
+func (n *Node) At(cycle clock.Cycles, fn func(now clock.Cycles)) {
+	n.schedule(cycle, event{kind: evCall, ref: n.park(callback{fn: fn})})
+}
+
+// fire runs one due event at now.
+func (n *Node) fire(now clock.Cycles, ev *event) {
+	switch ev.kind {
+	case evCall:
+		n.unpark(ev.ref).fn(now)
+	case evJobDone:
+		n.sched.complete(now, int(ev.id), n.threads[ev.arg], n.unpark(ev.ref).fn)
+	case evPingSend:
+		n.pingSend(now, ev.id)
+	case evEchoRequest:
+		// Kernel echoes in interrupt context: RX cost then TX cost.
+		n.arp[ev.ip] = ev.mac // gratuitous learn, like Linux
+		n.sendICMP(now+n.costs.KernelTX, ev.mac, ev.ip, ethernet.ICMP{
+			Type: ethernet.ICMPEchoReply, ID: ev.id, Seq: ev.seq, SentCycle: ev.arg,
+		})
+	case evEchoReply:
+		n.pingReply(now, ev.id, ev.seq)
+	case evARP:
+		n.arpReceived(now, ethernet.ARPOp(ev.id), ev.mac, ev.ip, ethernet.IP(ev.arg))
+	case evUDP:
+		c := n.unpark(ev.ref)
+		c.udp(now, ev.ip, ev.id, c.data)
+	case evRemoteMem:
+		n.RemoteMemHandler(now, ev.mac, n.unpark(ev.ref).data)
+	}
 }
 
 // --- protocol handling (kernel) ---
 
-func (n *Node) handleFrame(arrival clock.Cycles, flits []uint64) {
-	fr, err := ethernet.DecodeFlits(flits)
+// handleFrame parses a received frame in place; buf is reused for the
+// next frame, so any payload that outlives the call is copied.
+func (n *Node) handleFrame(arrival clock.Cycles, buf []byte) {
+	fr, err := ethernet.ParseFrame(buf)
 	if err != nil {
 		return // malformed frame: dropped silently like real hardware
 	}
@@ -315,78 +460,89 @@ func (n *Node) handleFrame(arrival clock.Cycles, flits []uint64) {
 	}
 	switch fr.Type {
 	case ethernet.TypeARP:
-		n.handleARP(arrival, fr)
+		msg, err := ethernet.ParseARP(fr.Payload)
+		if err != nil {
+			return
+		}
+		// Kernel handles ARP after IRQ+RX cost.
+		n.schedule(arrival+n.costs.IRQLatency+n.costs.KernelRX, event{
+			kind: evARP, id: uint16(msg.Op), mac: msg.SenderMAC, ip: msg.SenderIP, arg: uint64(msg.TargetIP),
+		})
 	case ethernet.TypeIPv4:
-		n.handleIPv4(arrival, fr)
+		n.handleIPv4(arrival, fr.Src, fr.Payload)
 	case ethernet.TypeRemoteMem:
 		if n.RemoteMemHandler != nil {
-			n.at(arrival+n.costs.IRQLatency, func(now clock.Cycles) {
-				n.RemoteMemHandler(now, fr.Src, fr.Payload)
+			n.schedule(arrival+n.costs.IRQLatency, event{
+				kind: evRemoteMem, mac: fr.Src, ref: n.park(callback{data: append([]byte(nil), fr.Payload...)}),
 			})
 		}
 	}
 }
 
-func (n *Node) handleARP(arrival clock.Cycles, fr *ethernet.Frame) {
-	msg, err := ethernet.DecodeARP(fr.Payload)
-	if err != nil {
-		return
-	}
-	// Kernel handles ARP after IRQ+RX cost.
-	n.at(arrival+n.costs.IRQLatency+n.costs.KernelRX, func(now clock.Cycles) {
-		n.arp[msg.SenderIP] = msg.SenderMAC
-		switch msg.Op {
-		case ethernet.ARPRequest:
-			if msg.TargetIP != n.cfg.IP {
-				return
-			}
-			reply := &ethernet.ARP{
-				Op: ethernet.ARPReply, SenderMAC: n.cfg.MAC, SenderIP: n.cfg.IP,
-				TargetMAC: msg.SenderMAC, TargetIP: msg.SenderIP,
-			}
-			n.sendFrameAt(now+n.costs.KernelTX, &ethernet.Frame{
-				Dst: msg.SenderMAC, Src: n.cfg.MAC, Type: ethernet.TypeARP, Payload: reply.Encode(),
-			})
-		case ethernet.ARPReply:
-			if waiters := n.arpWaiting[msg.SenderIP]; len(waiters) > 0 {
-				delete(n.arpWaiting, msg.SenderIP)
-				for _, w := range waiters {
-					w(now, msg.SenderMAC)
-				}
+// arpReceived runs the kernel's ARP handling: learn the sender, answer a
+// request for this node's IP, or wake the sends waiting on a reply.
+func (n *Node) arpReceived(now clock.Cycles, op ethernet.ARPOp, senderMAC ethernet.MAC, senderIP, targetIP ethernet.IP) {
+	n.arp[senderIP] = senderMAC
+	switch op {
+	case ethernet.ARPRequest:
+		if targetIP != n.cfg.IP {
+			return
+		}
+		n.sendARP(now+n.costs.KernelTX, senderMAC, ethernet.ARP{
+			Op: ethernet.ARPReply, SenderMAC: n.cfg.MAC, SenderIP: n.cfg.IP,
+			TargetMAC: senderMAC, TargetIP: senderIP,
+		})
+	case ethernet.ARPReply:
+		if waiters := n.arpWaiting[senderIP]; len(waiters) > 0 {
+			delete(n.arpWaiting, senderIP)
+			for _, w := range waiters {
+				w(now, senderMAC)
 			}
 		}
-	})
+	}
 }
 
-// resolve invokes fn with the MAC for ip, issuing an ARP request if
-// needed.
-func (n *Node) resolve(now clock.Cycles, ip ethernet.IP, fn func(now clock.Cycles, mac ethernet.MAC)) {
+// lookup counts an ARP lookup and returns the cached MAC for ip, if any.
+// On a miss the caller passes its send to awaitARP.
+func (n *Node) lookup(ip ethernet.IP) (ethernet.MAC, bool) {
 	n.stats.ARPLookups++
-	if mac, ok := n.arp[ip]; ok {
-		fn(now, mac)
-		return
-	}
+	mac, ok := n.arp[ip]
+	return mac, ok
+}
+
+// awaitARP parks fn until ip resolves, issuing an ARP request if none is
+// outstanding.
+func (n *Node) awaitARP(now clock.Cycles, ip ethernet.IP, fn func(now clock.Cycles, mac ethernet.MAC)) {
 	first := len(n.arpWaiting[ip]) == 0
 	n.arpWaiting[ip] = append(n.arpWaiting[ip], fn)
 	if !first {
 		return
 	}
-	req := &ethernet.ARP{Op: ethernet.ARPRequest, SenderMAC: n.cfg.MAC, SenderIP: n.cfg.IP, TargetIP: ip}
-	n.sendFrameAt(now+n.costs.KernelTX, &ethernet.Frame{
-		Dst: ethernet.Broadcast, Src: n.cfg.MAC, Type: ethernet.TypeARP, Payload: req.Encode(),
+	n.sendARP(now+n.costs.KernelTX, ethernet.Broadcast, ethernet.ARP{
+		Op: ethernet.ARPRequest, SenderMAC: n.cfg.MAC, SenderIP: n.cfg.IP, TargetIP: ip,
 	})
 }
 
-func (n *Node) handleIPv4(arrival clock.Cycles, fr *ethernet.Frame) {
-	pkt, err := ethernet.DecodeIPv4(fr.Payload)
+func (n *Node) handleIPv4(arrival clock.Cycles, srcMAC ethernet.MAC, payload []byte) {
+	pkt, err := ethernet.ParseIPv4(payload)
 	if err != nil || pkt.Dst != n.cfg.IP {
 		return
 	}
+	due := arrival + n.costs.IRQLatency + n.costs.KernelRX
 	switch pkt.Proto {
 	case ethernet.ProtoICMP:
-		n.handleICMP(arrival, fr.Src, pkt)
+		msg, err := ethernet.ParseICMP(pkt.Payload)
+		if err != nil {
+			return
+		}
+		switch msg.Type {
+		case ethernet.ICMPEchoRequest:
+			n.schedule(due, event{kind: evEchoRequest, id: msg.ID, seq: msg.Seq, arg: msg.SentCycle, ip: pkt.Src, mac: srcMAC})
+		case ethernet.ICMPEchoReply:
+			n.schedule(due, event{kind: evEchoReply, id: msg.ID, seq: msg.Seq})
+		}
 	case ethernet.ProtoUDP:
-		udp, err := ethernet.DecodeUDP(pkt.Payload)
+		udp, err := ethernet.ParseUDP(pkt.Payload)
 		if err != nil {
 			return
 		}
@@ -395,46 +551,52 @@ func (n *Node) handleIPv4(arrival clock.Cycles, fr *ethernet.Frame) {
 			return
 		}
 		// Kernel RX cost, then deliver to the socket layer.
-		n.at(arrival+n.costs.IRQLatency+n.costs.KernelRX, func(now clock.Cycles) {
-			h(now, pkt.Src, udp.SrcPort, udp.Payload)
-		})
+		n.schedule(due, event{kind: evUDP, ip: pkt.Src, id: udp.SrcPort,
+			ref: n.park(callback{udp: h, data: append([]byte(nil), udp.Payload...)})})
 	}
 }
 
-func (n *Node) handleICMP(arrival clock.Cycles, srcMAC ethernet.MAC, pkt *ethernet.IPv4) {
-	msg, err := ethernet.DecodeICMP(pkt.Payload)
-	if err != nil {
+// pingSend issues pinger id's next echo request and queues the one after.
+func (n *Node) pingSend(now clock.Cycles, id uint16) {
+	p := n.pingers[id]
+	i := p.next
+	p.next++
+	if p.next < p.count {
+		n.events.Push(p.start+clock.Cycles(p.next)*p.interval, p.seq0+uint64(p.next), event{kind: evPingSend, id: id})
+	} else if p.finished {
+		delete(n.pingers, id)
+	}
+	seq := uint16(i)
+	if int(seq) < len(p.sentAt) {
+		p.sentAt[seq] = now
+	} else {
+		p.sentAt = append(p.sentAt, now)
+	}
+	msg := ethernet.ICMP{Type: ethernet.ICMPEchoRequest, ID: id, Seq: seq, SentCycle: uint64(now)}
+	dst := p.dst
+	ready := now + n.costs.KernelTX
+	if mac, ok := n.lookup(dst); ok {
+		n.sendICMP(ready, mac, dst, msg)
 		return
 	}
-	switch msg.Type {
-	case ethernet.ICMPEchoRequest:
-		// Kernel echoes in interrupt context: RX cost then TX cost.
-		n.at(arrival+n.costs.IRQLatency+n.costs.KernelRX, func(now clock.Cycles) {
-			reply := &ethernet.ICMP{Type: ethernet.ICMPEchoReply, ID: msg.ID, Seq: msg.Seq, SentCycle: msg.SentCycle}
-			ip := &ethernet.IPv4{Src: n.cfg.IP, Dst: pkt.Src, Proto: ethernet.ProtoICMP, TTL: 64, Payload: reply.Encode()}
-			n.arp[pkt.Src] = srcMAC // gratuitous learn, like Linux
-			n.sendFrameAt(now+n.costs.KernelTX, &ethernet.Frame{
-				Dst: srcMAC, Src: n.cfg.MAC, Type: ethernet.TypeIPv4, Payload: ip.Encode(),
-			})
-		})
-	case ethernet.ICMPEchoReply:
-		n.at(arrival+n.costs.IRQLatency+n.costs.KernelRX, func(now clock.Cycles) {
-			p, ok := n.pingers[msg.ID]
-			if !ok {
-				return
-			}
-			sent, ok := p.sentAt[msg.Seq]
-			if !ok {
-				return
-			}
-			p.results = append(p.results, PingResult{Seq: int(msg.Seq), RTT: now - sent})
-			if len(p.results) == p.count {
-				delete(n.pingers, msg.ID)
-				if p.done != nil {
-					p.done(p.results)
-				}
-			}
-		})
+	n.awaitARP(ready, dst, func(now clock.Cycles, mac ethernet.MAC) { n.sendICMP(now, mac, dst, msg) })
+}
+
+// pingReply credits an echo reply to its pinger.
+func (n *Node) pingReply(now clock.Cycles, id, seq uint16) {
+	p, ok := n.pingers[id]
+	if !ok || p.finished || int(seq) >= len(p.sentAt) {
+		return
+	}
+	p.results = append(p.results, PingResult{Seq: int(seq), RTT: now - p.sentAt[seq]})
+	if len(p.results) == p.count {
+		p.finished = true
+		if p.next >= p.count {
+			delete(n.pingers, id)
+		}
+		if p.done != nil {
+			p.done(p.results)
+		}
 	}
 }
 
@@ -457,42 +619,65 @@ func (n *Node) SendUDPAccounted(now clock.Cycles, dst ethernet.IP, dstPort, srcP
 }
 
 func (n *Node) sendUDPAt(ready clock.Cycles, dst ethernet.IP, dstPort, srcPort uint16, payload []byte) {
-	n.resolve(ready, dst, func(now clock.Cycles, mac ethernet.MAC) {
-		udp := &ethernet.UDP{SrcPort: srcPort, DstPort: dstPort, Payload: payload}
-		ip := &ethernet.IPv4{Src: n.cfg.IP, Dst: dst, Proto: ethernet.ProtoUDP, TTL: 64, Payload: udp.Encode()}
-		n.sendFrameAt(now, &ethernet.Frame{Dst: mac, Src: n.cfg.MAC, Type: ethernet.TypeIPv4, Payload: ip.Encode()})
+	if mac, ok := n.lookup(dst); ok {
+		n.sendUDPFrame(ready, mac, dst, dstPort, srcPort, payload)
+		return
+	}
+	n.awaitARP(ready, dst, func(now clock.Cycles, mac ethernet.MAC) {
+		n.sendUDPFrame(now, mac, dst, dstPort, srcPort, payload)
 	})
+}
+
+func (n *Node) sendUDPFrame(ready clock.Cycles, mac ethernet.MAC, dst ethernet.IP, dstPort, srcPort uint16, payload []byte) {
+	b := n.ipv4(mac, dst, ethernet.ProtoUDP, ethernet.UDPHeaderLen+len(payload))
+	b = ethernet.AppendUDPHeader(b, srcPort, dstPort, len(payload))
+	n.queueFrame(ready, append(b, payload...))
 }
 
 // SendRemoteMem transmits a raw remote-memory protocol frame (Section VI).
 func (n *Node) SendRemoteMem(ready clock.Cycles, dst ethernet.MAC, payload []byte) {
-	n.sendFrameAt(ready, &ethernet.Frame{Dst: dst, Src: n.cfg.MAC, Type: ethernet.TypeRemoteMem, Payload: payload})
+	b := n.frame(dst, ethernet.TypeRemoteMem, len(payload))
+	n.queueFrame(ready, append(b, payload...))
 }
 
 // RemoteMemFn receives remote-memory frames after IRQ latency.
 type RemoteMemFn func(now clock.Cycles, src ethernet.MAC, payload []byte)
 
-// Ping runs `count` echo round trips to dst, spaced by interval, invoking
-// done with all results. It reproduces the Linux ping utility's behaviour:
-// if dst is not in the ARP cache, the first sample includes the ARP
-// round trip (the paper discards that first sample for exactly this
-// reason).
+// Ping runs `count` echo round trips to dst, spaced by interval (a
+// negative interval counts as 0), invoking done with all results. It
+// reproduces the Linux ping utility's behaviour: if dst is not in the ARP
+// cache, the first sample includes the ARP round trip (the paper discards
+// that first sample for exactly this reason).
+//
+// Only the next send of a train is ever queued, but Ping reserves all
+// count event seqs now, so the sends drain in exactly the order, and
+// leave eventSeq at exactly the value, of count events queued up front.
 func (n *Node) Ping(start clock.Cycles, dst ethernet.IP, count int, interval clock.Cycles, done func([]PingResult)) {
-	id := n.nextID
-	n.nextID++
-	p := &pinger{dst: dst, count: count, interval: interval, sentAt: make(map[uint16]clock.Cycles), done: done}
-	n.pingers[id] = p
-	for i := 0; i < count; i++ {
-		seq := uint16(i)
-		n.at(start+clock.Cycles(i)*interval, func(now clock.Cycles) {
-			p.sentAt[seq] = now
-			msg := &ethernet.ICMP{Type: ethernet.ICMPEchoRequest, ID: id, Seq: seq, SentCycle: uint64(now)}
-			ip := &ethernet.IPv4{Src: n.cfg.IP, Dst: dst, Proto: ethernet.ProtoICMP, TTL: 64, Payload: msg.Encode()}
-			n.resolve(now+n.costs.KernelTX, dst, func(ready clock.Cycles, mac ethernet.MAC) {
-				n.sendFrameAt(ready, &ethernet.Frame{Dst: mac, Src: n.cfg.MAC, Type: ethernet.TypeIPv4, Payload: ip.Encode()})
-			})
-		})
+	id := n.newPingID()
+	p := &pinger{
+		dst: dst, start: start, count: count, interval: max(interval, 0), done: done,
+		results: make([]PingResult, 0, min(max(count, 0), maxWireSeq)),
+		sentAt:  make([]clock.Cycles, 0, min(max(count, 0), maxWireSeq)),
 	}
+	n.pingers[id] = p
+	if count <= 0 {
+		return
+	}
+	p.seq0 = n.eventSeq
+	n.eventSeq += uint64(count)
+	n.events.Push(start, p.seq0, event{kind: evPingSend, id: id})
+}
+
+// newPingID returns the next ICMP ID not held by a live pinger.
+func (n *Node) newPingID() uint16 {
+	for range maxWireSeq {
+		id := n.nextID
+		n.nextID++
+		if _, live := n.pingers[id]; !live {
+			return id
+		}
+	}
+	panic(fmt.Sprintf("softstack %s: all %d ping IDs in use", n.cfg.Name, maxWireSeq))
 }
 
 // StartRawStream begins a paced raw Ethernet stream to dst, like the

@@ -1,8 +1,6 @@
 package softstack
 
 import (
-	"container/heap"
-
 	"repro/internal/clock"
 )
 
@@ -194,9 +192,8 @@ func (s *scheduler) startJob(now clock.Cycles, core int, th *Thread) {
 	share := clock.Cycles(1 + len(c.runq))
 	c.current = th
 	c.busyUntil = now + job.Cost*share
-	s.node.at(c.busyUntil, func(done clock.Cycles) {
-		s.complete(done, core, th, job)
-	})
+	n := s.node
+	n.schedule(c.busyUntil, event{kind: evJobDone, id: uint16(core), arg: uint64(th.id), ref: n.park(callback{fn: job.Fn})})
 }
 
 // steal moves one waiting unpinned thread from the longest run queue onto
@@ -231,14 +228,14 @@ func (s *scheduler) steal(core int) {
 	}
 }
 
-// complete retires a finished job: run its callback, requeue the thread if
-// it has more work, then let the core pick its next thread.
-func (s *scheduler) complete(done clock.Cycles, core int, th *Thread, job Job) {
+// complete retires a finished job: run its callback fn, requeue the
+// thread if it has more work, then let the core pick its next thread.
+func (s *scheduler) complete(done clock.Cycles, core int, th *Thread, fn func(done clock.Cycles)) {
 	c := &s.cores[core]
 	c.current = nil
 	th.running = false
-	if job.Fn != nil {
-		job.Fn(done)
+	if fn != nil {
+		fn(done)
 	}
 	if len(th.jobs) > 0 {
 		quantum := s.node.costs.SchedQuantum
@@ -297,42 +294,3 @@ func (s *scheduler) pushIdle(now clock.Cycles, core int) {
 		}
 	}
 }
-
-// --- node event queue ---
-
-// event is a scheduled callback.
-type event struct {
-	at  clock.Cycles
-	seq uint64
-	fn  func(now clock.Cycles)
-}
-
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
-// at schedules fn at the given absolute cycle. Events scheduled for the
-// past run at the current processing point (monotonicity is preserved by
-// the drain loop).
-func (n *Node) at(cycle clock.Cycles, fn func(now clock.Cycles)) {
-	heap.Push(&n.events, event{at: cycle, seq: n.eventSeq, fn: fn})
-	n.eventSeq++
-}
-
-// At schedules an application callback at an absolute cycle (public form).
-func (n *Node) At(cycle clock.Cycles, fn func(now clock.Cycles)) { n.at(cycle, fn) }

@@ -14,13 +14,15 @@ const maxFrameFlits = 1 << 20
 
 // Quiescent reports whether the node can be checkpointed: no pending
 // events, no outstanding ARP resolutions, no active pingers, no thread
-// with queued or in-flight CPU work. The event heap holds Go closures,
-// which have no serialisable representation — checkpointing is only
-// defined at points where none exist. Pure data paths (the TX queue, the
-// raw-stream generator, partial RX assembly) do not affect quiescence.
+// with queued or in-flight CPU work. Kernel events are typed records of
+// plain data, but the queue is not serialised yet, and application
+// callbacks (At, Job.Fn) and ARP waiters are still Go closures with no
+// serialisable representation — checkpointing is only defined at points
+// where the queue is empty. Pure data paths (the TX queue, the raw-stream
+// generator, partial RX assembly) do not affect quiescence.
 func (n *Node) Quiescent() error {
-	if len(n.events) > 0 {
-		return fmt.Errorf("softstack %s: %d pending events (in-flight kernel work cannot be serialised)", n.cfg.Name, len(n.events))
+	if k := n.events.Len(); k > 0 {
+		return fmt.Errorf("softstack %s: %d pending events (in-flight kernel work cannot be serialised)", n.cfg.Name, k)
 	}
 	if len(n.arpWaiting) > 0 {
 		return fmt.Errorf("softstack %s: %d outstanding ARP resolutions", n.cfg.Name, len(n.arpWaiting))
@@ -45,8 +47,8 @@ func (n *Node) Quiescent() error {
 // Save serialises the node's data-plane state: clock, counters, the ARP
 // table (sorted by IP for canonical bytes), partial RX assembly, the TX
 // queue and cursor, the raw-stream generator, ping IDs, scheduler RNG and
-// per-core/per-thread accounting. It refuses non-quiescent nodes — see
-// Quiescent. UDP handlers, the remote-memory hook and Config are
+// per-core/per-thread accounting. It refuses non-quiescent nodes, so the
+// event queue is always empty here — see Quiescent. UDP handlers, the remote-memory hook and Config are
 // application wiring, re-established by whoever rebuilds the node.
 func (n *Node) Save(w *snapshot.Writer) error {
 	if err := n.Quiescent(); err != nil {
@@ -76,9 +78,10 @@ func (n *Node) Save(w *snapshot.Writer) error {
 	for _, f := range n.rxFlits {
 		w.U64(f)
 	}
-	w.Uvarint(uint64(len(n.txq)))
-	for i := range n.txq {
-		f := &n.txq[i]
+	txq := n.txq[n.txHead:]
+	w.Uvarint(uint64(len(txq)))
+	for i := range txq {
+		f := &txq[i]
 		w.Uvarint(uint64(len(f.flits)))
 		for _, fl := range f.flits {
 			w.U64(fl)
@@ -257,7 +260,7 @@ func (n *Node) Restore(r *snapshot.Reader) error {
 	n.stats = stats
 	n.arp = arp
 	n.rxFlits = rxFlits
-	n.txq = txq
+	n.txq, n.txHead = txq, 0
 	n.txCursor = txCursor
 	n.gen = gen
 	n.nextID = uint16(nextID)

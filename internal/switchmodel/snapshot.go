@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/ethernet"
+	"repro/internal/minheap"
 	"repro/internal/snapshot"
 )
 
@@ -52,10 +53,11 @@ func (s *Switch) restorePacket(r *snapshot.Reader) (*Packet, error) {
 // per-egress queues including the in-flight transmission. The router
 // table, probe, stall hook and metrics are wiring re-installed by Deploy.
 //
-// The pending heap is written in raw array order and restored verbatim:
+// The pending heap is written in raw array order and restored by pushing
+// the entries back in that order, which rebuilds the identical array:
 // heap order is a deterministic function of the push/pop history, so the
-// array is identical across identical runs, and restoring it byte-for-byte
-// preserves both the heap invariant and save → restore → save stability.
+// array is identical across identical runs, and save → restore → save is
+// stable.
 func (s *Switch) Save(w *snapshot.Writer) error {
 	w.Begin("switchmodel.Switch", 1)
 	w.Uvarint(uint64(s.cfg.Ports))
@@ -72,9 +74,9 @@ func (s *Switch) Save(w *snapshot.Writer) error {
 			w.U64(f)
 		}
 	}
-	w.Uvarint(uint64(s.queue.len()))
-	for _, pkt := range s.queue.a {
-		savePacket(w, pkt)
+	w.Uvarint(uint64(s.queue.Len()))
+	for _, e := range s.queue.Entries() {
+		savePacket(w, e.Val)
 	}
 	for p := range s.out {
 		o := &s.out[p]
@@ -136,13 +138,13 @@ func (s *Switch) Restore(r *snapshot.Reader) error {
 	if err := r.Err(); err != nil {
 		return err
 	}
-	queue := pktHeap{a: make([]*Packet, 0, npending)}
+	var queue minheap.Heap[*Packet]
 	for i := 0; i < npending; i++ {
 		pkt, err := s.restorePacket(r)
 		if err != nil {
 			return err
 		}
-		queue.a = append(queue.a, pkt)
+		queue.Push(pkt.Release, pkt.seq, pkt)
 	}
 	out := make([]outPort, s.cfg.Ports)
 	for p := range out {

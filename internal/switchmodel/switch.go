@@ -29,7 +29,7 @@
 // the switch model is the scale-out hot path, so the steady-state round is
 // allocation-free: Packet structs and their flit slabs live in a per-switch
 // free list (recycled when the last reference drops at egress or on drop),
-// the pending queue is a concrete 4-ary min-heap with no interface boxing,
+// the pending queue is the shared non-boxing 4-ary min-heap (minheap),
 // broadcast fan-out shares one refcounted packet across egress queues
 // instead of copying it per port, egress FIFOs are head-index rings whose
 // backing arrays are reused forever, and the published stats snapshot goes
@@ -45,6 +45,7 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/ethernet"
+	"repro/internal/minheap"
 	"repro/internal/token"
 )
 
@@ -186,73 +187,6 @@ type Stats struct {
 // seqlock publication slots below.
 const numStatFields = 9
 
-// pktLess orders packets by (release timestamp, ingress sequence) — a total
-// order, so any correct heap drains packets in exactly this order.
-func pktLess(a, b *Packet) bool {
-	if a.Release != b.Release {
-		return a.Release < b.Release
-	}
-	return a.seq < b.seq
-}
-
-// pktHeap is the global timestamp-sorted priority queue of assembled
-// packets: a concrete 4-ary min-heap. Compared to container/heap this
-// removes the interface{} boxing on every push/pop and halves the tree
-// depth; because pktLess is a total order, drain order (and therefore every
-// output token stream and stat) is identical to any other min-heap.
-type pktHeap struct {
-	a []*Packet
-}
-
-func (h *pktHeap) len() int { return len(h.a) }
-
-func (h *pktHeap) push(p *Packet) {
-	h.a = append(h.a, p)
-	a := h.a
-	i := len(a) - 1
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !pktLess(a[i], a[parent]) {
-			break
-		}
-		a[i], a[parent] = a[parent], a[i]
-		i = parent
-	}
-}
-
-func (h *pktHeap) pop() *Packet {
-	a := h.a
-	top := a[0]
-	n := len(a) - 1
-	a[0] = a[n]
-	a[n] = nil
-	a = a[:n]
-	h.a = a
-	i := 0
-	for {
-		min := i
-		first := i*4 + 1
-		if first >= n {
-			break
-		}
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first; c < last; c++ {
-			if pktLess(a[c], a[min]) {
-				min = c
-			}
-		}
-		if min == i {
-			break
-		}
-		a[i], a[min] = a[min], a[i]
-		i = min
-	}
-	return top
-}
-
 // pktRing is a FIFO of packets over a reusable circular buffer. The
 // append-and-reslice queue it replaces leaked its backing array's head on
 // every dequeue (o.queue = o.queue[1:] strands the popped cell forever, the
@@ -328,9 +262,11 @@ type Switch struct {
 	cycle  clock.Cycles
 	seq    uint64
 
-	in    []inPort
-	out   []outPort
-	queue pktHeap
+	in  []inPort
+	out []outPort
+	// queue holds assembled packets keyed by (Release, seq) until the
+	// round's switching step routes them.
+	queue minheap.Heap[*Packet]
 
 	// free is the packet pool. Packets (and their flit slabs, kept at
 	// capacity) are recycled here when their last reference drops — egress
@@ -509,7 +445,7 @@ func (s *Switch) TickBatch(n int, in, out []*token.Batch) {
 	// stat moves. Quiescent aggregation/root switches pay O(ports), not
 	// O(ports×n). A stall hook disables the shortcut: stalled port-cycles
 	// are counted (and checkpointed) even on otherwise idle ports.
-	if s.stall == nil && s.queue.len() == 0 {
+	if s.stall == nil && s.queue.Len() == 0 {
 		idle := true
 		for p := 0; p < s.cfg.Ports; p++ {
 			o := &s.out[p]
@@ -547,7 +483,7 @@ func (s *Switch) TickBatch(n int, in, out []*token.Batch) {
 				pkt.seq = s.seq
 				s.seq++
 				s.stats.PacketsIn++
-				s.queue.push(pkt)
+				s.queue.Push(pkt.Release, pkt.seq, pkt)
 			}
 		}
 	}
@@ -557,8 +493,8 @@ func (s *Switch) TickBatch(n int, in, out []*token.Batch) {
 	// fan-out shares the packet across ports under a refcount. Packets
 	// that would overflow an output buffer are dropped at full-packet
 	// granularity.
-	for s.queue.len() > 0 {
-		pkt := s.queue.pop()
+	for s.queue.Len() > 0 {
+		pkt := s.queue.Pop().Val
 		ports := s.router.Route(s, pkt)
 		if len(ports) == 0 {
 			s.stats.DropsUnroutable++
