@@ -661,7 +661,11 @@ func (c *coordinator) runEpoch(assignments map[string][]int) (*DistReport, *epoc
 			}
 		}
 		if err := WriteControl(p.conn, msgAssign, m); err != nil {
-			return nil, failAll(fmt.Sprintf("assign %s: %v", n, err))
+			// The proc's control conn is dead: blame it, so recovery
+			// kills it instead of re-packing onto the same conn.
+			f := failAll(fmt.Sprintf("assign %s: %v", n, err))
+			f.suspects[n] = f.reason
+			return nil, f
 		}
 		procsList = append(procsList, p)
 	}

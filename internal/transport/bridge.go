@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"sync"
 	"sync/atomic"
@@ -14,33 +13,31 @@ import (
 	"repro/internal/token"
 )
 
-// This file hardens the distributed token transport. The original Bridge
-// blocked forever on a dead peer and latched the first error with no
-// recovery, so one flaky connection could wedge an entire scale-out run.
-// The hardened Bridge adds, in layers:
+// This file is the distributed token transport. As in the paper, a
+// Bridge only exchanges batches: each side ships its window's batch and
+// blocks until the peer's arrives. It heals nothing itself. Around that
+// exchange it adds:
 //
 //   - a connect-time handshake validating protocol version, batch step
-//     size and (optionally) a topology hash, so mismatched halves fail
-//     fast with a descriptive error instead of desynchronising;
-//   - a monotonically increasing sequence number on every batch frame, so
-//     the two sides can resynchronise exactly after a connection drop
-//     (duplicates from retransmission are discarded, gaps are detected);
-//   - deadline-based reads and writes (when the connection supports
-//     deadlines, as net.Conn does), so a hung peer surfaces as an error
-//     instead of blocking target time forever;
-//   - bounded reconnection with exponential backoff plus a small resend
-//     ring of recently sent batches, so a transient drop heals without
-//     losing a single token — cycle counts after recovery are identical
-//     to an undisturbed run (asserted by tests);
-//   - a latched permanent error: once reconnection is exhausted the
-//     bridge stops touching the network and emits empty batches, so the
-//     local runner never hangs on a dead peer and the run-dist coordinator
-//     regains control to detect the failure and heal the run.
+//     size, (optionally) a topology hash and the resume sequence number,
+//     so mismatched halves fail fast with a descriptive error instead of
+//     desynchronising;
+//   - a monotonically increasing sequence number on every batch frame,
+//     checked on receipt, so a peer that lost step is caught at once;
+//   - a deadline on every read (when the connection supports deadlines,
+//     as net.Conn does), so a hung peer surfaces as an error instead of
+//     blocking target time forever;
+//   - a latched error on any failure: the bridge stops touching the
+//     network and emits empty batches, so the local runner never hangs on
+//     a dead peer and the run-dist coordinator regains control. The
+//     coordinator heals the run by rewinding every partition to a
+//     coordinated checkpoint and reviving the bridge with Reset — the one
+//     recovery path.
 
 // Protocol constants for the framed bridge stream.
 const (
 	helloMagic   uint32 = 0x4653_4b54 // "FSKT"
-	helloVersion uint16 = 3 // bumped for the v3 run-length frame codec
+	helloVersion uint16 = 3           // bumped for the v3 run-length frame codec
 	helloSize           = 32
 )
 
@@ -48,69 +45,21 @@ const (
 // in-flight or subsequent TickBatch fails fast instead of blocking.
 var ErrClosed = errors.New("transport: bridge closed")
 
-// errNonRetryable wraps handshake failures that reconnecting cannot fix
-// (wrong protocol, wrong step, wrong topology).
-type errNonRetryable struct{ err error }
-
-func (e errNonRetryable) Error() string { return e.err.Error() }
-func (e errNonRetryable) Unwrap() error { return e.err }
-
 // deadlineConn is the optional connection capability used for timeouts.
 type deadlineConn interface {
 	SetReadDeadline(t time.Time) error
-	SetWriteDeadline(t time.Time) error
 }
 
-// BridgeConfig tunes the hardened transport. The zero value reproduces
-// the classic behaviour: block indefinitely, no reconnection, handshake
-// with step validation only.
+// BridgeConfig tunes the transport. The zero value blocks indefinitely
+// and validates only the batch step at handshake time.
 type BridgeConfig struct {
 	// ReadTimeout bounds each batch read (and the handshake read) when
 	// the connection supports deadlines. Zero blocks forever.
 	ReadTimeout time.Duration
-	// WriteTimeout bounds each batch write likewise.
-	WriteTimeout time.Duration
 	// TopologyHash, when non-zero on both sides, must match at handshake
 	// time: it guards against wiring two halves of different topologies
 	// (or different config revisions) together.
 	TopologyHash uint64
-	// Redial, when non-nil, reopens the connection after a transport
-	// error. The bridge then re-handshakes and resynchronises from
-	// sequence numbers.
-	Redial func() (io.ReadWriter, error)
-	// MaxReconnects bounds redial attempts per disconnect (default 0: a
-	// transport error is immediately permanent).
-	MaxReconnects int
-	// BackoffBase is the first reconnect delay, doubling per attempt up
-	// to BackoffMax. Defaults: 50ms base, 2s max.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// ResendWindow is how many sent batches are retained for
-	// retransmission after a reconnect (default 8). A peer that fell
-	// further behind than this cannot be resynchronised.
-	ResendWindow int
-}
-
-func (c *BridgeConfig) fillDefaults() {
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 50 * time.Millisecond
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = 2 * time.Second
-	}
-	if c.ResendWindow <= 0 {
-		c.ResendWindow = 8
-	}
-}
-
-// ringEntry is one retained sent frame, stored fully encoded (sequence
-// number included — v3 encodes it as an absolute value for exactly this
-// reason): a resync retransmits the original bytes with a plain Write
-// instead of re-encoding every retained batch per reconnect, and the
-// retransmission is guaranteed byte-identical to the first transmission.
-type ringEntry struct {
-	seq uint64
-	buf []byte
 }
 
 // Bridge splices one token stream endpoint of a distributed simulation.
@@ -128,33 +77,25 @@ type Bridge struct {
 	r    *bufio.Reader
 
 	// connMu guards the conn pointer only: Close may run concurrently
-	// with the scheduler goroutine swapping connections in reconnect.
+	// with the scheduler goroutine swapping connections in Reset.
 	connMu sync.Mutex
-	// closed flips once on Close; stop is closed alongside so a
-	// reconnect backoff sleep aborts immediately instead of waiting out
-	// BackoffMax.
+	// closed is set by Close and cleared by Reset.
 	closed atomic.Bool
-	stop   chan struct{}
 
 	err error
 
 	handshaken bool
 	step       int
 
-	nextSend  uint64 // sequence number for the next batch we send
-	nextRecv  uint64 // sequence number we expect from the peer next
-	resendLow uint64 // first sequence the peer still needs (== nextSend when in sync)
-	ring      []ringEntry
-
-	reconnects int // total successful reconnects, for reports
-	scratch    token.Batch
+	nextSend uint64 // sequence number for the next batch we send
+	nextRecv uint64 // sequence number we expect from the peer next
 
 	// Wire-level byte accounting, fed by the counting shims installed
 	// around the connection in setConn — the totals are what actually
-	// crossed the wire (frames, handshakes, duplicates, partial writes),
-	// not a recomputation. Atomic because the send side is counted from
-	// the writer goroutine. precodec tracks what the same traffic would
-	// have cost under the v2 fixed-width codec.
+	// crossed the wire (frames, handshakes, partial writes), not a
+	// recomputation. Atomic because the send side is counted from the
+	// writer goroutine. precodec tracks what the same traffic would have
+	// cost under the v2 fixed-width codec.
 	wireSent    atomic.Uint64
 	wireRecv    atomic.Uint64
 	sentFlushed uint64 // wireSent already forwarded to the obs counters
@@ -169,7 +110,7 @@ type Bridge struct {
 	// always drained and always answered, even across a concurrent Close.
 	writerMu   sync.Mutex
 	writerUp   bool
-	writerCh   chan writeReq
+	writerCh   chan []byte
 	writerDone chan error
 
 	// Current-frame encode state for the overlapped exchange: sendBuf
@@ -180,24 +121,16 @@ type Bridge struct {
 	sendSeq       uint64
 	sendReady     bool
 	sendSubmitted bool
-	reqFrames     [][]byte // reusable request scratch
 
-	// metrics, when non-nil, exports the recovery ledger and wire volume
-	// to the observability layer (see metrics.go).
+	// metrics, when non-nil, exports the error ledger and wire volume to
+	// the observability layer (see metrics.go).
 	metrics *bridgeMetrics
-}
-
-// writeReq is one batched write handed to the persistent writer
-// goroutine: the frames are written in order through the buffered writer,
-// then flushed as a single network write.
-type writeReq struct {
-	frames [][]byte
 }
 
 // countingWriter and countingReader are the wire-truth shims installed
 // between the bufio layer and the connection: every byte that actually
-// crosses (including retransmissions, duplicates and torn partial writes)
-// is counted, so the byte metrics no longer recompute frame sizes.
+// crosses (including torn partial writes) is counted, so the byte metrics
+// no longer recompute frame sizes.
 type countingWriter struct {
 	w io.Writer
 	n *atomic.Uint64
@@ -220,18 +153,18 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// NewBridge wraps a connection with the default (blocking, non-reconnecting)
-// configuration. Each side of the distributed simulation creates one
-// Bridge over its end of the connection and Connects it where the remote
-// half of the topology would attach.
+// NewBridge wraps a connection with the default (blocking) configuration.
+// Each side of the distributed simulation creates one Bridge over its end
+// of the connection and Connects it where the remote half of the topology
+// would attach.
 func NewBridge(name string, conn io.ReadWriter) *Bridge {
 	return NewBridgeConfig(name, conn, BridgeConfig{})
 }
 
-// NewBridgeConfig wraps a connection with explicit robustness settings.
+// NewBridgeConfig wraps a connection with an explicit read timeout and
+// topology hash.
 func NewBridgeConfig(name string, conn io.ReadWriter, cfg BridgeConfig) *Bridge {
-	cfg.fillDefaults()
-	b := &Bridge{name: name, cfg: cfg, stop: make(chan struct{})}
+	b := &Bridge{name: name, cfg: cfg}
 	b.setConn(conn)
 	return b
 }
@@ -246,21 +179,16 @@ func (b *Bridge) setConn(conn io.ReadWriter) {
 
 // currentConn reads the connection pointer under the lock; callers that
 // only need its optional capabilities (Closer, deadlines) use this so
-// they never race a concurrent Close/reconnect swap.
+// they never race a concurrent Close/Reset swap.
 func (b *Bridge) currentConn() io.ReadWriter {
 	b.connMu.Lock()
 	defer b.connMu.Unlock()
 	return b.conn
 }
 
-// Err reports the first permanent transport error encountered (the
-// simulation cannot continue past one; subsequent batches are empty).
-// Transient errors healed by reconnection are not reported here.
+// Err reports the first transport error encountered (the simulation
+// cannot continue past one until Reset; subsequent batches are empty).
 func (b *Bridge) Err() error { return b.err }
-
-// Reconnects reports how many times the bridge successfully re-established
-// its connection.
-func (b *Bridge) Reconnects() int { return b.reconnects }
 
 // Received reports how many batches the peer has delivered, which tells
 // the caller the last target cycle the peer confirmed.
@@ -272,10 +200,9 @@ func (b *Bridge) Received() uint64 { return b.nextRecv }
 func (b *Bridge) Step() int { return b.step }
 
 // WireBytesSent and WireBytesRecv report the exact byte totals that
-// crossed the connection in each direction (frames, handshakes and
-// retransmissions included), accumulated across reconnects. Safe to read
-// after the run completes; the bench uses them without needing a
-// registry.
+// crossed the connection in each direction (frames and handshakes
+// included), accumulated across Resets. Safe to read after the run
+// completes; the bench uses them without needing a registry.
 func (b *Bridge) WireBytesSent() uint64 { return b.wireSent.Load() }
 func (b *Bridge) WireBytesRecv() uint64 { return b.wireRecv.Load() }
 
@@ -287,7 +214,7 @@ func (b *Bridge) PrecodecBytes() uint64 { return b.precodec }
 // flushWireMetrics forwards the counting shims' deltas to the obs
 // counters. Called from the scheduler goroutine after every handshake and
 // exchange, so the exported byte totals track the wire truth even under
-// duplicate, resync or torn-write traffic.
+// torn-write traffic.
 func (b *Bridge) flushWireMetrics() {
 	m := b.metrics
 	if m == nil {
@@ -303,20 +230,15 @@ func (b *Bridge) flushWireMetrics() {
 	}
 }
 
-// writerLoop is the persistent writer goroutine's body: write each
-// request's frames, flush, reply. On failure it closes the connection so
-// a reader blocked on the reply side of the exchange fails within one
-// syscall instead of one timeout. It always replies — the done channel is
+// writerLoop is the persistent writer goroutine's body: write each frame,
+// flush, reply. On failure it closes the connection so a reader blocked
+// on the reply side of the exchange fails within one syscall instead of
+// one timeout. It always replies — the done channel is
 // buffered, so the reply survives even when the collector arrives after a
 // stopWriter — and exits when the request channel closes.
-func (b *Bridge) writerLoop(ch chan writeReq, done chan error) {
-	for req := range ch {
-		var err error
-		for _, f := range req.frames {
-			if _, err = b.w.Write(f); err != nil {
-				break
-			}
-		}
+func (b *Bridge) writerLoop(ch chan []byte, done chan error) {
+	for frame := range ch {
+		_, err := b.w.Write(frame)
 		if err == nil {
 			err = b.w.Flush()
 		}
@@ -327,7 +249,7 @@ func (b *Bridge) writerLoop(ch chan writeReq, done chan error) {
 	}
 }
 
-// submitWrite hands the prepared reqFrames to the writer goroutine,
+// submitWrite hands the encoded sendBuf to the writer goroutine,
 // starting it lazily, and reports false when the bridge is closed. The
 // channel send cannot block: the writer is always idle (its previous
 // reply collected) when the scheduler submits, and the buffer absorbs the
@@ -339,12 +261,12 @@ func (b *Bridge) submitWrite() bool {
 		if b.closed.Load() {
 			return false
 		}
-		b.writerCh = make(chan writeReq, 1)
+		b.writerCh = make(chan []byte, 1)
 		b.writerDone = make(chan error, 1)
 		go b.writerLoop(b.writerCh, b.writerDone)
 		b.writerUp = true
 	}
-	b.writerCh <- writeReq{frames: b.reqFrames}
+	b.writerCh <- b.sendBuf
 	return true
 }
 
@@ -374,12 +296,12 @@ func (b *Bridge) encodeFrame(seq uint64, in *token.Batch) {
 }
 
 // Reset revives a bridge (possibly errored or closed) onto a fresh
-// connection, rewinding both sequence counters to seq. It is the recovery
-// path: after restoring a dead peer from a checkpoint taken at cycle C,
-// both sides resume the token stream at batch C/step, so the bridge must
-// forget everything after that point — including its resend ring, whose
-// retained batches belong to an abandoned timeline. The next TickBatch
-// re-handshakes on the new connection.
+// connection, rewinding both sequence counters to seq. It is the only
+// recovery path: after restoring a dead peer from a checkpoint taken at
+// cycle C, both sides resume the token stream at batch C/step, so the
+// bridge must forget everything after that point. The next TickBatch
+// re-handshakes on the new connection, which checks that the peer
+// resumes at the same batch.
 func (b *Bridge) Reset(conn io.ReadWriter, seq uint64) {
 	if conn != b.currentConn() {
 		// Keep the connection alive when a fresh bridge is reset onto the
@@ -398,18 +320,12 @@ func (b *Bridge) Reset(conn io.ReadWriter, seq uint64) {
 	}
 	b.sendReady = false
 	b.setConn(conn)
-	if b.closed.CompareAndSwap(true, false) {
-		// Revive a Closed bridge: arm a fresh stop channel for the next
-		// Close.
-		b.stop = make(chan struct{})
-	}
+	b.closed.Store(false)
 	b.err = nil
 	b.handshaken = false
 	b.step = 0
 	b.nextSend = seq
 	b.nextRecv = seq
-	b.resendLow = seq
-	b.ring = nil
 }
 
 func (b *Bridge) closeConn() {
@@ -419,16 +335,13 @@ func (b *Bridge) closeConn() {
 }
 
 // Close aborts the bridge from any goroutine: the underlying connection
-// is closed (failing any blocked read or write immediately) and a
-// reconnect backoff sleep in progress is interrupted rather than waited
-// out. The scheduler goroutine's next TickBatch latches ErrClosed.
-// Close is idempotent and safe concurrently with TickBatch — it is the
+// is closed, failing any blocked read or write immediately. The
+// scheduler goroutine's next TickBatch latches ErrClosed. Close is
+// idempotent and safe concurrently with TickBatch — it is the
 // coordinator's lever for yanking a shard out of a doomed run without
 // waiting for timeouts.
 func (b *Bridge) Close() error {
-	if b.closed.CompareAndSwap(false, true) {
-		close(b.stop)
-	}
+	b.closed.Store(true)
 	b.closeConn()
 	b.stopWriter()
 	return nil
@@ -440,7 +353,7 @@ func (b *Bridge) Name() string { return b.name }
 // NumPorts implements fame.Endpoint.
 func (b *Bridge) NumPorts() int { return 1 }
 
-// fail latches err (wrapped with the bridge name) as permanent.
+// fail latches err, wrapped with the bridge name.
 func (b *Bridge) fail(err error) {
 	if b.err == nil {
 		b.err = fmt.Errorf("transport: bridge %q: %w", b.name, err)
@@ -451,10 +364,10 @@ func (b *Bridge) fail(err error) {
 }
 
 // TickBatch implements fame.Endpoint: ship the local batch and block for
-// the peer's batch covering the same target window, handshaking first and
-// transparently reconnecting on transient failures. After a permanent
-// failure it is a no-op, so the local runner keeps advancing with empty
-// input from the dead partition instead of hanging.
+// the peer's batch covering the same target window, handshaking first.
+// Any failure is latched; from then on TickBatch is a no-op until Reset,
+// so the local runner keeps advancing with empty input from the dead
+// partition instead of hanging.
 func (b *Bridge) TickBatch(n int, in, out []*token.Batch) {
 	if b.err != nil {
 		return
@@ -465,38 +378,24 @@ func (b *Bridge) TickBatch(n int, in, out []*token.Batch) {
 	}
 	if !b.handshaken {
 		if err := b.handshake(n); err != nil {
-			if !b.retryable(err) || !b.reconnect(n) {
-				b.fail(err)
-				return
-			}
+			b.fail(err)
+			return
 		}
 	}
 	if n != b.step {
 		b.fail(fmt.Errorf("local step changed from %d to %d mid-run", b.step, n))
 		return
 	}
-	for {
-		err := b.exchange(n, in[0], out[0])
-		if err == nil {
-			return
-		}
-		if !b.retryable(err) || !b.reconnect(n) {
-			b.fail(err)
-			return
-		}
-		// Reconnected and resynchronised: retry the same window.
+	if err := b.exchange(n, in[0], out[0]); err != nil {
+		b.fail(err)
 	}
 }
 
-func (b *Bridge) retryable(err error) bool {
-	var nr errNonRetryable
-	return !errors.As(err, &nr)
-}
-
 // handshake exchanges and validates hello frames. It also carries each
-// side's resume sequence so a reconnect retransmits exactly the batches
-// the peer is missing. The hello write runs concurrently with the read so
-// the symmetric exchange cannot deadlock on unbuffered connections.
+// side's resume sequence, which must match: both sides of a rewound run
+// restart the token stream at the same batch. The hello write runs
+// concurrently with the read so the symmetric exchange cannot deadlock on
+// unbuffered connections.
 func (b *Bridge) handshake(step int) error {
 	var hello [helloSize]byte
 	binary.BigEndian.PutUint32(hello[0:4], helloMagic)
@@ -506,7 +405,6 @@ func (b *Bridge) handshake(step int) error {
 	binary.BigEndian.PutUint64(hello[16:24], b.cfg.TopologyHash)
 	binary.BigEndian.PutUint64(hello[24:32], b.nextRecv)
 
-	b.armWriteDeadline()
 	writeDone := make(chan error, 1)
 	go func() {
 		err := func() error {
@@ -540,55 +438,28 @@ func (b *Bridge) handshake(step int) error {
 	}
 
 	if magic := binary.BigEndian.Uint32(peer[0:4]); magic != helloMagic {
-		return errNonRetryable{fmt.Errorf("handshake: bad magic %#x (peer is not a token bridge?)", magic)}
+		return fmt.Errorf("handshake: bad magic %#x (peer is not a token bridge?)", magic)
 	}
 	if v := binary.BigEndian.Uint16(peer[4:6]); v != helloVersion {
-		return errNonRetryable{fmt.Errorf("handshake: protocol version %d, local %d", v, helloVersion)}
+		return fmt.Errorf("handshake: protocol version %d, local %d", v, helloVersion)
 	}
 	if ps := int(binary.BigEndian.Uint32(peer[8:12])); ps != 0 && step != 0 && ps != step {
-		return errNonRetryable{fmt.Errorf("handshake: peer batch step %d cycles, local step %d (link latencies must match)", ps, step)}
+		return fmt.Errorf("handshake: peer batch step %d cycles, local step %d (link latencies must match)", ps, step)
 	}
 	if ph := binary.BigEndian.Uint64(peer[16:24]); ph != 0 && b.cfg.TopologyHash != 0 && ph != b.cfg.TopologyHash {
-		return errNonRetryable{fmt.Errorf("handshake: topology hash %#x, local %#x (the two halves describe different targets)", ph, b.cfg.TopologyHash)}
+		return fmt.Errorf("handshake: topology hash %#x, local %#x (the two halves describe different targets)", ph, b.cfg.TopologyHash)
 	}
 	b.precodec += helloSize
 	if m := b.metrics; m != nil {
 		m.precodecBytes.Add(helloSize)
 	}
 	b.flushWireMetrics()
-	resume := binary.BigEndian.Uint64(peer[24:32])
-	// resume may legitimately be nextSend+1: the peer committed our
-	// in-flight batch but its acknowledgment (the peer's own batch) was
-	// lost with the connection.
-	if resume > b.nextSend+1 {
-		return errNonRetryable{fmt.Errorf("handshake: peer expects batch %d but only %d were ever sent", resume, b.nextSend)}
+	if resume := binary.BigEndian.Uint64(peer[24:32]); resume != b.nextSend {
+		return fmt.Errorf("handshake: peer resumes at batch %d, local next batch is %d (the two sides restored different checkpoints)", resume, b.nextSend)
 	}
-	if resume < b.nextSend && !b.ringHas(resume) {
-		return errNonRetryable{fmt.Errorf("handshake: peer needs batch %d, which is beyond the %d-batch resend window", resume, b.cfg.ResendWindow)}
-	}
-	b.resendLow = resume
 	b.step = step
 	b.handshaken = true
 	return nil
-}
-
-func (b *Bridge) ringHas(seq uint64) bool {
-	if len(b.ring) == 0 {
-		return false
-	}
-	e := b.ring[seq%uint64(len(b.ring))]
-	return len(e.buf) > 0 && e.seq == seq
-}
-
-// ringPut retains one fully encoded frame for retransmission, reusing the
-// slot's buffer capacity so the steady-state commit path is a memcpy.
-func (b *Bridge) ringPut(seq uint64, frame []byte) {
-	if len(b.ring) == 0 {
-		b.ring = make([]ringEntry, b.cfg.ResendWindow)
-	}
-	e := &b.ring[seq%uint64(len(b.ring))]
-	e.buf = append(e.buf[:0], frame...)
-	e.seq = seq
 }
 
 // StartBatch is the eager half of an overlapped exchange (the
@@ -598,56 +469,35 @@ func (b *Bridge) ringPut(seq uint64, frame []byte) {
 // of them blocks on a receive — K cut points cost ~1 round-trip per
 // window instead of K serial round-trips. It is a best-effort no-op
 // whenever the bridge is not in clean steady state (unhandshaken,
-// errored, closed, resynchronising, or step mismatch); the
-// following TickBatch then performs the full synchronous exchange,
-// including the first window's handshake.
+// errored, closed, or step mismatch); the following TickBatch then
+// performs the full synchronous exchange, including the first window's
+// handshake.
 func (b *Bridge) StartBatch(n int, in []*token.Batch) {
 	if b.err != nil || b.closed.Load() || !b.handshaken {
 		return
 	}
-	if n != b.step || b.sendSubmitted || b.resendLow != b.nextSend {
+	if n != b.step || b.sendSubmitted {
 		return
 	}
 	b.encodeFrame(b.nextSend, in[0])
-	b.reqFrames = append(b.reqFrames[:0], b.sendBuf)
-	b.armWriteDeadline()
 	if b.submitWrite() {
 		b.sendSubmitted = true
 	}
 }
 
-// exchange performs one sequenced batch swap: retransmit anything the peer
-// is missing, send the current batch, and read frames until the expected
-// sequence number arrives (discarding duplicates). The send runs on the
-// persistent writer goroutine concurrently with the read, so the
-// symmetric exchange cannot deadlock on unbuffered connections — and when
-// StartBatch already put this window's frame in flight, the send cost has
-// fully overlapped whatever the scheduler did since.
+// exchange performs one sequenced batch swap: send the current batch and
+// read the peer's, which must carry the expected sequence number. The
+// send runs on the persistent writer goroutine concurrently with the
+// read, so the symmetric exchange cannot deadlock on unbuffered
+// connections — and when StartBatch already put this window's frame in
+// flight, the send cost has fully overlapped whatever the scheduler did
+// since.
 func (b *Bridge) exchange(n int, in, out *token.Batch) error {
 	cur := b.nextSend
 	if !b.sendReady || b.sendSeq != cur {
 		b.encodeFrame(cur, in)
 	}
 	if !b.sendSubmitted {
-		b.reqFrames = b.reqFrames[:0]
-		if b.resendLow < cur {
-			if m := b.metrics; m != nil {
-				m.resyncs.Inc()
-				m.resentFrames.Add(cur - b.resendLow)
-			}
-			for seq := b.resendLow; seq < cur; seq++ {
-				if !b.ringHas(seq) {
-					return errNonRetryable{fmt.Errorf("batch %d fell out of the resend window", seq)}
-				}
-				b.reqFrames = append(b.reqFrames, b.ring[seq%uint64(len(b.ring))].buf)
-			}
-		}
-		if b.resendLow <= cur {
-			// Skipped only when the peer already committed our current
-			// batch before the connection dropped.
-			b.reqFrames = append(b.reqFrames, b.sendBuf)
-		}
-		b.armWriteDeadline()
 		if !b.submitWrite() {
 			return ErrClosed
 		}
@@ -680,14 +530,12 @@ func (b *Bridge) exchange(n int, in, out *token.Batch) error {
 		return fmt.Errorf("recv batch %d: %w", b.nextRecv, readErr)
 	}
 	if out.N != n {
-		return errNonRetryable{fmt.Errorf("peer batch covers %d cycles, local step is %d", out.N, n)}
+		return fmt.Errorf("peer batch covers %d cycles, local step is %d", out.N, n)
 	}
-	// Committed: the peer has everything up to and including cur, and we
-	// consumed its batch for this window.
-	b.ringPut(cur, b.sendBuf)
+	// Committed: the peer has our batch for this window, and we consumed
+	// its batch.
 	b.sendReady = false
 	b.nextSend = cur + 1
-	b.resendLow = b.nextSend
 	b.nextRecv++
 	if m := b.metrics; m != nil {
 		m.batchesSent.Inc()
@@ -697,87 +545,21 @@ func (b *Bridge) exchange(n int, in, out *token.Batch) error {
 	return nil
 }
 
-// readExpected reads frames until one carries the expected sequence
-// number. Frames below it are retransmitted duplicates (the peer could not
-// know we already had them) and are discarded; a frame above it means
-// batches were lost for good.
+// readExpected reads the peer's frame for this window. Any sequence
+// number but the expected one means the two sides lost step, which only a
+// rewind can heal.
 func (b *Bridge) readExpected(out *token.Batch) error {
-	for {
-		b.armReadDeadline()
-		seq, err := readFrameSeq(b.r)
-		if err != nil {
-			return err
-		}
-		switch {
-		case seq == b.nextRecv:
-			return readBatchV3(b.r, out)
-		case seq < b.nextRecv:
-			// Duplicate from a resync: decode and discard.
-			if err := readBatchV3(b.r, &b.scratch); err != nil {
-				return err
-			}
-			if m := b.metrics; m != nil {
-				m.dupFrames.Inc()
-			}
-		default:
-			if m := b.metrics; m != nil {
-				m.seqGaps.Inc()
-			}
-			return errNonRetryable{fmt.Errorf("sequence gap: got batch %d, expected %d", seq, b.nextRecv)}
-		}
+	seq, err := readFrameSeq(b.r)
+	if err != nil {
+		return err
 	}
-}
-
-// reconnect tears down the current connection and redials with
-// exponential backoff, re-handshaking (which resynchronises sequence
-// numbers) on each fresh connection. It reports whether the bridge is
-// usable again.
-func (b *Bridge) reconnect(step int) bool {
-	if b.cfg.Redial == nil || b.cfg.MaxReconnects <= 0 {
-		return false
-	}
-	b.closeConn()
-	b.handshaken = false
-	backoff := b.cfg.BackoffBase
-	for attempt := 1; attempt <= b.cfg.MaxReconnects; attempt++ {
-		// The backoff sleep is interruptible: Close from another
-		// goroutine aborts it immediately instead of waiting out
-		// BackoffMax. The delay itself is jittered ±20% (deterministic
-		// per bridge name and attempt) so a respawned fleet of shards
-		// does not hammer the coordinator in lockstep.
-		t := time.NewTimer(jitterBackoff(b.name, attempt, backoff))
-		select {
-		case <-t.C:
-		case <-b.stop:
-			t.Stop()
-			return false
-		}
-		if backoff *= 2; backoff > b.cfg.BackoffMax {
-			backoff = b.cfg.BackoffMax
-		}
-		conn, err := b.cfg.Redial()
-		if err != nil {
-			continue
-		}
-		b.setConn(conn)
-		if err := b.handshake(step); err != nil {
-			if !b.retryable(err) {
-				// Reconnecting cannot fix a protocol/topology mismatch;
-				// surface the specific reason rather than the original
-				// transient error.
-				b.fail(err)
-				return false
-			}
-			b.closeConn()
-			continue
-		}
-		b.reconnects++
+	if seq != b.nextRecv {
 		if m := b.metrics; m != nil {
-			m.reconnects.Inc()
+			m.seqGaps.Inc()
 		}
-		return true
+		return fmt.Errorf("sequence gap: got batch %d, expected %d", seq, b.nextRecv)
 	}
-	return false
+	return readBatchV3(b.r, out)
 }
 
 func (b *Bridge) armReadDeadline() {
@@ -787,29 +569,4 @@ func (b *Bridge) armReadDeadline() {
 	if dc, ok := b.currentConn().(deadlineConn); ok {
 		dc.SetReadDeadline(time.Now().Add(b.cfg.ReadTimeout))
 	}
-}
-
-func (b *Bridge) armWriteDeadline() {
-	if b.cfg.WriteTimeout <= 0 {
-		return
-	}
-	if dc, ok := b.currentConn().(deadlineConn); ok {
-		dc.SetWriteDeadline(time.Now().Add(b.cfg.WriteTimeout))
-	}
-}
-
-// jitterBackoff spreads a nominal backoff delay across [0.8, 1.2) of its
-// value, deterministically seeded from the bridge name and attempt
-// number: a given bridge always produces the same delay sequence (tests
-// and reruns are reproducible), while different bridges — the respawned
-// shard fleet — spread out instead of redialing in lockstep.
-func jitterBackoff(name string, attempt int, backoff time.Duration) time.Duration {
-	h := fnv.New64a()
-	h.Write([]byte(name))
-	var a [8]byte
-	binary.BigEndian.PutUint64(a[:], uint64(attempt))
-	h.Write(a[:])
-	// Top 53 bits → uniform float in [0, 1).
-	u := float64(h.Sum64()>>11) / float64(uint64(1)<<53)
-	return time.Duration(float64(backoff) * (0.8 + 0.4*u))
 }

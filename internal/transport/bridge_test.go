@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -169,9 +170,9 @@ func TestBridgeTopologyHashMismatch(t *testing.T) {
 }
 
 // TestBridgeDeadPeerTimesOut: the peer handshakes then goes silent with
-// the connection open. With a read deadline and no way to reconnect, the
-// bridge must give up in bounded time instead of blocking forever, and
-// count the latched error exactly once.
+// the connection open. With a read deadline the bridge must give up in
+// bounded time instead of blocking forever, name itself in the latched
+// error, and count that error exactly once.
 func TestBridgeDeadPeerTimesOut(t *testing.T) {
 	c1, c2 := net.Pipe()
 	go func() {
@@ -179,155 +180,115 @@ func TestBridgeDeadPeerTimesOut(t *testing.T) {
 		go io.Copy(io.Discard, c2)
 		// ... and then nothing: the peer is hung, not dead.
 	}()
-	redials := 0
-	br := NewBridgeConfig("patient", c1, BridgeConfig{
-		ReadTimeout:   50 * time.Millisecond,
-		WriteTimeout:  50 * time.Millisecond,
-		MaxReconnects: 2,
-		BackoffBase:   5 * time.Millisecond,
-		Redial: func() (io.ReadWriter, error) {
-			redials++
-			return nil, fmt.Errorf("no path to host")
-		},
-	})
+	br := NewBridgeConfig("patient", c1, BridgeConfig{ReadTimeout: 50 * time.Millisecond})
 	reg := obs.NewRegistry("deadpeer")
 	br.EnableMetrics(reg)
 	start := time.Now()
 	tickOnce(br, 16, 1)
 	elapsed := time.Since(start)
-	if br.Err() == nil {
+	err := br.Err()
+	if err == nil {
 		t.Fatal("hung peer not detected")
+	}
+	if !strings.Contains(err.Error(), `bridge "patient"`) || !strings.Contains(err.Error(), "recv batch 0") {
+		t.Errorf("error not descriptive: %q", err)
 	}
 	tickOnce(br, 16, 2)
 	if got := reg.Snapshot().Counters[obs.Label("transport_errors_total", "bridge", "patient")]; got != 1 {
 		t.Errorf("transport_errors_total = %d, want 1", got)
 	}
 	if elapsed > 2*time.Second {
-		t.Errorf("gave up after %v; deadline+backoff should bound this well under 2s", elapsed)
-	}
-	if redials != 2 {
-		t.Errorf("redial attempts = %d, want 2 (bounded retry)", redials)
+		t.Errorf("gave up after %v; the read deadline should bound this well under 2s", elapsed)
 	}
 }
 
-// TestBridgeReconnectResync is the headline robustness property: the
-// connection between two live peers is torn down mid-run; both sides
-// reconnect with backoff, re-handshake, resynchronise from sequence
-// numbers, and the token streams arrive complete, in order, without
-// duplicates — as if the drop never happened.
-func TestBridgeReconnectResync(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	addr := ln.Addr().String()
-
-	accepted := make(chan net.Conn, 4)
+// TestBridgeResumeMismatch: the peer's hello resumes at batch 5 while a
+// fresh bridge starts at batch 0 — the two sides restored different
+// checkpoints. The handshake must latch an error naming both sequence
+// numbers, and no frame may cross the connection afterwards.
+func TestBridgeResumeMismatch(t *testing.T) {
+	c1, c2 := net.Pipe()
+	after := make(chan int, 1)
 	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			accepted <- conn
-		}
+		peerHello(c2, 16, 0, 5)
+		// Anything the bridge writes after the hello is a frame.
+		n, _ := io.Copy(io.Discard, c2)
+		after <- int(n)
 	}()
-	dial := func() (io.ReadWriter, error) { return net.Dial("tcp", addr) }
-	accept := func() (io.ReadWriter, error) {
-		select {
-		case c := <-accepted:
-			return c, nil
-		case <-time.After(2 * time.Second):
-			return nil, fmt.Errorf("no incoming connection")
+	// The read deadline only bounds a regression that accepts the hello.
+	br := NewBridgeConfig("rewound", c1, BridgeConfig{ReadTimeout: time.Second})
+	out := tickOnce(br, 16, 1)
+	err := br.Err()
+	if err == nil {
+		t.Fatal("resume mismatch not detected")
+	}
+	for _, want := range []string{`bridge "rewound"`, "batch 5", "batch is 0", "different checkpoints"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
 		}
 	}
-
-	connA, err := dial()
-	if err != nil {
-		t.Fatal(err)
+	if br.Received() != 0 || !out.IsEmpty() {
+		t.Errorf("received %d batches (output empty: %v) after a failed handshake, want 0", br.Received(), out.IsEmpty())
 	}
-	connB, err := accept()
-	if err != nil {
-		t.Fatal(err)
+	tickOnce(br, 16, 2) // latched: a no-op that writes nothing
+	br.Close()
+	if n := <-after; n != 0 {
+		t.Errorf("bridge wrote %d bytes after the rejected handshake, want 0", n)
 	}
+}
 
-	cfg := BridgeConfig{
-		ReadTimeout:   time.Second,
-		WriteTimeout:  time.Second,
-		MaxReconnects: 5,
-		BackoffBase:   5 * time.Millisecond,
-		TopologyHash:  0x1234,
-	}
-	cfgA, cfgB := cfg, cfg
-	cfgA.Redial = dial
-	cfgB.Redial = accept
-	brA := NewBridgeConfig("A", connA, cfgA)
-	brB := NewBridgeConfig("B", connB, cfgB)
-	reg := obs.NewRegistry("resync")
-	brA.EnableMetrics(reg)
-
-	const rounds = 10
-	const n = 16
-	const killAfter = 3
-	killed := make(chan struct{})
-
-	drive := func(br *Bridge, base uint64, kill func()) error {
-		for r := 0; r < rounds; r++ {
-			out := tickOnce(br, n, base+uint64(r))
-			if br.Err() != nil {
-				return fmt.Errorf("round %d: %w", r, br.Err())
+// TestBridgeSequenceMismatch: after one good exchange the peer sends a
+// frame whose sequence number is not the expected 1 — a replay of batch 0
+// or a skip to batch 2. Nothing resends or discards frames, so either
+// must latch an error naming both numbers and count one sequence gap.
+func TestBridgeSequenceMismatch(t *testing.T) {
+	for _, bad := range []uint64{0, 2} {
+		t.Run(fmt.Sprint("seq", bad), func(t *testing.T) {
+			const n = 16
+			c1, c2 := net.Pipe()
+			go func() {
+				defer c2.Close()
+				peerHello(c2, n, 0, 0)
+				r := bufio.NewReader(c2)
+				reply := token.NewBatch(n)
+				for _, seq := range []uint64{0, bad} {
+					// Consume the bridge's frame, then answer it.
+					if _, err := readFrameSeq(r); err != nil {
+						return
+					}
+					if err := readBatchV3(r, token.NewBatch(n)); err != nil {
+						return
+					}
+					if _, err := c2.Write(appendFrame(nil, seq, reply)); err != nil {
+						return
+					}
+				}
+			}()
+			br := NewBridge("seq", c1)
+			reg := obs.NewRegistry("seq")
+			br.EnableMetrics(reg)
+			tickOnce(br, n, 1)
+			if err := br.Err(); err != nil {
+				t.Fatalf("good exchange failed: %v", err)
 			}
-			tok := out.At(0)
-			if !tok.Valid || tok.Data%1000 != uint64(r) {
-				return fmt.Errorf("round %d: got token %v, want peer round %d", r, tok, r)
+			tickOnce(br, n, 2)
+			err := br.Err()
+			if err == nil {
+				t.Fatalf("frame with sequence %d accepted in place of 1", bad)
 			}
-			if r == killAfter-1 && kill != nil {
-				kill()
+			if want := fmt.Sprintf("got batch %d, expected 1", bad); !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not say %q", err, want)
 			}
-		}
-		return nil
-	}
-
-	var wg sync.WaitGroup
-	errs := make(chan error, 2)
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		errs <- drive(brA, 2000, func() {
-			// Sever the current connection out from under both sides.
-			connA.(net.Conn).Close()
-			connB.(net.Conn).Close()
-			close(killed)
+			if br.Received() != 1 {
+				t.Errorf("Received() = %d, want 1", br.Received())
+			}
+			s := reg.Snapshot()
+			if got := s.Counters[obs.Label("transport_seq_gaps_total", "bridge", "seq")]; got != 1 {
+				t.Errorf("transport_seq_gaps_total = %d, want 1", got)
+			}
+			if got := s.Counters[obs.Label("transport_errors_total", "bridge", "seq")]; got != 1 {
+				t.Errorf("transport_errors_total = %d, want 1", got)
+			}
 		})
-	}()
-	go func() {
-		defer wg.Done()
-		errs <- drive(brB, 5000, nil)
-	}()
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	<-killed
-	if brA.Reconnects() == 0 && brB.Reconnects() == 0 {
-		t.Error("connection was severed but neither side reconnected")
-	}
-	if got := brA.Received(); got != rounds {
-		t.Errorf("A received %d batches, want %d", got, rounds)
-	}
-	if got := brB.Received(); got != rounds {
-		t.Errorf("B received %d batches, want %d", got, rounds)
-	}
-	// The obs mirror must agree with the bridge's own recovery ledger.
-	s := reg.Snapshot()
-	if got := s.Counters[obs.Label("transport_reconnects_total", "bridge", "A")]; got != uint64(brA.Reconnects()) {
-		t.Errorf("obs reconnects = %d, Reconnects() = %d", got, brA.Reconnects())
-	}
-	if got := s.Counters[obs.Label("transport_batches_recv_total", "bridge", "A")]; got != rounds {
-		t.Errorf("obs batches_recv = %d, want %d", got, rounds)
 	}
 }

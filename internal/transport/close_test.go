@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"fmt"
 	"io"
 	"net"
 	"testing"
@@ -10,39 +9,39 @@ import (
 	"repro/internal/token"
 )
 
-// TestCloseInterruptsBackoff: a bridge stuck in its reconnect backoff
-// sleep must abort the moment another goroutine calls Close, instead of
-// waiting out BackoffMax. The bridge is configured with a multi-second
-// backoff and a redial that always fails; without the interruptible
-// sleep this test would take minutes.
-func TestCloseInterruptsBackoff(t *testing.T) {
-	client, server := net.Pipe()
-	server.Close() // first exchange fails immediately → reconnect path
-	br := NewBridgeConfig("close-test", client, BridgeConfig{
-		Redial:        func() (io.ReadWriter, error) { return nil, fmt.Errorf("peer still down") },
-		MaxReconnects: 1000,
-		BackoffBase:   5 * time.Second,
-		BackoffMax:    30 * time.Second,
-	})
+// TestCloseUnblocksBlockedExchange: the peer handshakes and then goes
+// silent, and there is no read deadline, so TickBatch blocks on the
+// peer's batch indefinitely. Close from another goroutine — the
+// coordinator's CloseBridges lever — must return it promptly with a
+// latched error.
+func TestCloseUnblocksBlockedExchange(t *testing.T) {
+	c1, c2 := net.Pipe()
+	defer c2.Close()
+	go func() {
+		peerHello(c2, 8, 0, 0)
+		io.Copy(io.Discard, c2) // swallow the bridge's frame, send nothing
+	}()
+	br := NewBridge("blocked", c1)
 
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		in := []*token.Batch{token.NewBatch(8)}
 		out := []*token.Batch{token.NewBatch(8)}
-		br.TickBatch(8, in, out) // blocks in reconnect backoff
+		br.TickBatch(8, in, out) // blocks on the peer's batch
 	}()
 
-	time.Sleep(50 * time.Millisecond) // let it reach the backoff sleep
-	start := time.Now()
+	time.Sleep(50 * time.Millisecond) // let it reach the blocking read
+	select {
+	case <-done:
+		t.Fatal("TickBatch returned before Close; the peer sent no batch")
+	default:
+	}
 	br.Close()
 	select {
 	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("TickBatch still blocked 2s after Close; backoff sleep was not interrupted")
-	}
-	if waited := time.Since(start); waited > time.Second {
-		t.Fatalf("Close took %v to unblock TickBatch", waited)
+	case <-time.After(time.Second):
+		t.Fatal("TickBatch still blocked 1s after Close")
 	}
 	if br.Err() == nil {
 		t.Fatal("closed bridge reports no error")
@@ -73,34 +72,8 @@ func TestTickBatchAfterClose(t *testing.T) {
 	}
 }
 
-// TestJitterBackoffBounds: the jitter stays within ±20% and is
-// deterministic per (name, attempt) — a respawned fleet spreads out, a
-// re-run of the same bridge reproduces the same delays.
-func TestJitterBackoffBounds(t *testing.T) {
-	base := 100 * time.Millisecond
-	lo := time.Duration(float64(base) * 0.8)
-	hi := time.Duration(float64(base) * 1.2)
-	seen := make(map[time.Duration]bool)
-	for attempt := 1; attempt <= 32; attempt++ {
-		d := jitterBackoff("shard7", attempt, base)
-		if d < lo || d >= hi {
-			t.Fatalf("attempt %d: jittered delay %v outside [%v, %v)", attempt, d, lo, hi)
-		}
-		if d != jitterBackoff("shard7", attempt, base) {
-			t.Fatalf("attempt %d: jitter not deterministic", attempt)
-		}
-		seen[d] = true
-	}
-	if len(seen) < 16 {
-		t.Fatalf("only %d distinct delays over 32 attempts; jitter is not spreading", len(seen))
-	}
-	if jitterBackoff("shard1", 1, base) == jitterBackoff("shard2", 1, base) {
-		t.Fatal("different bridges produced identical first delays; fleet would reconnect in lockstep")
-	}
-}
-
-// Reset must revive a Closed bridge (fresh stop channel, cleared error)
-// so the coordinator can re-use the same Bridge value across recovery
+// Reset must revive a Closed bridge (closed flag and error cleared) so
+// the coordinator can re-use the same Bridge value across recovery
 // epochs.
 func TestResetRevivesClosedBridge(t *testing.T) {
 	a1, b1 := net.Pipe()
@@ -114,7 +87,18 @@ func TestResetRevivesClosedBridge(t *testing.T) {
 	if br.Err() != nil {
 		t.Fatalf("revived bridge still errored: %v", br.Err())
 	}
-	// And Close works again after the revival (new stop channel).
+	// The revived bridge exchanges again.
+	peer := NewBridge("peer", b2)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		tickOnce(peer, 8, 2)
+	}()
+	if out := tickOnce(br, 8, 1); br.Err() != nil || out.At(0).Data != 2 {
+		t.Fatalf("revived bridge exchange: err %v, got %v", br.Err(), out.At(0))
+	}
+	<-done
+	// And Close works again after the revival.
 	br.Close()
 	if !br.closed.Load() {
 		t.Fatal("second Close did not mark the bridge closed")

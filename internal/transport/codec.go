@@ -34,8 +34,8 @@ import (
 // the invariant the v2 decoder enforces). The previous-run end starts at
 // offset 0, so gaps are non-negative by construction and overlapping or
 // reordered runs are unrepresentable. The sequence number is encoded as
-// its absolute value — not a delta — so a retransmitted frame from the
-// resend ring is byte-identical to the original transmission.
+// its absolute value — not a delta — so the bridge's per-frame sequence
+// check compares it directly with the batch it expects.
 //
 // Costs: an empty batch is 3–4 bytes (vs 16); a dense contiguous batch
 // is ~8.2 bytes/slot (vs 13); the whole frame is appended to one scratch

@@ -1,10 +1,6 @@
 package transport
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/binary"
-	"io"
 	"net"
 	"sync"
 	"testing"
@@ -13,8 +9,8 @@ import (
 )
 
 // TestBridgeSteadyStateZeroAlloc is the fast-path allocation gate: once a
-// bridge pair has warmed up (handshake done, scratch buffers and resend
-// ring at capacity), a full exchange — encode, submit to the persistent
+// bridge pair has warmed up (handshake done, scratch buffers at
+// capacity), a full exchange — encode, submit to the persistent
 // writer, read the peer's frame, commit — must not allocate. AllocsPerRun
 // counts process-global mallocs, so the background peer drives the same
 // alloc-free path with preallocated batches. Timeouts stay zero: arming a
@@ -54,9 +50,9 @@ func TestBridgeSteadyStateZeroAlloc(t *testing.T) {
 		in[0].Put(2, token.Token{Data: 9, Valid: true, Last: true})
 		br.TickBatch(n, in, out)
 	}
-	// Warm up past one full lap of the resend ring so every retained
-	// frame buffer has reached capacity.
-	for i := 0; i < 2*br.cfg.ResendWindow; i++ {
+	// Warm up until the encode buffer, the bufio layers and the peer's
+	// decoded batch have all reached capacity.
+	for i := 0; i < 16; i++ {
 		tick()
 	}
 	if err := br.Err(); err != nil {
@@ -71,171 +67,4 @@ func TestBridgeSteadyStateZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("steady-state exchange allocates %.1f times per tick, want 0", allocs)
 	}
-}
-
-// recordingConn wraps a conn and keeps every byte read from it, so a test
-// can recover exact frame boundaries from a bufio consumer by subtracting
-// its buffered remainder.
-type recordingConn struct {
-	net.Conn
-	mu  sync.Mutex
-	got []byte
-}
-
-func (c *recordingConn) Read(p []byte) (int, error) {
-	n, err := c.Conn.Read(p)
-	c.mu.Lock()
-	c.got = append(c.got, p[:n]...)
-	c.mu.Unlock()
-	return n, err
-}
-
-func (c *recordingConn) bytes() []byte {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]byte(nil), c.got...)
-}
-
-// TestBridgeResendBytesIdentical pins the resend ring's core guarantee:
-// frames retransmitted during a resync are byte-identical to their
-// original transmissions (the ring stores encoded frames with absolute
-// sequence numbers; a resync is a memcpy, not a re-encode). A scripted raw
-// peer records the bridge's frames, drops the connection, rewinds its
-// resume point on the re-handshake, and compares the retransmissions
-// byte-for-byte.
-func TestBridgeResendBytesIdentical(t *testing.T) {
-	const n = 16
-	const rounds = 3
-
-	c1, c2 := net.Pipe()
-	rec := &recordingConn{Conn: c2}
-
-	// readFrames reads count frames through r from the recorded conn,
-	// returning each frame's raw bytes (frame boundaries recovered as
-	// recorded-total minus bufio's unread remainder) and decoded sequence
-	// number.
-	readFrames := func(src *recordingConn, r *bufio.Reader, prevEnd int, count int) (frames [][]byte, seqs []uint64, end int) {
-		for i := 0; i < count; i++ {
-			seq, err := readFrameSeq(r)
-			if err != nil {
-				t.Errorf("peer read seq: %v", err)
-				return
-			}
-			var b token.Batch
-			if err := readBatchV3(r, &b); err != nil {
-				t.Errorf("peer read batch: %v", err)
-				return
-			}
-			all := src.bytes()
-			frameEnd := len(all) - r.Buffered()
-			frames = append(frames, append([]byte(nil), all[prevEnd:frameEnd]...))
-			seqs = append(seqs, seq)
-			prevEnd = frameEnd
-		}
-		return frames, seqs, prevEnd
-	}
-
-	type peerResult struct {
-		orig, resent [][]byte
-	}
-	resultCh := make(chan peerResult, 1)
-	redialCh := make(chan io.ReadWriter, 1)
-
-	go func() {
-		var res peerResult
-		defer func() { resultCh <- res }()
-
-		peerHello(rec, n, 0, 0)
-		r := bufio.NewReader(rec)
-		handshakeEnd := len(rec.bytes()) - r.Buffered()
-
-		// Rounds 0..2: read the bridge's frame, record it, reply.
-		var end = handshakeEnd
-		var frames [][]byte
-		for round := 0; round < rounds; round++ {
-			var fs [][]byte
-			fs, _, end = readFrames(rec, r, end, 1)
-			frames = append(frames, fs...)
-			reply := token.NewBatch(n)
-			reply.Put(0, token.Token{Data: 100 + uint64(round), Valid: true})
-			if _, err := rec.Write(appendFrame(nil, uint64(round), reply)); err != nil {
-				t.Errorf("peer write: %v", err)
-				return
-			}
-		}
-		res.orig = frames
-
-		// Drop the connection out from under the bridge, then accept its
-		// redial and claim on the re-handshake that only batch 0 was
-		// committed: batches 1 and 2 must be retransmitted before batch 3.
-		rec.Close()
-		c3, c4 := net.Pipe()
-		rec2 := &recordingConn{Conn: c4}
-		redialCh <- c3
-		peerHello2 := func() {
-			var hello [32]byte
-			copy(hello[:], helloBytes(n, 0, 1)) // resume = 1
-			done := make(chan error, 1)
-			go func() { _, err := rec2.Write(hello[:]); done <- err }()
-			var got [helloSize]byte
-			if _, err := io.ReadFull(rec2, got[:]); err != nil {
-				t.Errorf("peer re-handshake read: %v", err)
-			}
-			<-done
-		}
-		peerHello2()
-		r2 := bufio.NewReader(rec2)
-		end2 := len(rec2.bytes()) - r2.Buffered()
-		var fs [][]byte
-		var seqs []uint64
-		fs, seqs, _ = readFrames(rec2, r2, end2, rounds) // frames 1, 2, 3
-		if len(seqs) == rounds && (seqs[0] != 1 || seqs[1] != 2 || seqs[2] != 3) {
-			t.Errorf("resync sequence numbers = %v, want [1 2 3]", seqs)
-		}
-		res.resent = fs
-		reply := token.NewBatch(n)
-		reply.Put(0, token.Token{Data: 103, Valid: true})
-		rec2.Write(appendFrame(nil, rounds, reply))
-	}()
-
-	br := NewBridgeConfig("pin", c1, BridgeConfig{
-		MaxReconnects: 3,
-		BackoffBase:   1,
-		Redial: func() (io.ReadWriter, error) {
-			return <-redialCh, nil
-		},
-	})
-	for round := 0; round <= rounds; round++ {
-		out := tickOnce(br, n, uint64(round)*1000)
-		if br.Err() != nil {
-			t.Fatalf("round %d: %v", round, br.Err())
-		}
-		if !out.At(0).Valid {
-			t.Fatalf("round %d: no token from peer", round)
-		}
-	}
-	res := <-resultCh
-	if len(res.orig) != rounds || len(res.resent) != rounds {
-		t.Fatalf("peer recorded %d original / %d resync frames, want %d / %d",
-			len(res.orig), len(res.resent), rounds, rounds)
-	}
-	// Resync frames 1 and 2 are retransmissions: byte-identical to the
-	// originals. Frame 3 is new.
-	for i := 1; i < rounds; i++ {
-		if !bytes.Equal(res.orig[i], res.resent[i-1]) {
-			t.Errorf("retransmitted frame %d differs from original:\norig:   %x\nresent: %x",
-				i, res.orig[i], res.resent[i-1])
-		}
-	}
-}
-
-// helloBytes builds a raw hello frame for scripted peers.
-func helloBytes(step int, topoHash, resume uint64) []byte {
-	hello := make([]byte, helloSize)
-	binary.BigEndian.PutUint32(hello[0:4], helloMagic)
-	binary.BigEndian.PutUint16(hello[4:6], helloVersion)
-	binary.BigEndian.PutUint32(hello[8:12], uint32(step))
-	binary.BigEndian.PutUint64(hello[16:24], topoHash)
-	binary.BigEndian.PutUint64(hello[24:32], resume)
-	return hello
 }

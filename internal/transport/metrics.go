@@ -4,12 +4,11 @@ import (
 	"repro/internal/obs"
 )
 
-// This file wires the hardened bridge into the observability layer
-// (internal/obs). A distributed run's health story lives almost entirely
-// in its bridges — how often connections dropped, how many frames had to
-// be retransmitted to resynchronise, whether the peer ever produced a
-// sequence gap — so each bridge exports the full recovery ledger, plus
-// byte/batch volume for transport-overhead accounting.
+// This file wires the bridge into the observability layer (internal/obs).
+// Each bridge exports its error ledger — latched errors and the sequence
+// mismatches among them — plus byte/batch volume and per-exchange stall
+// time for transport-overhead accounting. Recovery itself is the run-dist
+// coordinator's rewind, counted in its report, not here.
 //
 // All instruments are updated from the bridge's single driving goroutine,
 // so the counters cost one uncontended atomic add each at frame
@@ -23,20 +22,15 @@ import (
 //	transport_bytes_recv_total{bridge=B}       wire bytes read (likewise)
 //	transport_precodec_bytes_total{bridge=B}   what the sent traffic would cost under the v2 fixed-width codec
 //	transport_stall_nanos{bridge=B}            histogram: per-exchange wall time blocked on the peer's batch
-//	transport_reconnects_total{bridge=B}       successful redials
-//	transport_resyncs_total{bridge=B}          exchanges that retransmitted frames
-//	transport_resent_frames_total{bridge=B}    frames retransmitted during resyncs
-//	transport_dup_frames_total{bridge=B}       duplicate frames discarded
-//	transport_seq_gaps_total{bridge=B}         fatal sequence gaps observed
-//	transport_errors_total{bridge=B}           permanent transport errors latched
+//	transport_seq_gaps_total{bridge=B}         frames whose sequence number was not the expected one
+//	transport_errors_total{bridge=B}           transport errors latched
 //
 // The byte counters are fed by counting shims wrapped around the
 // connection itself (see setConn), so they report what actually crossed
-// the wire — retransmissions, duplicates and torn partial writes
-// included — rather than a per-frame size recomputation. The precodec
-// counter tracks the same sent traffic priced at the v2 codec's fixed
-// 13-bytes-per-slot framing; the ratio of the two is the v3 codec's
-// live compression factor.
+// the wire — handshakes and torn partial writes included — rather than a
+// per-frame size recomputation. The precodec counter tracks the same sent
+// traffic priced at the v2 codec's fixed 13-bytes-per-slot framing; the
+// ratio of the two is the v3 codec's live compression factor.
 type bridgeMetrics struct {
 	batchesSent   *obs.Counter
 	batchesRecv   *obs.Counter
@@ -44,10 +38,6 @@ type bridgeMetrics struct {
 	bytesRecv     *obs.Counter
 	precodecBytes *obs.Counter
 	stallNanos    *obs.Histogram
-	reconnects    *obs.Counter
-	resyncs       *obs.Counter
-	resentFrames  *obs.Counter
-	dupFrames     *obs.Counter
 	seqGaps       *obs.Counter
 	errors        *obs.Counter
 }
@@ -69,10 +59,6 @@ func (b *Bridge) EnableMetrics(reg *obs.Registry) {
 		bytesRecv:     reg.Counter(label("transport_bytes_recv_total")),
 		precodecBytes: reg.Counter(label("transport_precodec_bytes_total")),
 		stallNanos:    reg.Histogram(label("transport_stall_nanos")),
-		reconnects:    reg.Counter(label("transport_reconnects_total")),
-		resyncs:       reg.Counter(label("transport_resyncs_total")),
-		resentFrames:  reg.Counter(label("transport_resent_frames_total")),
-		dupFrames:     reg.Counter(label("transport_dup_frames_total")),
 		seqGaps:       reg.Counter(label("transport_seq_gaps_total")),
 		errors:        reg.Counter(label("transport_errors_total")),
 	}

@@ -3,6 +3,7 @@ package transport
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"net"
 	"time"
@@ -61,4 +62,20 @@ func ReadTokenPreamble(c net.Conn, timeout time.Duration) (subtree, epoch uint32
 		return 0, 0, fmt.Errorf("transport: token preamble: bad magic %#x", m)
 	}
 	return binary.BigEndian.Uint32(pre[4:8]), binary.BigEndian.Uint32(pre[8:12]), nil
+}
+
+// jitterBackoff spreads a nominal backoff delay across [0.8, 1.2) of its
+// value, deterministically seeded from a name and the attempt number: a
+// given dialer always produces the same delay sequence (tests and reruns
+// are reproducible), while different dialers — a respawned shard fleet —
+// spread out instead of retrying in lockstep.
+func jitterBackoff(name string, attempt int, backoff time.Duration) time.Duration {
+	h := fnv.New64a()
+	h.Write([]byte(name))
+	var a [8]byte
+	binary.BigEndian.PutUint64(a[:], uint64(attempt))
+	h.Write(a[:])
+	// Top 53 bits → uniform float in [0, 1).
+	u := float64(h.Sum64()>>11) / float64(uint64(1)<<53)
+	return time.Duration(float64(backoff) * (0.8 + 0.4*u))
 }

@@ -59,11 +59,15 @@ timeout 180 go run ./cmd/firesim run-dist -tree 4,8,8 -cut-level 2 -procs 4 \
     -chaos 'kill:shard1@4096,stall:shard2@10240+5000' \
     -verify -quiet
 
-echo "== snapshot and frame fuzz (short) =="
-# A few seconds of coverage-guided fuzzing over the snapshot decoder and
-# the frame parsers: the Reader must never panic on malformed streams, and
-# the in-place frame views must agree with the copying decoders.
+echo "== snapshot, frame and token-batch fuzz (short) =="
+# A few seconds of coverage-guided fuzzing over the snapshot decoder, the
+# frame parsers and the bridge's v3 batch decoder: the Reader must never
+# panic on malformed streams, the in-place frame views must agree with the
+# copying decoders, and the batch decoder (with the per-frame sequence
+# check, the bridge's only defence against a malformed peer) must reject
+# or round-trip every input.
 go test ./internal/snapshot -run '^$' -fuzz FuzzReader -fuzztime 5s >/dev/null
 go test ./internal/ethernet -run '^$' -fuzz FuzzParseFrame -fuzztime 3s >/dev/null
+go test ./internal/transport -run '^$' -fuzz FuzzReadBatchV3 -fuzztime 3s >/dev/null
 
 echo "OK"
