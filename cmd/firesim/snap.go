@@ -57,11 +57,7 @@ func addSnapFlags(fs *flag.FlagSet) *snapFlags {
 }
 
 func (f *snapFlags) deploy() (*core.Cluster, error) {
-	clk := clock.New(clock.DefaultTargetClock)
-	return core.Deploy(core.Rack("tor0", *f.nodes, core.QuadCore), core.DeployConfig{
-		LinkLatency: clk.CyclesInMicros(*f.latencyUs),
-		Seed:        *f.seed,
-	})
+	return core.Deploy(f.topo(), f.config())
 }
 
 func (f *snapFlags) topo() *core.Topology {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"testing"
+	"time"
 
 	"repro/internal/clock"
 	"repro/internal/softstack"
@@ -93,12 +94,24 @@ func FuzzControlRead(f *testing.F) {
 			var m AssignMsg
 			if decodeControl(typ, payload, &m) == nil {
 				// A structurally valid assign may still carry a hostile
-				// spec; Topology() must bound and reject, not panic, and
-				// a workload it accepts must install on a node.
-				if _, _, err := m.Spec.Topology(); err == nil && m.Spec.Workload != nil {
-					w := m.Spec.Workload
-					n := softstack.NewNode(softstack.Config{Name: "fuzz"})
-					n.StartRawStream(clock.Cycles(w.StartAt), 0, w.FrameBytes, w.Gbps, clock.Cycles(w.StopAt))
+				// spec; Topology() must bound and reject, not panic, a
+				// workload it accepts must install on a node, and the
+				// builder must either build the spec — as the root
+				// partition and as the assigned units — or refuse it.
+				if _, _, err := m.Spec.Topology(); err == nil {
+					if w := m.Spec.Workload; w != nil {
+						n := softstack.NewNode(softstack.Config{Name: "fuzz"})
+						n.StartRawStream(clock.Cycles(w.StartAt), 0, w.FrameBytes, w.Gbps, clock.Cycles(w.StopAt))
+					}
+					units := make([]int, len(m.Units))
+					for i, u := range m.Units {
+						units[i] = u.Unit
+					}
+					for _, us := range [][]int{nil, units} {
+						if p, err := BuildPartition(m.Spec, us, time.Second); err == nil {
+							p.CloseBridges()
+						}
+					}
 				}
 			}
 		case msgRunTo:

@@ -64,14 +64,7 @@ func newTestLog(t *testing.T) func(string, ...any) {
 // all-to-next streaming workload.
 func distTestSpec(t *testing.T, nodes int, parallel bool) ClusterSpec {
 	t.Helper()
-	root := NewSwitchNode("")
-	for i := 0; i < nodes; i++ {
-		root.AddDownlinks(NewServerNode("", SingleCore))
-	}
-	cfg := normalizeConfig(DeployConfig{LinkLatency: 512, Seed: 42})
-	assignSwitchNames(root)
-	assignIdentities(root, cfg)
-	spec, err := SpecFromTopology(root, cfg)
+	spec, err := RackSpec(nodes, DeployConfig{LinkLatency: 512, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}

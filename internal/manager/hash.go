@@ -50,27 +50,28 @@ func componentHash(topoHash uint64, cycle clock.Cycles, section string, s snapsh
 	return h.Sum64(), nil
 }
 
+// hashComponents digests every component of the given unit tables,
+// keyed by section name — the one hash loop behind
+// Cluster.ComponentHashes and Partition.UnitHashes.
+func hashComponents(topoHash uint64, cycle clock.Cycles, tabs ...*unitTable) (map[string]uint64, error) {
+	out := make(map[string]uint64)
+	for _, tab := range tabs {
+		for _, sec := range tab.sections {
+			h, err := componentHash(topoHash, cycle, sec, tab.comps[sec])
+			if err != nil {
+				return nil, fmt.Errorf("manager: hash %q: %w", sec, err)
+			}
+			out[sec] = h
+		}
+	}
+	return out, nil
+}
+
 // ComponentHashes digests every node and switch of a whole-cluster
 // deployment, keyed exactly like Partition.UnitHashes — the reference
 // side of the distributed bit-identity check.
 func (c *Cluster) ComponentHashes() (map[string]uint64, error) {
-	out := make(map[string]uint64, len(c.Servers)+len(c.Switches))
-	cycle := c.Runner.Cycle()
-	for _, n := range c.Servers {
-		h, err := componentHash(c.TopoHash, cycle, "node/"+n.Name(), n)
-		if err != nil {
-			return nil, fmt.Errorf("manager: hash node %q: %w", n.Name(), err)
-		}
-		out["node/"+n.Name()] = h
-	}
-	for _, sw := range c.Switches {
-		h, err := componentHash(c.TopoHash, cycle, "switch/"+sw.Name(), sw)
-		if err != nil {
-			return nil, fmt.Errorf("manager: hash switch %q: %w", sw.Name(), err)
-		}
-		out["switch/"+sw.Name()] = h
-	}
-	return out, nil
+	return hashComponents(c.TopoHash, c.Runner.Cycle(), c.comps)
 }
 
 // CombineHashes folds a component hash map into a single value,
@@ -129,18 +130,11 @@ func ReferenceHashes(spec ClusterSpec, horizon uint64) (map[string]uint64, error
 	if err != nil {
 		return nil, err
 	}
-	cfg = normalizeConfig(cfg)
 	cluster, err := Deploy(root, cfg)
 	if err != nil {
 		return nil, err
 	}
-	// Deploy already named everything; re-running the assignment pass is
-	// idempotent and yields the identity list the workload ring needs.
-	ids := assignIdentities(root, cfg)
-	for _, id := range ids.servers {
-		id.Node = cluster.NodeByName(id.Name)
-	}
-	if err := spec.Workload.Apply(ids.servers); err != nil {
+	if err := spec.Workload.Apply(cluster.ids); err != nil {
 		return nil, err
 	}
 	if spec.Parallel {

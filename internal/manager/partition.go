@@ -14,10 +14,10 @@
 // boundaries). The star shape means shards only ever dial the
 // coordinator: no shard↔shard connections to manage or to fail.
 //
-// Identity comes from the same assignment passes Deploy runs
-// (assignIdentities/assignSwitchNames) executed over the FULL tree in
-// every process, so names, MACs, IPs, seeds and MAC tables agree
-// everywhere without any cross-process negotiation.
+// Every process runs the builder Deploy uses (builder.go), which names
+// the FULL tree before instantiating its slice, so names, MACs, IPs,
+// seeds and MAC tables agree everywhere without any cross-process
+// negotiation.
 package manager
 
 import (
@@ -48,9 +48,6 @@ const RootUnit = -1
 // reproduces the historical root-downlink units (one unit per root
 // downlink, numbered by port).
 func CutUnits(root *SwitchNode, cutLevel int) []TopoNode {
-	if cutLevel < 1 {
-		cutLevel = 1
-	}
 	var units []TopoNode
 	var walk func(s *SwitchNode, depth int)
 	walk = func(s *SwitchNode, depth int) {
@@ -91,9 +88,7 @@ type Partition struct {
 	LinkLatency clock.Cycles
 	parallel    bool
 
-	comps       map[string]snapshot.Snapshotter // "node/x" / "switch/x"
-	unitComps   map[int][]string                // unit → sorted component section names
-	unitMembers map[int]map[string]bool         // unit → endpoint names (incl. bridge)
+	units map[int]*unitTable // hosted (shard) or RootUnit (root) → its components
 }
 
 // BuildPartition instantiates the slice of spec's cluster given by
@@ -108,206 +103,66 @@ func BuildPartition(spec ClusterSpec, units []int, bridgeTimeout time.Duration) 
 	if err != nil {
 		return nil, err
 	}
-	cfg = normalizeConfig(cfg)
-	if cfg.LinkLatency%2 != 0 {
-		return nil, fmt.Errorf("manager: partition: link latency %d must be even (cut links split into halves)", cfg.LinkLatency)
-	}
-	half := cfg.LinkLatency / 2
-	ids := assignIdentities(root, cfg)
-	topoHash := TopologyHash(root, cfg)
-
-	p := &Partition{
-		Runner:      fame.NewRunner(),
-		Bridges:     make(map[int]*transport.Bridge),
-		IsRoot:      len(units) == 0,
-		TopoHash:    topoHash,
-		LinkLatency: cfg.LinkLatency,
-		parallel:    spec.Parallel,
-		comps:       make(map[string]snapshot.Snapshotter),
-		unitComps:   make(map[int][]string),
-		unitMembers: make(map[int]map[string]bool),
-	}
-	if err := p.Runner.SetWorkers(cfg.Workers); err != nil {
+	b, err := newBuilder(root, cfg)
+	if err != nil {
 		return nil, err
 	}
-	newBridge := func(name string) *transport.Bridge {
-		return transport.NewBridgeConfig(name, nil, transport.BridgeConfig{
-			ReadTimeout:  bridgeTimeout,
-			TopologyHash: topoHash,
-		})
+	if b.cfg.LinkLatency%2 != 0 {
+		return nil, fmt.Errorf("manager: partition: link latency %d must be even (cut links split into halves)", b.cfg.LinkLatency)
+	}
+	b.half, b.bridgeTimeout = b.cfg.LinkLatency/2, bridgeTimeout
+	p := &Partition{
+		Runner:      b.runner,
+		Bridges:     b.bridges,
+		IsRoot:      len(units) == 0,
+		TopoHash:    b.topoHash,
+		LinkLatency: b.cfg.LinkLatency,
+		parallel:    spec.Parallel,
+		units:       make(map[int]*unitTable),
 	}
 
 	cuts := CutUnits(root, spec.CutLevel)
-	cutLevel := spec.CutLevel
-	if cutLevel < 1 {
-		cutLevel = 1
-	}
-
 	if p.IsRoot {
-		// Root partition: every switch above the cut, joined by
-		// full-latency internal links, with one half-link bridge per cut
-		// point. Uplink -1 at the root (its MAC table maps every server
-		// to a downlink port); retained inner switches keep their uplink
-		// port toward their parent exactly as a whole-cluster Deploy
-		// wires them, so checkpoint sections stay interchangeable.
-		members := make(map[string]bool)
-		var sections []string
-		nextCut := 0
-		var buildAbove func(s *SwitchNode, depth int) (*switchmodel.Switch, int, error)
-		buildAbove = func(s *SwitchNode, depth int) (*switchmodel.Switch, int, error) {
-			uplink := -1
-			ports := len(s.Downlinks)
-			if depth > 0 {
-				uplink = len(s.Downlinks)
-				ports++
-			}
-			sw := switchmodel.New(switchmodel.Config{
-				Name:             s.Name,
-				Ports:            ports,
-				SwitchingLatency: cfg.SwitchingLatency,
-			})
-			setMACTable(sw, s, ids, uplink)
-			p.Runner.Add(sw)
-			p.Switches = append(p.Switches, sw)
-			sec := "switch/" + sw.Name()
-			p.comps[sec] = sw
-			sections = append(sections, sec)
-			members[sw.Name()] = true
-			for i, d := range s.Downlinks {
-				child, isSwitch := d.(*SwitchNode)
-				if !isSwitch || depth+1 >= cutLevel {
-					// Cut point: this subtree is a shard-hosted unit.
-					// Enumeration order matches CutUnits (same DFS).
-					unit := nextCut
-					nextCut++
-					br := newBridge("down/" + UnitName(unit))
-					p.Runner.Add(br)
-					if err := p.Runner.Connect(br, 0, sw, i, half); err != nil {
-						return nil, 0, err
-					}
-					p.Bridges[unit] = br
-					p.Units = append(p.Units, unit)
-					members[br.Name()] = true
-					continue
-				}
-				cs, cup, err := buildAbove(child, depth+1)
-				if err != nil {
-					return nil, 0, err
-				}
-				if err := p.Runner.Connect(cs, cup, sw, i, cfg.LinkLatency); err != nil {
-					return nil, 0, err
-				}
-			}
-			return sw, uplink, nil
-		}
-		if _, _, err := buildAbove(root, 0); err != nil {
-			return nil, err
-		}
-		sort.Strings(sections)
-		p.unitComps[RootUnit] = sections
-		p.unitMembers[RootUnit] = members
-	} else {
-		seen := make(map[int]bool)
-		for _, unit := range units {
-			if unit < 0 || unit >= len(cuts) {
-				return nil, fmt.Errorf("manager: partition: unit %d out of range (cut level %d yields %d units)", unit, cutLevel, len(cuts))
-			}
-			if seen[unit] {
-				return nil, fmt.Errorf("manager: partition: unit %d assigned twice", unit)
-			}
-			seen[unit] = true
-			members := make(map[string]bool)
-			var sections []string
-
-			addNode := func(v *ServerNode) (*softstack.Node, error) {
-				id := ids.bySpec[v]
-				n := id.instantiate(cfg)
-				seedStaticARP([]*softstack.Node{n}, ids.arp)
-				p.Runner.Add(n)
-				p.Servers = append(p.Servers, n)
-				sec := "node/" + n.Name()
-				p.comps[sec] = n
-				sections = append(sections, sec)
-				members[n.Name()] = true
-				return n, nil
-			}
-			var buildSub func(s *SwitchNode) (*switchmodel.Switch, int, error)
-			buildSub = func(s *SwitchNode) (*switchmodel.Switch, int, error) {
-				uplink := len(s.Downlinks)
-				sw := switchmodel.New(switchmodel.Config{
-					Name:             s.Name,
-					Ports:            uplink + 1,
-					SwitchingLatency: cfg.SwitchingLatency,
-				})
-				setMACTable(sw, s, ids, uplink)
-				p.Runner.Add(sw)
-				p.Switches = append(p.Switches, sw)
-				sec := "switch/" + sw.Name()
-				p.comps[sec] = sw
-				sections = append(sections, sec)
-				members[sw.Name()] = true
-				for i, d := range s.Downlinks {
-					switch v := d.(type) {
-					case *ServerNode:
-						n, err := addNode(v)
-						if err != nil {
-							return nil, 0, err
-						}
-						if err := p.Runner.Connect(n, 0, sw, i, cfg.LinkLatency); err != nil {
-							return nil, 0, err
-						}
-					case *SwitchNode:
-						child, childUp, err := buildSub(v)
-						if err != nil {
-							return nil, 0, err
-						}
-						if err := p.Runner.Connect(child, childUp, sw, i, cfg.LinkLatency); err != nil {
-							return nil, 0, err
-						}
-					}
-				}
-				return sw, uplink, nil
-			}
-
-			br := newBridge("up/" + UnitName(unit))
-			p.Runner.Add(br)
-			p.Bridges[unit] = br
-			members[br.Name()] = true
-			switch v := cuts[unit].(type) {
-			case *ServerNode:
-				n, err := addNode(v)
-				if err != nil {
-					return nil, err
-				}
-				if err := p.Runner.Connect(n, 0, br, 0, half); err != nil {
-					return nil, err
-				}
-			case *SwitchNode:
-				top, up, err := buildSub(v)
-				if err != nil {
-					return nil, err
-				}
-				if err := p.Runner.Connect(top, up, br, 0, half); err != nil {
-					return nil, err
-				}
-			default:
-				return nil, fmt.Errorf("manager: partition: unit %d has unknown node type %T", unit, cuts[unit])
-			}
-			sort.Strings(sections)
-			p.unitComps[unit] = sections
-			p.unitMembers[unit] = members
+		// Root partition: every switch above the cut, with a half-link
+		// down-bridge at each cut point. Retained inner switches keep
+		// their uplink port toward their parent exactly as a
+		// whole-cluster Deploy wires them, so checkpoint sections stay
+		// interchangeable.
+		b.cuts = make(map[TopoNode]int, len(cuts))
+		for unit, t := range cuts {
+			b.cuts[t] = unit
 			p.Units = append(p.Units, unit)
 		}
-		if spec.Workload != nil {
-			if err := spec.Workload.Apply(ids.servers); err != nil {
+		if _, err := b.walkSwitch(root); err != nil {
+			return nil, err
+		}
+		p.units[RootUnit] = b.tab
+	} else {
+		for _, unit := range units {
+			if unit < 0 || unit >= len(cuts) {
+				return nil, fmt.Errorf("manager: partition: unit %d out of range (cut level %d yields %d units)", unit, spec.CutLevel, len(cuts))
+			}
+			if p.units[unit] != nil {
+				return nil, fmt.Errorf("manager: partition: unit %d assigned twice", unit)
+			}
+			// A shard hosts each unit's whole subtree under an up-bridge
+			// toward the root.
+			b.tab = newUnitTable()
+			if err := b.attach(cuts[unit], b.bridge("up", unit), 0, b.half); err != nil {
 				return nil, err
 			}
+			p.units[unit] = b.tab
+			p.Units = append(p.Units, unit)
+		}
+		if err := spec.Workload.Apply(b.ids.servers); err != nil {
+			return nil, err
 		}
 	}
+	p.Servers, p.Switches = b.servers, b.switches
 
 	p.Step = p.Runner.Step()
-	if p.Step != half {
-		return nil, fmt.Errorf("manager: partition: step %d, want half-link %d", p.Step, half)
+	if p.Step != b.half {
+		return nil, fmt.Errorf("manager: partition: step %d, want half-link %d", p.Step, b.half)
 	}
 	sort.Ints(p.Units)
 	return p, nil
@@ -375,7 +230,7 @@ func (p *Partition) storeUnits() []int {
 // channel tokens (keyed by endpoint name, so the stream survives the
 // unit moving to a process hosting a different unit mix).
 func (p *Partition) SaveUnit(w io.Writer, unit int) error {
-	sections, ok := p.unitComps[unit]
+	tab, ok := p.units[unit]
 	if !ok {
 		return fmt.Errorf("manager: partition: unit %d not hosted here", unit)
 	}
@@ -387,15 +242,14 @@ func (p *Partition) SaveUnit(w io.Writer, unit int) error {
 	if err != nil {
 		return err
 	}
-	for _, sec := range sections {
+	for _, sec := range tab.sections {
 		sw.Section(sec)
-		if err := p.comps[sec].Save(sw); err != nil {
+		if err := tab.comps[sec].Save(sw); err != nil {
 			return err
 		}
 	}
 	sw.Section("links")
-	members := p.unitMembers[unit]
-	if err := p.Runner.SaveChannels(sw, func(name string) bool { return members[name] }); err != nil {
+	if err := p.Runner.SaveChannels(sw, func(name string) bool { return tab.members[name] }); err != nil {
 		return err
 	}
 	return sw.Close()
@@ -405,57 +259,16 @@ func (p *Partition) SaveUnit(w io.Writer, unit int) error {
 // returns the cycle it was taken at. It does NOT move target time: after
 // restoring every hosted unit to the same cycle, finish with
 // Runner.SetCycle — split so a multi-unit shard restores unit by unit.
+// Sections are looked up in the unit's own components only, so a stream
+// that carries another unit's section is refused.
 func (p *Partition) RestoreUnit(data []byte, unit int) (uint64, error) {
-	members, ok := p.unitMembers[unit]
+	tab, ok := p.units[unit]
 	if !ok {
 		return 0, fmt.Errorf("manager: partition: unit %d not hosted here", unit)
 	}
-	rd, h, err := snapshot.NewReader(bytes.NewReader(data))
-	if err != nil {
-		return 0, err
-	}
-	if h.TopologyHash != p.TopoHash {
-		return 0, fmt.Errorf("manager: partition: checkpoint topology hash %#x, deployment %#x", h.TopologyHash, p.TopoHash)
-	}
-	if h.Step != uint64(p.Step) {
-		return 0, fmt.Errorf("manager: partition: checkpoint step %d, partition step %d", h.Step, p.Step)
-	}
-	restored := make(map[string]bool)
-	for {
-		name, err := rd.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return 0, err
-		}
-		if restored[name] {
-			return 0, fmt.Errorf("manager: partition: checkpoint repeats section %q", name)
-		}
-		if name == "links" {
-			if err := p.Runner.RestoreChannels(rd, func(n string) bool { return members[n] }); err != nil {
-				return 0, err
-			}
-		} else {
-			s, ok := p.comps[name]
-			if !ok {
-				return 0, fmt.Errorf("manager: partition: checkpoint section %q not hosted here", name)
-			}
-			if err := s.Restore(rd); err != nil {
-				return 0, err
-			}
-		}
-		restored[name] = true
-	}
-	if !restored["links"] {
-		return 0, fmt.Errorf("manager: partition: checkpoint missing links section")
-	}
-	for _, sec := range p.unitComps[unit] {
-		if !restored[sec] {
-			return 0, fmt.Errorf("manager: partition: checkpoint missing section %q", sec)
-		}
-	}
-	return h.Cycle, nil
+	return restoreSections(bytes.NewReader(data), p.TopoHash, p.Step, tab, "links", func(rd *snapshot.Reader) error {
+		return p.Runner.RestoreChannels(rd, func(name string) bool { return tab.members[name] })
+	})
 }
 
 // UnitHashes digests every hosted component's full serialized state —
@@ -464,13 +277,9 @@ func (p *Partition) RestoreUnit(data []byte, unit int) (uint64, error) {
 // against a whole-cluster reference regardless of how units were packed
 // onto processes.
 func (p *Partition) UnitHashes() (map[string]uint64, error) {
-	out := make(map[string]uint64, len(p.comps))
-	for sec, s := range p.comps {
-		h, err := componentHash(p.TopoHash, p.Runner.Cycle(), sec, s)
-		if err != nil {
-			return nil, fmt.Errorf("manager: hash %q: %w", sec, err)
-		}
-		out[sec] = h
+	var tabs []*unitTable
+	for _, unit := range p.storeUnits() {
+		tabs = append(tabs, p.units[unit])
 	}
-	return out, nil
+	return hashComponents(p.TopoHash, p.Runner.Cycle(), tabs...)
 }

@@ -110,7 +110,7 @@ func TestBuildPartitionTreeCut(t *testing.T) {
 	if got := len(rootPart.Bridges); got != 4 {
 		t.Errorf("root partition has %d bridges, want 4", got)
 	}
-	if got := len(rootPart.unitComps[RootUnit]); got != 3 {
+	if got := len(rootPart.units[RootUnit].sections); got != 3 {
 		t.Errorf("root unit checkpoints %d sections, want 3", got)
 	}
 

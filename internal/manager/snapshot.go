@@ -12,8 +12,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"strings"
 
+	"repro/internal/clock"
 	"repro/internal/snapshot"
 )
 
@@ -55,15 +55,28 @@ func (c *Cluster) Checkpoint(w io.Writer) error {
 // anything is touched. Every component present in the cluster must have a
 // section in the stream and vice versa.
 func (c *Cluster) RestoreState(src io.Reader) error {
+	_, err := restoreSections(src, c.TopoHash, c.Runner.Step(), c.comps, "runner", c.Runner.Restore)
+	return err
+}
+
+// restoreSections loads a checkpoint stream into the components of one
+// unit table and returns the cycle the stream was taken at — the one
+// restore loop behind Cluster.RestoreState and Partition.RestoreUnit.
+// The header must carry this deployment's topology hash and runner step.
+// extra names the one section that is not a component (the cluster's
+// "runner", a unit's "links"), which loadExtra restores. Every other
+// section must name a component of the table, no section may repeat, and
+// every component must have one.
+func restoreSections(src io.Reader, topoHash uint64, step clock.Cycles, tab *unitTable, extra string, loadExtra func(*snapshot.Reader) error) (uint64, error) {
 	r, h, err := snapshot.NewReader(src)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	if h.TopologyHash != c.TopoHash {
-		return fmt.Errorf("manager: checkpoint topology hash %#x does not match deployed %#x", h.TopologyHash, c.TopoHash)
+	if h.TopologyHash != topoHash {
+		return 0, fmt.Errorf("manager: checkpoint topology hash %#x does not match deployed %#x", h.TopologyHash, topoHash)
 	}
-	if h.Step != uint64(c.Runner.Step()) {
-		return fmt.Errorf("manager: checkpoint step %d does not match runner step %d", h.Step, c.Runner.Step())
+	if h.Step != uint64(step) {
+		return 0, fmt.Errorf("manager: checkpoint step %d does not match runner step %d", h.Step, step)
 	}
 	restored := make(map[string]bool)
 	for {
@@ -72,58 +85,32 @@ func (c *Cluster) RestoreState(src io.Reader) error {
 			break
 		}
 		if err != nil {
-			return err
+			return 0, err
 		}
 		if restored[name] {
-			return fmt.Errorf("manager: checkpoint has duplicate section %q", name)
-		}
-		switch {
-		case name == "runner":
-			if err := c.Runner.Restore(r); err != nil {
-				return err
-			}
-		case strings.HasPrefix(name, "node/"):
-			n := c.NodeByName(strings.TrimPrefix(name, "node/"))
-			if n == nil {
-				return fmt.Errorf("manager: checkpoint section %q has no matching node", name)
-			}
-			if err := n.Restore(r); err != nil {
-				return err
-			}
-		case strings.HasPrefix(name, "switch/"):
-			want := strings.TrimPrefix(name, "switch/")
-			found := false
-			for _, s := range c.Switches {
-				if s.Name() == want {
-					if err := s.Restore(r); err != nil {
-						return err
-					}
-					found = true
-					break
-				}
-			}
-			if !found {
-				return fmt.Errorf("manager: checkpoint section %q has no matching switch", name)
-			}
-		default:
-			return fmt.Errorf("manager: checkpoint has unknown section %q", name)
+			return 0, fmt.Errorf("manager: checkpoint has duplicate section %q", name)
 		}
 		restored[name] = true
-	}
-	if !restored["runner"] {
-		return fmt.Errorf("manager: checkpoint missing runner section")
-	}
-	for _, n := range c.Servers {
-		if !restored["node/"+n.Name()] {
-			return fmt.Errorf("manager: checkpoint missing node %q", n.Name())
+		if name == extra {
+			err = loadExtra(r)
+		} else if s, ok := tab.comps[name]; ok {
+			err = s.Restore(r)
+		} else {
+			err = fmt.Errorf("manager: checkpoint section %q names no component here", name)
+		}
+		if err != nil {
+			return 0, err
 		}
 	}
-	for _, s := range c.Switches {
-		if !restored["switch/"+s.Name()] {
-			return fmt.Errorf("manager: checkpoint missing switch %q", s.Name())
+	if !restored[extra] {
+		return 0, fmt.Errorf("manager: checkpoint missing %s section", extra)
+	}
+	for _, sec := range tab.sections {
+		if !restored[sec] {
+			return 0, fmt.Errorf("manager: checkpoint missing section %q", sec)
 		}
 	}
-	return nil
+	return h.Cycle, nil
 }
 
 // RestoreCluster deploys the topology and then loads the checkpoint into

@@ -125,8 +125,9 @@ func RackSpec(nodes int, cfg DeployConfig) (ClusterSpec, error) {
 		root.AddDownlinks(NewServerNode("", SingleCore))
 	}
 	cfg = normalizeConfig(cfg)
-	assignSwitchNames(root)
-	assignIdentities(root, cfg)
+	if _, err := assignIdentities(root, cfg); err != nil {
+		return ClusterSpec{}, err
+	}
 	return SpecFromTopology(root, cfg)
 }
 
@@ -165,8 +166,9 @@ func TreeSpec(fanouts []int, blade BladeType, cfg DeployConfig, cutLevel int) (C
 	}
 	grow(root, 0)
 	cfg = normalizeConfig(cfg)
-	assignSwitchNames(root)
-	assignIdentities(root, cfg)
+	if _, err := assignIdentities(root, cfg); err != nil {
+		return ClusterSpec{}, err
+	}
 	spec, err := SpecFromTopology(root, cfg)
 	if err != nil {
 		return ClusterSpec{}, err
