@@ -64,9 +64,9 @@ func TestCheckpointBytesGolden(t *testing.T) {
 		// combined component hashes.
 		hashes string
 	}{
-		{"rack4", goldenTree([]int{4}), DeployConfig{LinkLatency: 64, Seed: 42}, "68e448066c24754d1cd9f9900e2c6e36c5d5154ed6d145c3b282d35459b58444", "3a96e143e43cc9fe 5 cac7a0adefe2a640"},
-		{"tree222", goldenTree([]int{2, 2, 2}), DeployConfig{LinkLatency: 64, Seed: 42}, "e261db2c1c435d3baf2b6e1bf38096461d2629e1ec3909000abc3f3838fcb475", "334967c769797fa9 15 a9671cbb28ca4a4e"},
-		{"supernode-faults", snapTopo(), supernode, "e905bfdefab99efa5526b7f1399ed6c813eef1df8cec13b3b4f91d0dbf8fc071", "5ebde3fd59ad5582 7 05044058d7693ba7"},
+		{"rack4", goldenTree([]int{4}), DeployConfig{LinkLatency: 64, Seed: 42}, "276763399f6c079c9befcd3f5e6383cceef67b6e25e310ad9509f42cfc2ab85e", "3a96e143e43cc9fe 5 b19becba579b61bd"},
+		{"tree222", goldenTree([]int{2, 2, 2}), DeployConfig{LinkLatency: 64, Seed: 42}, "fea051f8aa8e68d32993bcd815ac1df90b32d58e6e8138338cc63053ffca572d", "334967c769797fa9 15 cfdbf9fee6dded4b"},
+		{"supernode-faults", snapTopo(), supernode, "d30bd59232fde651a6df27a4e239bd7c97da52181ee59b810db80b863f2651e3", "5ebde3fd59ad5582 7 336c91121b027877"},
 	}
 	for _, tc := range clusters {
 		c, err := Deploy(tc.root, tc.cfg)
@@ -101,11 +101,11 @@ func TestCheckpointBytesGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	units := map[int]string{
-		RootUnit: "fd6c96141b91fa527a5083894e0d85c54e4801ee1dab38a9ba4dbe169b189d98",
-		0:        "22eae81a7bcb0db570ebd8356e044f766c5cbbeedd5194b9ce8b8891cdcc6106",
-		1:        "1450355a0a98bca42c69286172214a3b0dd5a09a5af7a5bd3e47c8677e6eefc2",
-		2:        "283ec6980ca5aacf7bae0b31476c58a4734a162d89455148f59e3f216fbe4199",
-		3:        "b92ff7b4f9cac8b4a1c3a8c27ed8f758d357ab61ddcecfb9c5d174f210eda2f1",
+		RootUnit: "c3248e424c68c621a2f634383a2b9b58c4d8e47deeff22e371fa1eb9a8063486",
+		0:        "b8e1b93c10b7daca6cee0a80ac5484b031240723f32862e67cef51601b79ad67",
+		1:        "9dfe2623adb3b1692bce5cb1df77244d21ae3860bb876310da1fb3a8cff60a75",
+		2:        "98a809df14eebb2f0c7069e97edbd682d509c0f0262e32efb74c78f32f39d26d",
+		3:        "dec6624aeacbf1e2359785f1c4f523f140df96eb959e885ab35b7d2176335e7a",
 	}
 	rootPart, err := BuildPartition(spec, nil, time.Second)
 	if err != nil {

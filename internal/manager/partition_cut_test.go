@@ -1,9 +1,13 @@
 package manager
 
 import (
+	"fmt"
+	"net"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/faults"
 )
 
@@ -172,4 +176,105 @@ func TestDistributedTreeCut(t *testing.T) {
 		t.Errorf("run finished with %d procs, want 1 (no respawn budget)", report.FinalProcs)
 	}
 	compareWithReference(t, spec, horizon, report)
+}
+
+// runCut runs spec to horizon cut in process: the root partition and one
+// shard partition hosting units, every unit's bridge pair joined over
+// net.Pipe, each side driven by RunSlice on its own goroutine. It returns
+// the merged component hashes of both sides. It fails the test if any
+// switch dropped a packet on a full buffer: buffer-full admission still
+// depends on the window size, so callers stay below that load.
+func runCut(t *testing.T, spec ClusterSpec, units []int, horizon clock.Cycles) map[string]uint64 {
+	t.Helper()
+	root, err := BuildPartition(spec, nil, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shard, err := BuildPartition(spec, units, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer root.CloseBridges()
+	defer shard.CloseBridges()
+	for _, u := range units {
+		up, down := net.Pipe()
+		if err := root.AttachBridge(u, up, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := shard.AttachBridge(u, down, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	parts := []*Partition{root, shard}
+	errs := make([]error, len(parts))
+	var wg sync.WaitGroup
+	for i, p := range parts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = p.RunSlice(horizon)
+		}()
+	}
+	wg.Wait()
+	maps := make([]map[string]uint64, len(parts))
+	for i, p := range parts {
+		if errs[i] != nil {
+			t.Fatalf("partition %d of %d (root first): %v", i, len(parts), errs[i])
+		}
+		for _, sw := range p.Switches {
+			if d := sw.Stats().DropsBufFull; d != 0 {
+				t.Fatalf("switch %s dropped %d packets on a full buffer", sw.Name(), d)
+			}
+		}
+		if maps[i], err = p.UnitHashes(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	merged, err := MergeHashes(maps...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return merged
+}
+
+// TestCutMatchesWhole checks the token protocol's promise for streams up
+// to the link rate: a cluster cut into a root partition and a shard over
+// in-process bridges ends with every component hash equal to the whole
+// cluster's, although the partitions tick in half-link windows and the
+// whole cluster in full-link ones. Both runs are drop-free.
+func TestCutMatchesWhole(t *testing.T) {
+	const horizon = 16384
+	cfg := DeployConfig{LinkLatency: 512, Seed: 42}
+	rack, err := RackSpec(8, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := TreeSpec([]int{2, 2, 2}, SingleCore, cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		spec  ClusterSpec
+		units []int
+		gbps  []float64
+	}{
+		{"rack8", rack, []int{0, 1, 2, 3, 4, 5, 6, 7}, []float64{1, 100, 150, 204.8}},
+		{"tree222-cut2", tree, []int{0, 1, 2, 3}, []float64{100, 204.8}},
+	} {
+		for _, gbps := range tc.gbps {
+			t.Run(fmt.Sprintf("%s/%gGbps", tc.name, gbps), func(t *testing.T) {
+				spec := tc.spec
+				spec.Workload = &WorkloadSpec{Kind: "stream", StartAt: 600, FrameBytes: 200, Gbps: gbps}
+				cut := runCut(t, spec, tc.units, horizon)
+				ref, err := ReferenceHashes(spec, horizon)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, d := range DiffHashes(cut, ref) {
+					t.Error(d)
+				}
+			})
+		}
+	}
 }

@@ -6,9 +6,11 @@
 // The two keys are plain integer fields of each entry, so ordering never
 // calls a Less method through an interface or a generic dictionary, and
 // pushes and pops never box. A 4-ary tree halves the depth of a binary
-// one. Callers give every entry a distinct sequence number, which makes
-// the order total: entries drain in exactly (At, Seq) order whatever the
-// heap's arity or shape.
+// one. Callers keep every queued (At, Seq) pair distinct, which makes the
+// order total: entries drain in exactly (At, Seq) order whatever the
+// heap's arity or shape. The switch passes the ingress port as Seq (a port
+// completes at most one packet per cycle); the softstack node passes a
+// running event counter.
 package minheap
 
 import "repro/internal/clock"
@@ -37,11 +39,6 @@ func (h *Heap[T]) Len() int { return len(h.a) }
 // Min returns the earliest entry without removing it; the heap must not
 // be empty. The pointer is valid until the next Push or Pop.
 func (h *Heap[T]) Min() *Entry[T] { return &h.a[0] }
-
-// Entries returns the queued entries in heap-array order, for
-// checkpointing. Pushing them in this order into an empty heap rebuilds
-// the same array.
-func (h *Heap[T]) Entries() []Entry[T] { return h.a }
 
 // Push queues v at (at, seq).
 func (h *Heap[T]) Push(at clock.Cycles, seq uint64, v T) {

@@ -37,32 +37,6 @@ func TestDrainOrder(t *testing.T) {
 	}
 }
 
-// TestRebuildFromEntries checks the checkpoint contract: pushing Entries
-// in order into an empty heap reproduces the same array.
-func TestRebuildFromEntries(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	var h Heap[string]
-	for i := 0; i < 300; i++ {
-		h.Push(clock.Cycles(rng.Intn(50)), uint64(i), "x")
-		if i%7 == 0 {
-			h.Pop()
-		}
-	}
-	var r Heap[string]
-	for _, e := range h.Entries() {
-		r.Push(e.At, e.Seq, e.Val)
-	}
-	a, b := h.Entries(), r.Entries()
-	if len(a) != len(b) {
-		t.Fatalf("rebuilt %d entries, want %d", len(b), len(a))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("entry %d: rebuilt %+v, want %+v", i, b[i], a[i])
-		}
-	}
-}
-
 func TestWarmHeapDoesNotAllocate(t *testing.T) {
 	var h Heap[*int]
 	v := new(int)

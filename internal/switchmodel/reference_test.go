@@ -176,6 +176,9 @@ func (rs *refSwitch) releasePort(p int, n int, out *token.Batch) {
 				break
 			}
 		}
+		if o.tx == nil && rs.stall != nil {
+			continue
+		}
 		if o.tx == nil {
 			if len(o.queue) == 0 {
 				return

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/ethernet"
-	"repro/internal/minheap"
 	"repro/internal/snapshot"
 )
 
@@ -20,7 +19,6 @@ func savePacket(w *snapshot.Writer, pkt *Packet) {
 	}
 	w.Uvarint(uint64(pkt.InPort))
 	w.U64(uint64(pkt.Release))
-	w.U64(pkt.seq)
 }
 
 func (s *Switch) restorePacket(r *snapshot.Reader) (*Packet, error) {
@@ -38,7 +36,6 @@ func (s *Switch) restorePacket(r *snapshot.Reader) (*Packet, error) {
 	}
 	pkt.InPort = int(r.Uvarint())
 	pkt.Release = clock.Cycles(r.U64())
-	pkt.seq = r.U64()
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
@@ -48,21 +45,15 @@ func (s *Switch) restorePacket(r *snapshot.Reader) (*Packet, error) {
 	return pkt, nil
 }
 
-// Save serialises the switch's dynamic state: cycle, packet sequence
-// counter, per-ingress partial assemblies, the pending priority queue, and
-// per-egress queues including the in-flight transmission. The router
-// table, probe, stall hook and metrics are wiring re-installed by Deploy.
-//
-// The pending heap is written in raw array order and restored by pushing
-// the entries back in that order, which rebuilds the identical array:
-// heap order is a deterministic function of the push/pop history, so the
-// array is identical across identical runs, and save → restore → save is
-// stable.
+// Save serialises the switch's dynamic state: cycle, per-ingress partial
+// assemblies, and per-egress queues including the in-flight transmission.
+// The pending queue is empty between rounds, so nothing in the stream
+// depends on how the host cut target time into windows. The router table,
+// probe, stall hook and metrics are wiring re-installed by Deploy.
 func (s *Switch) Save(w *snapshot.Writer) error {
-	w.Begin("switchmodel.Switch", 1)
+	w.Begin("switchmodel.Switch", 2)
 	w.Uvarint(uint64(s.cfg.Ports))
 	w.U64(uint64(s.cycle))
-	w.U64(s.seq)
 	for p := range s.in {
 		ip := &s.in[p]
 		var flits []uint64
@@ -73,10 +64,6 @@ func (s *Switch) Save(w *snapshot.Writer) error {
 		for _, f := range flits {
 			w.U64(f)
 		}
-	}
-	w.Uvarint(uint64(s.queue.Len()))
-	for _, e := range s.queue.Entries() {
-		savePacket(w, e.Val)
 	}
 	for p := range s.out {
 		o := &s.out[p]
@@ -108,7 +95,7 @@ func (s *Switch) Save(w *snapshot.Writer) error {
 // egress port's byte occupancy from the restored queues and republishing
 // the concurrent-reader snapshots.
 func (s *Switch) Restore(r *snapshot.Reader) error {
-	if err := r.Begin("switchmodel.Switch", 1); err != nil {
+	if err := r.Begin("switchmodel.Switch", 2); err != nil {
 		return err
 	}
 	ports := r.Uvarint()
@@ -119,7 +106,6 @@ func (s *Switch) Restore(r *snapshot.Reader) error {
 		return fmt.Errorf("switchmodel %s: checkpoint has %d ports, switch has %d", s.cfg.Name, ports, s.cfg.Ports)
 	}
 	cycle := clock.Cycles(r.U64())
-	seq := r.U64()
 	in := make([]inPort, s.cfg.Ports)
 	for p := range in {
 		nf := r.Count(maxPacketFlits)
@@ -133,18 +119,6 @@ func (s *Switch) Restore(r *snapshot.Reader) error {
 			}
 			in[p].cur = cur
 		}
-	}
-	npending := r.Count(1 << 24)
-	if err := r.Err(); err != nil {
-		return err
-	}
-	var queue minheap.Heap[*Packet]
-	for i := 0; i < npending; i++ {
-		pkt, err := s.restorePacket(r)
-		if err != nil {
-			return err
-		}
-		queue.Push(pkt.Release, pkt.seq, pkt)
 	}
 	out := make([]outPort, s.cfg.Ports)
 	for p := range out {
@@ -203,9 +177,7 @@ func (s *Switch) Restore(r *snapshot.Reader) error {
 		return err
 	}
 	s.cycle = cycle
-	s.seq = seq
 	s.in = in
-	s.queue = queue
 	s.out = out
 	s.stats = stats
 	// Republish for concurrent readers, exactly as TickBatch does.

@@ -2,6 +2,7 @@ package switchmodel
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -19,9 +20,10 @@ func TestSwitchSnapshotConformance(t *testing.T) {
 	}
 	sw := mk()
 	flits := mkFrameFlits(t, 0x2222, 0x1111, 40)
-	// One complete packet waiting out its switching latency plus a second
-	// packet cut off mid-assembly, so the pending heap, an egress queue
-	// and a partial ingress all carry state.
+	// One complete packet waiting out its switching latency in an egress
+	// queue plus a second packet cut off mid-assembly, so both an egress
+	// queue and a partial ingress carry state. (The pending queue is
+	// always empty between rounds and is not checkpointed.)
 	tick(sw, 16, map[int]*token.Batch{0: packetBatch(16, 2, flits)})
 	half := token.NewBatch(8)
 	for i := 0; i < 4; i++ {
@@ -38,6 +40,40 @@ func TestSwitchRestoreRejectsPortMismatch(t *testing.T) {
 	err := restoreErr(other, data)
 	if err == nil || !strings.Contains(err.Error(), "ports") {
 		t.Fatalf("restore into 2-port switch from 4-port checkpoint: err = %v", err)
+	}
+}
+
+// TestSwitchRestoreRefusesVersion1 hand-writes an idle 2-port switch in
+// the version-1 layout (a sequence counter and a pending-queue section,
+// both gone since version 2) and checks Restore refuses it by version,
+// naming the component, instead of misreading it.
+func TestSwitchRestoreRefusesVersion1(t *testing.T) {
+	var buf bytes.Buffer
+	w, err := snapshot.NewWriter(&buf, snapshot.Header{Step: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Section("switch/tor")
+	w.Begin("switchmodel.Switch", 1)
+	w.Uvarint(2) // ports
+	w.U64(64)    // cycle
+	w.U64(3)     // packet sequence counter
+	w.Uvarint(0) // ingress port 0: no partial packet
+	w.Uvarint(0) // ingress port 1: no partial packet
+	w.Uvarint(0) // pending queue: empty
+	for p := 0; p < 2; p++ {
+		w.Uvarint(0)  // egress queue: empty
+		w.Bool(false) // nothing in flight
+	}
+	for i := 0; i < numStatFields; i++ {
+		w.U64(0)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	err = restoreErr(New(Config{Name: "tor", Ports: 2}), buf.Bytes())
+	if !errors.Is(err, snapshot.ErrVersion) || !strings.Contains(err.Error(), "switchmodel.Switch") {
+		t.Fatalf("restore of a version-1 switch section: err = %v, want ErrVersion naming switchmodel.Switch", err)
 	}
 }
 

@@ -87,8 +87,6 @@ type Packet struct {
 	// Release is the earliest global cycle at which the packet may be
 	// released to an output port (last-flit arrival + switching latency).
 	Release clock.Cycles
-	// seq breaks timestamp ties deterministically (ingress order).
-	seq uint64
 	// refs counts egress queues (and in-flight transmissions) still holding
 	// the packet; broadcast fan-out shares one packet across ports instead
 	// of copying it. Owned by the ticking goroutine — never atomic.
@@ -260,12 +258,13 @@ type Switch struct {
 	cfg    Config
 	router Router
 	cycle  clock.Cycles
-	seq    uint64
 
 	in  []inPort
 	out []outPort
-	// queue holds assembled packets keyed by (Release, seq) until the
-	// round's switching step routes them.
+	// queue holds assembled packets keyed by (Release, InPort) until the
+	// round's switching step routes them. A port completes at most one
+	// packet per cycle, so the key is a total order, and the step drains
+	// the queue every round: it is empty at every window boundary.
 	queue minheap.Heap[*Packet]
 
 	// free is the packet pool. Packets (and their flit slabs, kept at
@@ -439,13 +438,13 @@ func (s *Switch) SetStall(fn func(port int, cycle clock.Cycles) bool) { s.stall 
 // TickBatch implements fame.Endpoint: one full switching round over n
 // target cycles.
 func (s *Switch) TickBatch(n int, in, out []*token.Batch) {
-	// Idle early-out: with no ingress tokens, nothing pending and nothing
-	// queued or in flight at egress, the round is a pure cycle advance —
-	// partial ingress assemblies can't progress without new tokens, and no
-	// stat moves. Quiescent aggregation/root switches pay O(ports), not
+	// Idle early-out: with no ingress tokens and nothing queued or in
+	// flight at egress, the round is a pure cycle advance — partial
+	// ingress assemblies can't progress without new tokens, and no stat
+	// moves. Quiescent aggregation/root switches pay O(ports), not
 	// O(ports×n). A stall hook disables the shortcut: stalled port-cycles
 	// are counted (and checkpointed) even on otherwise idle ports.
-	if s.stall == nil && s.queue.Len() == 0 {
+	if s.stall == nil {
 		idle := true
 		for p := 0; p < s.cfg.Ports; p++ {
 			o := &s.out[p]
@@ -480,10 +479,8 @@ func (s *Switch) TickBatch(n int, in, out []*token.Batch) {
 				ip.cur = nil
 				pkt.InPort = p
 				pkt.Release = s.cycle + clock.Cycles(slot.Offset) + s.cfg.SwitchingLatency
-				pkt.seq = s.seq
-				s.seq++
 				s.stats.PacketsIn++
-				s.queue.Push(pkt.Release, pkt.seq, pkt)
+				s.queue.Push(pkt.Release, uint64(p), pkt)
 			}
 		}
 	}
@@ -563,6 +560,9 @@ func (s *Switch) releasePort(p int, n int, out *token.Batch) {
 				o.queue.pop()
 				break
 			}
+		}
+		if o.tx == nil && s.stall != nil {
+			continue // a stall hook is checked on every port-cycle
 		}
 		if o.tx == nil {
 			// Idle: fast-forward to the next packet's release time (or

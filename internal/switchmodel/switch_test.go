@@ -205,7 +205,8 @@ func TestOutputContentionSerialises(t *testing.T) {
 }
 
 func TestTieBreakIsDeterministic(t *testing.T) {
-	// Identical timestamps must drain in ingress (seq) order every run.
+	// Identical timestamps must drain in ingress-port order every run:
+	// the pending queue breaks Release ties on InPort.
 	for trial := 0; trial < 5; trial++ {
 		sw := New(Config{Name: "tor", Ports: 3})
 		dst := ethernet.MAC(0x1)
