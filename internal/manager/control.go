@@ -39,18 +39,15 @@ const (
 
 // Control message types.
 const (
-	msgHello      byte = iota + 1 // shard → coordinator, once per connection
-	msgAssign                     // coordinator → shard: (re)build these units
-	msgReady                      // shard → coordinator: assignment applied
-	msgRunTo                      // coordinator → shard: advance to target cycle
-	msgProgress                   // shard → coordinator: heartbeat with cycle
-	msgDone                       // shard → coordinator: run-to/checkpoint/report complete
-	msgError                      // shard → coordinator: slice failed (structured)
-	msgShutdown                   // coordinator → shard: exit cleanly
-	msgCheckpoint                 // coordinator → shard: persist a generation now
-	msgQuiesce                    // coordinator → shard: stop, report durable cycle
-	msgReport                     // coordinator → shard: report component hashes
-	msgMax                        // first invalid type
+	msgHello    byte = iota + 1 // shard → coordinator, once per connection
+	msgAssign                   // coordinator → shard: (re)build these units
+	msgReady                    // shard → coordinator: assignment applied
+	msgRunTo                    // coordinator → shard: advance to target cycle
+	msgProgress                 // shard → coordinator: heartbeat with cycle
+	msgDone                     // shard → coordinator: run-to complete
+	msgError                    // shard → coordinator: slice failed (structured)
+	msgShutdown                 // coordinator → shard: exit cleanly
+	msgMax                      // first invalid type
 )
 
 // HelloMsg identifies a shard process on its control connection.
@@ -109,8 +106,9 @@ type ProgressMsg struct {
 	Cycle uint64 `json:"cycle"`
 }
 
-// DoneMsg completes a run-to, checkpoint, quiesce or report command.
-// Hashes (component name → hash) is present on final and report replies.
+// DoneMsg completes a run-to: the shard stands at Cycle with a checkpoint
+// generation persisted there. Hashes (component name → hash) is present
+// on the reply to the final slice.
 // Epoch lets the coordinator drop replies that raced a recovery: a Done
 // for a superseded epoch is stale, not a protocol violation.
 type DoneMsg struct {

@@ -44,7 +44,7 @@ func FuzzControlRead(f *testing.F) {
 			Restore:   true, RestoreCycle: 2048,
 		}),
 		controlSeed(msgRunTo, RunToMsg{Target: 8192, Final: true}),
-		controlSeed(msgCheckpoint, nil),
+		controlSeed(msgShutdown, nil),
 		controlSeed(msgProgress, ProgressMsg{Cycle: 77}),
 		controlSeed(msgDone, DoneMsg{Cycle: 8192, Hashes: map[string]uint64{"node/server0": 1}}),
 		controlSeed(msgError, ErrorMsg{Msg: "bridge died", Cycle: 99}),

@@ -6,6 +6,13 @@
 // and rebuilds the next epoch: respawning replacements while the budget
 // lasts, then elastically re-packing lost units onto the survivors.
 //
+// All run state belongs to one goroutine, the coordinator loop (await).
+// The loop serves five sources: Hellos, token connections, every control
+// frame the shard readers forward, the end of the root partition's slice
+// (which runs on its own goroutine and publishes only its cycle), and a
+// 25 ms tick. Its handlers take the time from the loop, so a test can
+// drive them on a fake clock.
+//
 // Failure detection is layered, fastest-first:
 //
 //   - a bridge read error (peer socket died) surfaces the moment the
@@ -25,6 +32,12 @@
 // keystone: the coordinator only persists its own generation for a slice
 // whose every token exchange succeeded, so a generation poisoned by a
 // degraded stream can never become the coordinated restore point.
+//
+// Chaos kill and stop events fire inside the loop, the moment the victim
+// reports a cycle at or past the trigger. Shutdown is acknowledged: every
+// shard gets a Shutdown frame and one Lease to exit, and is SIGKILLed
+// only if it is still running then; every process is reaped before
+// RunDistributed returns.
 package manager
 
 import (
@@ -36,7 +49,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -84,7 +96,8 @@ type CoordinatorConfig struct {
 	Log func(format string, args ...any)
 
 	// Lease is the liveness lease (default 1s): a shard silent on the
-	// control plane this long is declared dead.
+	// control plane this long is declared dead. Shutdown also gives the
+	// shards this long to exit before it kills them.
 	Lease time.Duration
 	// StallAfter is the progress watchdog deadline (default 2.5s):
 	// control frames flowing but target time frozen cluster-wide this
@@ -115,31 +128,31 @@ type DistReport struct {
 // when the event has been delivered (kill/stop/stall) or applied (tear).
 type chaosState struct {
 	ev   faults.ChaosEvent
-	done atomic.Bool
+	done bool
 }
 
-// shardEvent is one control-plane event routed from a shard reader
-// goroutine to the coordinator main loop.
+// shardEvent is one control frame, or the loss of the connection,
+// forwarded from a shard reader goroutine to the coordinator loop.
 type shardEvent struct {
-	p     *shardProc
-	typ   byte // msgReady, msgDone, msgError; 0 when lost is set
-	ready ReadyMsg
-	done  DoneMsg
-	errm  ErrorMsg
-	lost  error
+	p       *shardProc
+	typ     byte // 0 when lost is set
+	payload []byte
+	lost    error
 }
 
 // shardProc is the coordinator's view of one worker process.
 type shardProc struct {
-	name  string
-	cmd   *exec.Cmd
-	conn  net.Conn
-	units []int
+	name   string
+	cmd    *exec.Cmd
+	exited chan struct{} // closed once the process has been reaped
+	conn   net.Conn      // nil until its Hello is adopted
+	units  []int
+	epoch  uint32 // the latest epoch it was assigned into
 
-	lastFrame    atomic.Int64 // unix nanos of the last control frame
-	lastCycle    atomic.Uint64
-	lastProgress atomic.Int64 // unix nanos of the last cycle change
-	stallArmed   *chaosState  // chaos stall delivered in the current assign
+	lastFrame    time.Time // last control frame (zero until adopted)
+	lastCycle    uint64
+	lastProgress time.Time   // last change of lastCycle
+	stallArmed   *chaosState // chaos stall delivered in the current assign
 }
 
 type helloConn struct {
@@ -153,42 +166,56 @@ type tokenConn struct {
 	conn  net.Conn
 }
 
-// epochRun is the state of one assignment epoch. fail may be called from
-// the main loop, the watchdog and bridge-error attribution concurrently;
-// the first call closes the token plane, which unblocks every in-flight
-// exchange in the whole cluster.
+// replyName names the reply an epoch waits for, for timeout reasons.
+var replyName = map[byte]string{msgHello: "hello", msgReady: "ready", msgDone: "done"}
+
+// epochRun is the state of one assignment epoch, owned by the loop
+// goroutine. A failed epoch is also the failure record recovery plans
+// from.
 type epochRun struct {
-	epoch    uint32
-	part     *Partition // root partition
-	failed   chan struct{}
-	failOnce sync.Once
-	mu       sync.Mutex
+	epoch uint32
+	procs []*shardProc // the epoch's procs, sorted by name
+	part  *Partition   // root partition
+	stop  chan struct{}
+
+	reason   string            // empty while the epoch is healthy
 	suspects map[string]string // proc name → reason (may stay empty)
-	reason   string
-	target   atomic.Uint64 // current slice target (progress watchdog gate)
-	running  atomic.Bool   // true while a slice is in flight
+
+	// What await waits for: a want-typed reply from every proc in
+	// waiting, a token connection for every unit in needToken, and the
+	// end of the root slice while rootRunning.
+	want      byte
+	waiting   map[*shardProc]bool
+	needToken map[int]bool
+	target    uint64 // the cycle awaited replies must report
+	final     bool   // the slice to target is the last one
+	hashes    []map[string]uint64
+	deadline  time.Time // for the replies; zero while the root slice runs
+
+	rootRunning  bool
+	rootDone     chan error
+	rootCycle    uint64    // the root's cycle as the loop last saw it
+	rootProgress time.Time // when that cycle last changed
 }
 
-func (e *epochRun) fail(name, reason string) {
-	e.mu.Lock()
-	if name != "" {
-		if _, dup := e.suspects[name]; !dup {
-			e.suspects[name] = reason
-		}
+// fail records the epoch's failure. Only the first call counts: it closes
+// stop and the token plane, which unblocks every in-flight exchange in
+// the whole cluster, so later failures are its echoes.
+func (e *epochRun) fail(reason string, suspects ...string) {
+	if e.reason != "" {
+		return
 	}
-	if e.reason == "" {
-		e.reason = reason
+	e.reason = reason
+	for _, name := range suspects {
+		e.suspects[name] = reason
 	}
-	e.mu.Unlock()
-	e.failOnce.Do(func() {
-		close(e.failed)
-		e.part.CloseBridges()
-	})
+	close(e.stop)
+	e.part.CloseBridges()
 }
 
-func (e *epochRun) failedNow() bool {
+func (e *epochRun) stopped() bool {
 	select {
-	case <-e.failed:
+	case <-e.stop:
 		return true
 	default:
 		return false
@@ -205,24 +232,24 @@ type coordinator struct {
 
 	helloCh chan helloConn
 	tokenCh chan tokenConn
-	evCh    chan shardEvent
+	evCh    chan shardEvent // buffered so readers run ahead of a loop between awaits
+	quit    chan struct{}   // closed at shutdown: the readers stop forwarding
 
 	procs   map[string]*shardProc // adopted (hello received)
-	pending map[string]*exec.Cmd  // spawned, hello not yet received
+	pending map[string]*shardProc // spawned, hello not yet received
 
 	weights    []int // servers per partition unit
 	unitStores map[int]*snapshot.Store
 	rootStore  *snapshot.Store
 
-	epoch        atomic.Uint32
+	epoch        uint32
 	chaos        []*chaosState
 	respawnsLeft int
 	recoveries   int
 	restoreCycle uint64
 	restore      bool
 
-	rootCycle    atomic.Uint64
-	rootProgress atomic.Int64
+	rootCycle atomic.Uint64 // published by the root slice goroutine
 }
 
 func (c *coordinator) logf(format string, args ...any) {
@@ -285,8 +312,9 @@ func RunDistributed(cfg CoordinatorConfig) (*DistReport, error) {
 		helloCh:      make(chan helloConn, 16),
 		tokenCh:      make(chan tokenConn, 64),
 		evCh:         make(chan shardEvent, 256),
+		quit:         make(chan struct{}),
 		procs:        make(map[string]*shardProc),
-		pending:      make(map[string]*exec.Cmd),
+		pending:      make(map[string]*shardProc),
 		respawnsLeft: cfg.RespawnBudget,
 	}
 	for _, ev := range cfg.Chaos {
@@ -331,7 +359,7 @@ func RunDistributed(cfg CoordinatorConfig) (*DistReport, error) {
 		report, failure := c.runEpoch(assignments)
 		if failure == nil {
 			report.Recoveries = c.recoveries
-			report.Epochs = int(c.epoch.Load())
+			report.Epochs = int(c.epoch)
 			report.FinalProcs = len(c.procs)
 			return report, nil
 		}
@@ -376,8 +404,8 @@ func suspectNames(m map[string]string) []string {
 func (c *coordinator) maxObservedCycle() uint64 {
 	max := c.rootCycle.Load()
 	for _, p := range c.procs {
-		if v := p.lastCycle.Load(); v > max {
-			max = v
+		if p.lastCycle > max {
+			max = p.lastCycle
 		}
 	}
 	return max
@@ -408,7 +436,8 @@ func (c *coordinator) packOnto(names []string) map[string][]int {
 }
 
 // spawnProc starts one worker process; it is adopted when its Hello
-// arrives on the control listener.
+// arrives on the control listener. Liveness is tracked by the lease, not
+// by exit: the reaping goroutine only closes exited, for shutdown.
 func (c *coordinator) spawnProc(name string) error {
 	cmd := c.cfg.Spawn(name, c.controlLn.Addr().String())
 	if cmd == nil {
@@ -417,27 +446,35 @@ func (c *coordinator) spawnProc(name string) error {
 	if err := cmd.Start(); err != nil {
 		return fmt.Errorf("manager: distributed: spawn %s: %w", name, err)
 	}
-	go cmd.Wait() // reap; liveness is tracked by the lease, not by exit
-	c.pending[name] = cmd
+	p := &shardProc{name: name, cmd: cmd, exited: make(chan struct{})}
+	go func() {
+		cmd.Wait()
+		close(p.exited)
+	}()
+	c.pending[name] = p
 	c.logf("spawned %s (pid %d)", name, cmd.Process.Pid)
 	return nil
 }
 
-// killProc removes a process from the fleet with prejudice. SIGKILL
-// works on SIGSTOPped processes too, which is exactly the chaos case.
+// killProc removes a process from the fleet with prejudice and reaps it.
+// SIGKILL works on SIGSTOPped processes too, which is exactly the chaos
+// case.
 func (c *coordinator) killProc(name string) {
-	if p, ok := c.procs[name]; ok {
-		p.conn.Close()
-		if p.cmd != nil && p.cmd.Process != nil {
-			p.cmd.Process.Kill()
-		}
-		delete(c.procs, name)
+	p, ok := c.procs[name]
+	if !ok {
+		p, ok = c.pending[name]
 	}
-	if cmd, ok := c.pending[name]; ok {
-		if cmd.Process != nil {
-			cmd.Process.Kill()
-		}
-		delete(c.pending, name)
+	if !ok {
+		return
+	}
+	delete(c.procs, name)
+	delete(c.pending, name)
+	if p.conn != nil {
+		p.conn.Close()
+	}
+	if p.cmd != nil {
+		p.cmd.Process.Kill()
+		<-p.exited
 	}
 }
 
@@ -471,8 +508,8 @@ func (c *coordinator) acceptControl() {
 	}
 }
 
-// acceptTokens accepts token-plane connections, validates the preamble
-// and drops anything from a superseded epoch on the floor.
+// acceptTokens accepts token-plane connections and validates the
+// preamble; the loop drops those from a superseded epoch.
 func (c *coordinator) acceptTokens() {
 	for {
 		conn, err := c.tokenLn.Accept()
@@ -481,7 +518,7 @@ func (c *coordinator) acceptTokens() {
 		}
 		go func(conn net.Conn) {
 			unit, epoch, err := transport.ReadTokenPreamble(conn, 15*time.Second)
-			if err != nil || epoch != c.epoch.Load() {
+			if err != nil {
 				conn.Close()
 				return
 			}
@@ -494,157 +531,276 @@ func (c *coordinator) acceptTokens() {
 	}
 }
 
-// readShard pumps one adopted shard's control frames: heartbeats update
-// the lease and progress clocks in place; protocol events are routed to
-// the main loop.
+// readShard forwards one adopted shard's control frames to the loop, up
+// to and including the loss of its connection, or until shutdown.
 func (c *coordinator) readShard(p *shardProc) {
 	for {
 		typ, payload, err := ReadControl(p.conn)
-		if err != nil {
-			c.evCh <- shardEvent{p: p, lost: err}
+		select {
+		case c.evCh <- shardEvent{p: p, typ: typ, payload: payload, lost: err}:
+		case <-c.quit:
 			return
 		}
-		p.lastFrame.Store(time.Now().UnixNano())
-		switch typ {
-		case msgProgress:
-			var m ProgressMsg
-			if decodeControl(typ, payload, &m) == nil && m.Cycle != p.lastCycle.Load() {
-				p.lastCycle.Store(m.Cycle)
-				p.lastProgress.Store(time.Now().UnixNano())
-			}
-		case msgReady:
-			ev := shardEvent{p: p, typ: typ}
-			if decodeControl(typ, payload, &ev.ready) == nil {
-				c.evCh <- ev
-			}
-		case msgDone:
-			ev := shardEvent{p: p, typ: typ}
-			if decodeControl(typ, payload, &ev.done) == nil {
-				p.lastCycle.Store(ev.done.Cycle)
-				p.lastProgress.Store(time.Now().UnixNano())
-				c.evCh <- ev
-			}
-		case msgError:
-			ev := shardEvent{p: p, typ: typ}
-			if decodeControl(typ, payload, &ev.errm) == nil {
-				c.evCh <- ev
-			}
+		if err != nil {
+			return
 		}
 	}
 }
 
-// adoptHellos waits until every named process has an adopted control
-// connection, spawning the reader goroutine for each as it arrives.
-func (c *coordinator) adoptHellos(names []string, deadline time.Time) error {
-	for {
-		missing := 0
-		for _, n := range names {
-			if _, ok := c.procs[n]; !ok {
-				missing++
-			}
-		}
-		if missing == 0 {
-			return nil
-		}
+// await is the coordinator loop. It serves every source until the epoch
+// has each reply it waits for (true), or has failed and its root slice,
+// if one runs, has ended (false). The handlers take the time from it.
+func (c *coordinator) await(e *epochRun, tick <-chan time.Time) bool {
+	for e.rootRunning || (e.reason == "" && (len(e.waiting) > 0 || len(e.needToken) > 0)) {
 		select {
 		case h := <-c.helloCh:
-			cmd, ok := c.pending[h.name]
-			if !ok {
-				h.conn.Close() // unknown or already-adopted name
-				continue
-			}
-			delete(c.pending, h.name)
-			p := &shardProc{name: h.name, cmd: cmd, conn: h.conn}
-			p.lastFrame.Store(time.Now().UnixNano())
-			p.lastProgress.Store(time.Now().UnixNano())
-			c.procs[h.name] = p
-			go c.readShard(p)
-			c.logf("adopted %s", h.name)
-		case <-time.After(time.Until(deadline)):
-			var absent []string
-			for _, n := range names {
-				if _, ok := c.procs[n]; !ok {
-					absent = append(absent, n)
-				}
-			}
-			return fmt.Errorf("hello timeout waiting for %s", strings.Join(absent, ","))
+			c.adopt(e, h, time.Now())
+		case tc := <-c.tokenCh:
+			c.attach(e, tc)
+		case ev := <-c.evCh:
+			c.handle(e, ev, time.Now())
+		case err := <-e.rootDone:
+			c.rootFinished(e, err, time.Now())
+		case now := <-tick:
+			c.check(e, now)
+		}
+	}
+	return e.reason == ""
+}
+
+// adopt gives a spawned process its control connection and a reader; a
+// Hello naming no pending process is refused.
+func (c *coordinator) adopt(e *epochRun, h helloConn, now time.Time) {
+	p, ok := c.pending[h.name]
+	if !ok {
+		h.conn.Close()
+		return
+	}
+	delete(c.pending, h.name)
+	p.conn = h.conn
+	p.lastFrame = now
+	p.lastProgress = now
+	c.procs[h.name] = p
+	delete(e.waiting, p)
+	go c.readShard(p)
+	c.logf("adopted %s", h.name)
+}
+
+// attach joins an epoch-tagged token connection to the root partition.
+// One from a superseded epoch, or for a unit already attached, is closed.
+func (c *coordinator) attach(e *epochRun, tc tokenConn) {
+	if tc.epoch != e.epoch || !e.needToken[tc.unit] {
+		tc.conn.Close()
+		return
+	}
+	if err := e.part.AttachBridge(tc.unit, tc.conn, c.restoreCycle); err != nil {
+		tc.conn.Close()
+		e.fail("attach " + UnitName(tc.unit) + ": " + err.Error())
+		return
+	}
+	delete(e.needToken, tc.unit)
+}
+
+// handle applies one shard event to the epoch. Every frame renews the
+// sender's lease. Replies and errors from a superseded epoch are stale,
+// not protocol violations, and are dropped; a lost control connection
+// fails the epoch if its proc is in it.
+func (c *coordinator) handle(e *epochRun, ev shardEvent, now time.Time) {
+	p := ev.p
+	if ev.lost != nil {
+		if p.epoch == e.epoch {
+			e.fail("control connection lost: "+ev.lost.Error(), p.name)
+		}
+		return
+	}
+	p.lastFrame = now
+	switch ev.typ {
+	case msgProgress:
+		var m ProgressMsg
+		if decodeControl(ev.typ, ev.payload, &m) == nil {
+			c.observe(e, p, m.Cycle, now)
+		}
+	case msgReady, msgDone:
+		var m DoneMsg // a Ready carries the same epoch and cycle
+		if decodeControl(ev.typ, ev.payload, &m) != nil {
+			return
+		}
+		c.observe(e, p, m.Cycle, now)
+		if m.Epoch != e.epoch || ev.typ != e.want || !e.waiting[p] {
+			return
+		}
+		if m.Cycle != e.target {
+			e.fail(fmt.Sprintf("%s at cycle %d, awaited at %d", replyName[ev.typ], m.Cycle, e.target), p.name)
+			return
+		}
+		if e.final {
+			e.hashes = append(e.hashes, m.Hashes)
+		}
+		delete(e.waiting, p)
+	case msgError:
+		var m ErrorMsg
+		if decodeControl(ev.typ, ev.payload, &m) == nil && m.Epoch == e.epoch {
+			e.fail(fmt.Sprintf("shard error at cycle %d: %s", m.Cycle, m.Msg), p.name)
 		}
 	}
 }
 
-// epochFailure describes why an epoch died, for recovery planning.
-type epochFailure struct {
-	epoch    uint32
-	reason   string
-	suspects map[string]string
+// observe records a proc's reported cycle and delivers a scheduled kill
+// or stop the moment its victim reaches the trigger cycle — mid-slice,
+// not at a tidy boundary.
+func (c *coordinator) observe(e *epochRun, p *shardProc, cycle uint64, now time.Time) {
+	if cycle != p.lastCycle {
+		p.lastCycle = cycle
+		p.lastProgress = now
+	}
+	if p.epoch != e.epoch {
+		return
+	}
+	for _, cs := range c.chaos {
+		if cs.done || cs.ev.Target != p.name || cycle < cs.ev.Cycle {
+			continue
+		}
+		switch cs.ev.Kind {
+		case faults.ChaosKill:
+			c.logf("chaos: SIGKILL %s at cycle >= %d", p.name, cs.ev.Cycle)
+			p.cmd.Process.Kill()
+		case faults.ChaosStop:
+			c.logf("chaos: SIGSTOP %s at cycle >= %d", p.name, cs.ev.Cycle)
+			p.cmd.Process.Signal(syscall.SIGSTOP)
+		default:
+			continue
+		}
+		cs.done = true
+	}
 }
 
-// runEpoch drives one assignment epoch to the horizon or to failure.
-func (c *coordinator) runEpoch(assignments map[string][]int) (*DistReport, *epochFailure) {
-	epoch := c.epoch.Add(1)
+// check applies the clock to the epoch. The liveness lease covers every
+// adopted proc in the epoch. The progress watchdog applies while the
+// root slice runs; it names no suspect, because the minimum-cycle
+// heuristic misattributes under lockstep blocking (the root's in-window
+// exchange order can freeze healthy shards at the victim's cycle), so
+// recovery rewinds everyone. A truly wedged process then misses the next
+// epoch's reply deadline and is killed on that evidence instead. Past
+// the deadline, the procs whose reply is missing are named.
+func (c *coordinator) check(e *epochRun, now time.Time) {
+	var silent []string
+	for _, p := range e.procs {
+		if !p.lastFrame.IsZero() && now.Sub(p.lastFrame) > c.cfg.Lease {
+			silent = append(silent, p.name)
+		}
+	}
+	if len(silent) > 0 {
+		e.fail(fmt.Sprintf("liveness lease expired (silent for %v)", c.cfg.Lease), silent...)
+	}
+	if e.rootRunning {
+		if cycle := c.rootCycle.Load(); cycle != e.rootCycle || e.rootProgress.IsZero() {
+			e.rootCycle = cycle
+			e.rootProgress = now
+		}
+		latest := e.rootProgress
+		for _, p := range e.procs {
+			if p.lastProgress.After(latest) {
+				latest = p.lastProgress
+			}
+		}
+		if now.Sub(latest) > c.cfg.StallAfter {
+			e.fail(fmt.Sprintf("progress watchdog: target time frozen for %v at cycle %d", c.cfg.StallAfter, c.maxObservedCycle()))
+		}
+	}
+	if !e.deadline.IsZero() && now.After(e.deadline) {
+		var late []string
+		for _, p := range e.procs {
+			if e.waiting[p] {
+				late = append(late, p.name)
+			}
+		}
+		reason := fmt.Sprintf("%s timeout at cycle %d", replyName[e.want], e.target)
+		if len(late) == 0 {
+			reason = fmt.Sprintf("token dial timeout (%d unit(s) unattached)", len(e.needToken))
+		}
+		e.fail(reason, late...)
+	}
+}
+
+// rootFinished ends the root's slice. A clean finish starts the deadline
+// for the shards' Done replies. A failed one blames the procs owning the
+// broken bridges; a purely local error (a contained panic in the root
+// switch) blames nobody, and recovery rewinds everyone without killing
+// anyone.
+func (c *coordinator) rootFinished(e *epochRun, err error, now time.Time) {
+	e.rootRunning = false
+	if err == nil {
+		e.deadline = now.Add(c.cfg.SetupTimeout)
+		return
+	}
+	var blamed []string
+	for _, p := range e.procs {
+		for _, u := range p.units {
+			if e.part.Bridges[u].Err() != nil {
+				blamed = append(blamed, p.name)
+				break
+			}
+		}
+	}
+	e.fail("root slice: "+err.Error(), blamed...)
+}
+
+// runEpoch drives one assignment epoch to the horizon (a report) or to
+// failure (the failed epoch, for recovery planning). The deadline for
+// the Hellos and Readys runs from the start of the epoch.
+func (c *coordinator) runEpoch(assignments map[string][]int) (*DistReport, *epochRun) {
+	c.epoch++
 	names := make([]string, 0, len(assignments))
 	for n := range assignments {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	c.logf("epoch %d: assigning %d proc(s), restore=%v cycle=%d", epoch, len(names), c.restore, c.restoreCycle)
+	c.logf("epoch %d: assigning %d proc(s), restore=%v cycle=%d", c.epoch, len(names), c.restore, c.restoreCycle)
 
-	failAll := func(reason string) *epochFailure {
-		f := &epochFailure{epoch: epoch, reason: reason, suspects: map[string]string{}}
-		for _, n := range names {
-			if _, ok := c.procs[n]; !ok {
-				f.suspects[n] = reason
-			}
-		}
-		return f
-	}
-
-	deadline := time.Now().Add(c.cfg.SetupTimeout)
-	if err := c.adoptHellos(names, deadline); err != nil {
-		return nil, failAll(err.Error())
-	}
-
-	// Root partition: rebuilt from the spec every epoch, restored from
-	// the root store when recovering. The bridge timeout mirrors the
-	// shard side: supervision closes connections long before it fires.
-	part, err := BuildPartition(c.spec, nil, shardBridgeTimeout)
+	part, err := c.rootPartition()
 	if err != nil {
-		return nil, failAll("build root partition: " + err.Error())
+		return nil, &epochRun{epoch: c.epoch, reason: err.Error()}
 	}
-	e := &epochRun{epoch: epoch, part: part, failed: make(chan struct{}), suspects: map[string]string{}}
 	defer part.CloseBridges()
-	if c.restore {
-		data, err := c.rootStore.Load(c.restoreCycle)
-		if err != nil {
-			return nil, failAll(fmt.Sprintf("load root checkpoint at %d: %v", c.restoreCycle, err))
-		}
-		got, err := part.RestoreUnit(data, RootUnit)
-		if err != nil {
-			return nil, failAll("restore root partition: " + err.Error())
-		}
-		if got != c.restoreCycle {
-			return nil, failAll(fmt.Sprintf("root checkpoint cycle %d, recovery wants %d", got, c.restoreCycle))
-		}
-		if err := part.Runner.SetCycle(clock.Cycles(c.restoreCycle)); err != nil {
-			return nil, failAll(err.Error())
-		}
-	} else if err := c.rootStore.Save(0, func(w io.Writer) error {
-		return part.SaveUnit(w, RootUnit)
-	}); err != nil {
-		return nil, failAll("persist root baseline: " + err.Error())
-	}
 	c.rootCycle.Store(c.restoreCycle)
-	c.rootProgress.Store(time.Now().UnixNano())
+	e := &epochRun{
+		epoch:    c.epoch,
+		part:     part,
+		stop:     make(chan struct{}),
+		suspects: map[string]string{},
+		want:     msgHello,
+		waiting:  map[*shardProc]bool{},
+		target:   c.restoreCycle,
+		deadline: time.Now().Add(c.cfg.SetupTimeout),
+		rootDone: make(chan error, 1),
+	}
+	for _, n := range names {
+		p, adopted := c.procs[n]
+		if !adopted {
+			p = c.pending[n]
+			e.waiting[p] = true
+		}
+		p.epoch = e.epoch
+		p.units = assignments[n]
+		p.stallArmed = nil
+		e.procs = append(e.procs, p)
+	}
+	tick := time.NewTicker(25 * time.Millisecond)
+	defer tick.Stop()
+	if !c.await(e, tick.C) {
+		return nil, e
+	}
 
 	// Assign every proc its units; arm a pending chaos stall on its
 	// victim when the trigger cycle is still ahead of the restore point.
-	procsList := make([]*shardProc, 0, len(names))
-	for _, n := range names {
-		p := c.procs[n]
-		p.units = assignments[n]
-		p.stallArmed = nil
+	e.want = msgReady
+	e.needToken = make(map[int]bool, len(c.unitStores))
+	for u := range c.unitStores {
+		e.needToken[u] = true
+	}
+	for _, p := range e.procs {
 		m := AssignMsg{
-			Epoch:        epoch,
+			Epoch:        e.epoch,
 			Spec:         c.spec,
 			TokenAddr:    c.tokenLn.Addr().String(),
 			Restore:      c.restore,
@@ -655,7 +811,7 @@ func (c *coordinator) runEpoch(assignments map[string][]int) (*DistReport, *epoc
 			m.Units = append(m.Units, UnitAssign{Unit: u, StoreDir: c.unitStores[u].Dir()})
 		}
 		for _, cs := range c.chaos {
-			if cs.ev.Kind == faults.ChaosStall && cs.ev.Target == n && !cs.done.Load() && cs.ev.Cycle > c.restoreCycle {
+			if cs.ev.Kind == faults.ChaosStall && cs.ev.Target == p.name && !cs.done && cs.ev.Cycle > c.restoreCycle {
 				m.StallAt, m.StallMs = cs.ev.Cycle, cs.ev.StallMs
 				p.stallArmed = cs
 			}
@@ -663,323 +819,115 @@ func (c *coordinator) runEpoch(assignments map[string][]int) (*DistReport, *epoc
 		if err := WriteControl(p.conn, msgAssign, m); err != nil {
 			// The proc's control conn is dead: blame it, so recovery
 			// kills it instead of re-packing onto the same conn.
-			f := failAll(fmt.Sprintf("assign %s: %v", n, err))
-			f.suspects[n] = f.reason
-			return nil, f
+			e.fail(fmt.Sprintf("assign %s: %v", p.name, err), p.name)
+			return nil, e
 		}
-		procsList = append(procsList, p)
+		e.waiting[p] = true
 	}
-
-	if f := c.awaitSetup(e, procsList, deadline); f != nil {
-		return nil, f
+	if !c.await(e, tick.C) {
+		return nil, e
 	}
-
-	// Supervision for the slice phase.
-	stopWatch := make(chan struct{})
-	defer close(stopWatch)
-	go c.watchdog(e, procsList, stopWatch)
-	go c.chaosWatcher(procsList, stopWatch)
-
-	return c.runSlices(e, procsList)
+	return c.runSlices(e, tick.C)
 }
 
-// awaitSetup collects epoch-tagged token connections (attaching each to
-// the root partition) and Ready replies from every proc.
-func (c *coordinator) awaitSetup(e *epochRun, procs []*shardProc, deadline time.Time) *epochFailure {
-	needToken := make(map[int]bool)
-	for u := range c.unitStores {
-		needToken[u] = true
+// rootPartition rebuilds the root partition from the spec, restored from
+// the root store when recovering and persisted as the cycle-0 baseline
+// otherwise. The bridge timeout mirrors the shard side: supervision
+// closes connections long before it fires.
+func (c *coordinator) rootPartition() (*Partition, error) {
+	part, err := BuildPartition(c.spec, nil, shardBridgeTimeout)
+	if err != nil {
+		return nil, fmt.Errorf("build root partition: %w", err)
 	}
-	needReady := make(map[*shardProc]bool)
-	for _, p := range procs {
-		needReady[p] = true
-	}
-	// The liveness lease applies during setup too: a proc that was
-	// stopped or wedged BETWEEN epochs sends no heartbeats and would
-	// otherwise only be caught by the full ready timeout.
-	lease := time.NewTicker(50 * time.Millisecond)
-	defer lease.Stop()
-	for len(needToken) > 0 || len(needReady) > 0 {
-		select {
-		case <-lease.C:
-			now := time.Now().UnixNano()
-			for _, p := range procs {
-				if needReady[p] && now-p.lastFrame.Load() > int64(c.cfg.Lease) {
-					e.fail(p.name, fmt.Sprintf("liveness lease expired during setup (silent for %v)", c.cfg.Lease))
-					return c.collectFailure(e, "")
-				}
-			}
-		case tc := <-c.tokenCh:
-			if tc.epoch != e.epoch || !needToken[tc.unit] {
-				tc.conn.Close()
-				continue
-			}
-			if err := e.part.AttachBridge(tc.unit, tc.conn, c.restoreCycle); err != nil {
-				tc.conn.Close()
-				return c.collectFailure(e, "attach "+UnitName(tc.unit)+": "+err.Error())
-			}
-			delete(needToken, tc.unit)
-		case ev := <-c.evCh:
-			switch {
-			case ev.lost != nil:
-				if c.procs[ev.p.name] == ev.p {
-					e.fail(ev.p.name, "control connection lost: "+ev.lost.Error())
-					return c.collectFailure(e, "")
-				}
-			case ev.typ == msgReady && ev.ready.Epoch == e.epoch:
-				delete(needReady, ev.p)
-			case ev.typ == msgError && ev.errm.Epoch == e.epoch:
-				e.fail(ev.p.name, "assign failed: "+ev.errm.Msg)
-				return c.collectFailure(e, "")
-			default:
-				// Stale frame from a superseded epoch; drop.
-			}
-		case <-time.After(time.Until(deadline)):
-			for _, p := range procs {
-				if needReady[p] {
-					e.fail(p.name, "ready timeout")
-				}
-			}
-			if len(needReady) == 0 {
-				e.fail("", fmt.Sprintf("token dial timeout (%d unit(s) unattached)", len(needToken)))
-			}
-			return c.collectFailure(e, "")
+	if !c.restore {
+		if err := c.rootStore.Save(0, func(w io.Writer) error {
+			return part.SaveUnit(w, RootUnit)
+		}); err != nil {
+			return nil, fmt.Errorf("persist root baseline: %w", err)
 		}
+		return part, nil
 	}
-	return nil
-}
-
-// collectFailure finalises a failed epoch into its failure record.
-func (c *coordinator) collectFailure(e *epochRun, reason string) *epochFailure {
-	if reason != "" {
-		e.fail("", reason)
+	data, err := c.rootStore.Load(c.restoreCycle)
+	if err != nil {
+		return nil, fmt.Errorf("load root checkpoint at %d: %w", c.restoreCycle, err)
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	f := &epochFailure{epoch: e.epoch, reason: e.reason, suspects: make(map[string]string, len(e.suspects))}
-	for k, v := range e.suspects {
-		f.suspects[k] = v
+	got, err := part.RestoreUnit(data, RootUnit)
+	if err != nil {
+		return nil, fmt.Errorf("restore root partition: %w", err)
 	}
-	return f
+	if got != c.restoreCycle {
+		return nil, fmt.Errorf("root checkpoint cycle %d, recovery wants %d", got, c.restoreCycle)
+	}
+	if err := part.Runner.SetCycle(clock.Cycles(c.restoreCycle)); err != nil {
+		return nil, err
+	}
+	return part, nil
 }
 
 // runSlices drives checkpointed lockstep slices to the horizon. A
 // recovery that rewound exactly to the horizon replays the final slice
 // as a zero-length one: run-to is idempotent at the target, and the Done
 // replies still carry the hashes.
-func (c *coordinator) runSlices(e *epochRun, procs []*shardProc) (*DistReport, *epochFailure) {
+func (c *coordinator) runSlices(e *epochRun, tick <-chan time.Time) (*DistReport, *epochRun) {
 	for {
-		cur := uint64(e.part.Runner.Cycle())
-		target := cur + c.cfg.CkptEvery
-		if target > c.cfg.Horizon {
-			target = c.cfg.Horizon
-		}
-		final := target == c.cfg.Horizon
-		e.target.Store(target)
-		e.running.Store(true)
-
-		for _, p := range procs {
-			if err := WriteControl(p.conn, msgRunTo, RunToMsg{Target: target, Final: final}); err != nil {
-				e.fail(p.name, "send run-to: "+err.Error())
+		e.want = msgDone
+		e.target = min(uint64(e.part.Runner.Cycle())+c.cfg.CkptEvery, c.cfg.Horizon)
+		e.final = e.target == c.cfg.Horizon
+		e.deadline = time.Time{}
+		e.rootProgress = time.Time{}
+		for _, p := range e.procs {
+			if err := WriteControl(p.conn, msgRunTo, RunToMsg{Target: e.target, Final: e.final}); err != nil {
+				e.fail("send run-to: "+err.Error(), p.name)
 			}
+			e.waiting[p] = true
 		}
-
-		// The root's own slice: its token exchanges ARE the lockstep
-		// coupling with every shard. Chunked by step so the progress
-		// clock stays fresh for the watchdog.
-		var sliceErr error
-		for uint64(e.part.Runner.Cycle()) < target && sliceErr == nil && !e.failedNow() {
-			sliceErr = e.part.RunSlice(e.part.Step)
-			c.rootCycle.Store(uint64(e.part.Runner.Cycle()))
-			c.rootProgress.Store(time.Now().UnixNano())
+		e.rootRunning = true
+		go c.runRoot(e, e.target)
+		if !c.await(e, tick) {
+			return nil, e
 		}
-		if sliceErr != nil && !e.failedNow() {
-			// Attribute bridge deaths to the procs owning those units; a
-			// pure local error (a contained panic in the root switch)
-			// fails the epoch with no suspects — recovery rewinds
-			// everyone without killing anyone.
-			blamed := false
-			for unit, br := range e.part.Bridges {
-				if err := br.Err(); err != nil {
-					if p := c.procOfUnit(procs, unit); p != nil {
-						e.fail(p.name, fmt.Sprintf("token plane to %s: %v", UnitName(unit), err))
-						blamed = true
-					}
-				}
-			}
-			if !blamed {
-				e.fail("", "root slice: "+sliceErr.Error())
-			}
-		}
-		if e.failedNow() {
-			e.running.Store(false)
-			return nil, c.collectFailure(e, "")
-		}
-
-		// Persist the root generation ONLY after a fully clean slice:
-		// this is what keeps a degraded-stream generation out of
-		// CoordinatedCycle forever.
-		if err := c.rootStore.Save(target, func(w io.Writer) error {
-			return e.part.SaveUnit(w, RootUnit)
-		}); err != nil {
-			e.running.Store(false)
-			return nil, c.collectFailure(e, fmt.Sprintf("persist root at %d: %v", target, err))
-		}
-
-		hashes, f := c.collectDones(e, procs, target, final)
-		e.running.Store(false)
-		if f != nil {
-			return nil, f
-		}
-		if !final {
+		if !e.final {
 			continue
 		}
 		rootHashes, err := e.part.UnitHashes()
 		if err != nil {
-			return nil, c.collectFailure(e, "root hashes: "+err.Error())
+			e.fail("root hashes: " + err.Error())
+			return nil, e
 		}
-		all, err := MergeHashes(append(hashes, rootHashes)...)
+		all, err := MergeHashes(append(e.hashes, rootHashes)...)
 		if err != nil {
-			return nil, c.collectFailure(e, err.Error())
+			e.fail(err.Error())
+			return nil, e
 		}
 		return &DistReport{
-			Cycle:    target,
+			Cycle:    e.target,
 			Hashes:   all,
 			Combined: CombineHashes(all),
 		}, nil
 	}
 }
 
-func (c *coordinator) procOfUnit(procs []*shardProc, unit int) *shardProc {
-	for _, p := range procs {
-		for _, u := range p.units {
-			if u == unit {
-				return p
-			}
+// runRoot runs the root partition's slice on its own goroutine: its
+// token exchanges ARE the lockstep coupling with every shard. It goes
+// step by step, publishing its cycle for the progress watchdog and
+// stopping once the epoch fails. It persists the root generation ONLY
+// after a fully clean slice: this is what keeps a degraded-stream
+// generation out of CoordinatedCycle forever.
+func (c *coordinator) runRoot(e *epochRun, target uint64) {
+	var err error
+	for uint64(e.part.Runner.Cycle()) < target && err == nil && !e.stopped() {
+		err = e.part.RunSlice(e.part.Step)
+		c.rootCycle.Store(uint64(e.part.Runner.Cycle()))
+	}
+	if err == nil && !e.stopped() {
+		err = c.rootStore.Save(target, func(w io.Writer) error {
+			return e.part.SaveUnit(w, RootUnit)
+		})
+		if err != nil {
+			err = fmt.Errorf("persist root at %d: %w", target, err)
 		}
 	}
-	return nil
-}
-
-// collectDones gathers every proc's Done for the slice (with hashes on
-// the final slice), guarded by the watchdogs and a hard timeout.
-func (c *coordinator) collectDones(e *epochRun, procs []*shardProc, target uint64, final bool) ([]map[string]uint64, *epochFailure) {
-	pendingProcs := make(map[*shardProc]bool, len(procs))
-	for _, p := range procs {
-		pendingProcs[p] = true
-	}
-	var hashes []map[string]uint64
-	timer := time.NewTimer(c.cfg.SetupTimeout)
-	defer timer.Stop()
-	for len(pendingProcs) > 0 {
-		select {
-		case <-e.failed:
-			return nil, c.collectFailure(e, "")
-		case <-timer.C:
-			for p := range pendingProcs {
-				e.fail(p.name, fmt.Sprintf("done timeout at slice %d", target))
-			}
-			return nil, c.collectFailure(e, "")
-		case ev := <-c.evCh:
-			switch {
-			case ev.lost != nil:
-				if pendingProcs[ev.p] {
-					e.fail(ev.p.name, "control connection lost: "+ev.lost.Error())
-					return nil, c.collectFailure(e, "")
-				}
-			case ev.typ == msgDone && ev.done.Epoch == e.epoch && pendingProcs[ev.p]:
-				if ev.done.Cycle != target {
-					e.fail(ev.p.name, fmt.Sprintf("done at cycle %d, slice target %d", ev.done.Cycle, target))
-					return nil, c.collectFailure(e, "")
-				}
-				if final {
-					hashes = append(hashes, ev.done.Hashes)
-				}
-				delete(pendingProcs, ev.p)
-			case ev.typ == msgError && ev.errm.Epoch == e.epoch:
-				e.fail(ev.p.name, "slice error: "+ev.errm.Msg)
-				return nil, c.collectFailure(e, "")
-			default:
-				// Stale epoch frame; drop.
-			}
-		}
-	}
-	return hashes, nil
-}
-
-// watchdog enforces the liveness lease and the progress deadline while a
-// slice is in flight. Lease expiry names its suspect; a progress stall
-// does not — the minimum-cycle heuristic misattributes under lockstep
-// blocking (the root's in-window exchange order can freeze healthy
-// shards at the victim's cycle), so a stall fails the epoch suspectless
-// and recovery rewinds everyone. A truly wedged process then misses the
-// next epoch's setup deadline and is killed on that evidence instead.
-func (c *coordinator) watchdog(e *epochRun, procs []*shardProc, stop chan struct{}) {
-	tick := time.NewTicker(25 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-e.failed:
-			return
-		case <-tick.C:
-			if !e.running.Load() {
-				continue
-			}
-			now := time.Now().UnixNano()
-			for _, p := range procs {
-				if now-p.lastFrame.Load() > int64(c.cfg.Lease) {
-					e.fail(p.name, fmt.Sprintf("liveness lease expired (silent for %v)", c.cfg.Lease))
-				}
-			}
-			if c.rootCycle.Load() < e.target.Load() {
-				latest := c.rootProgress.Load()
-				for _, p := range procs {
-					if v := p.lastProgress.Load(); v > latest {
-						latest = v
-					}
-				}
-				if now-latest > int64(c.cfg.StallAfter) {
-					e.fail("", fmt.Sprintf("progress watchdog: target time frozen for %v at cycle %d", c.cfg.StallAfter, c.maxObservedCycle()))
-				}
-			}
-		}
-	}
-}
-
-// chaosWatcher delivers scheduled kill/stop events the moment the victim
-// reports reaching the trigger cycle — mid-slice, not at a tidy boundary.
-func (c *coordinator) chaosWatcher(procs []*shardProc, stop chan struct{}) {
-	tick := time.NewTicker(10 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-tick.C:
-			for _, cs := range c.chaos {
-				if cs.done.Load() || (cs.ev.Kind != faults.ChaosKill && cs.ev.Kind != faults.ChaosStop) {
-					continue
-				}
-				for _, p := range procs {
-					if p.name != cs.ev.Target || p.lastCycle.Load() < cs.ev.Cycle {
-						continue
-					}
-					if !cs.done.CompareAndSwap(false, true) {
-						break
-					}
-					if cs.ev.Kind == faults.ChaosKill {
-						c.logf("chaos: SIGKILL %s at cycle >= %d", p.name, cs.ev.Cycle)
-						p.cmd.Process.Kill()
-					} else {
-						c.logf("chaos: SIGSTOP %s at cycle >= %d", p.name, cs.ev.Cycle)
-						p.cmd.Process.Signal(syscall.SIGSTOP)
-					}
-				}
-			}
-		}
-	}
+	e.rootDone <- err
 }
 
 // applyTearChaos truncates the newest checkpoint generation of each
@@ -989,7 +937,7 @@ func (c *coordinator) chaosWatcher(procs []*shardProc, stop chan struct{}) {
 // generation.
 func (c *coordinator) applyTearChaos() {
 	for _, cs := range c.chaos {
-		if cs.ev.Kind != faults.ChaosTear || cs.done.Load() {
+		if cs.ev.Kind != faults.ChaosTear || cs.done {
 			continue
 		}
 		var dir string
@@ -1021,7 +969,7 @@ func (c *coordinator) applyTearChaos() {
 		path := filepath.Join(dir, newest)
 		if fi, err := os.Stat(path); err == nil {
 			if err := os.Truncate(path, fi.Size()/2); err == nil {
-				cs.done.Store(true)
+				cs.done = true
 				c.logf("chaos: tore %s to %d bytes", path, fi.Size()/2)
 			}
 		}
@@ -1032,15 +980,15 @@ func (c *coordinator) applyTearChaos() {
 // consume any chaos stall that caused a suspectless progress failure,
 // apply tear chaos, find the coordinated rewind point, respawn while the
 // budget lasts, and re-pack all units over the resulting fleet.
-func (c *coordinator) recover(f *epochFailure) (map[string][]int, error) {
+func (c *coordinator) recover(f *epochRun) (map[string][]int, error) {
 	// A suspectless progress stall was (when armed) the chaos stall
 	// doing its job: mark it consumed so the victim is not re-stalled
 	// every epoch. The process stays alive — it heals by rewind. A failure
 	// with suspects (a kill detected after the victim ran past its stall
 	// cycle) leaves the stall armed for the next epoch.
 	for _, p := range c.procs {
-		if len(f.suspects) == 0 && p.stallArmed != nil && p.lastCycle.Load() >= p.stallArmed.ev.Cycle {
-			p.stallArmed.done.Store(true)
+		if len(f.suspects) == 0 && p.stallArmed != nil && p.lastCycle >= p.stallArmed.ev.Cycle {
+			p.stallArmed.done = true
 		}
 	}
 	for name, reason := range f.suspects {
@@ -1098,23 +1046,25 @@ func (c *coordinator) freeProcName() string {
 	}
 }
 
-// shutdown tears the whole fleet down: polite Shutdown frames first,
-// then unconditional kills, then the listeners.
+// shutdown tears the whole fleet down: a Shutdown frame to every adopted
+// proc, one Lease shared by all of them to exit, then SIGKILL for any
+// still running and for procs never adopted. Every process has been
+// reaped when it returns.
 func (c *coordinator) shutdown() {
+	close(c.quit)
+	c.controlLn.Close()
+	c.tokenLn.Close()
 	for _, p := range c.procs {
 		WriteControl(p.conn, msgShutdown, nil)
 	}
-	time.Sleep(50 * time.Millisecond)
-	for name := range c.procs {
+	deadline := time.Now().Add(c.cfg.Lease)
+	for _, p := range c.procs {
+		select {
+		case <-p.exited:
+		case <-time.After(time.Until(deadline)):
+		}
+	}
+	for _, name := range c.fleetNames() {
 		c.killProc(name)
-	}
-	for name := range c.pending {
-		c.killProc(name)
-	}
-	if c.controlLn != nil {
-		c.controlLn.Close()
-	}
-	if c.tokenLn != nil {
-		c.tokenLn.Close()
 	}
 }

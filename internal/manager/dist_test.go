@@ -5,7 +5,6 @@ import (
 	"os"
 	"os/exec"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -28,34 +27,20 @@ func TestShardProcessMain(t *testing.T) {
 	os.Exit(0)
 }
 
-// testSpawn re-execs this test binary as a shard worker.
+// testSpawn re-execs this test binary as a shard worker. The child's
+// stderr is the test's, so a data race found in RunShard shows; a
+// race-built child must not sleep at exit, or shutdown kills it at the
+// lease instead of seeing it exit.
 func testSpawn() func(name, controlAddr string) *exec.Cmd {
 	return func(name, controlAddr string) *exec.Cmd {
 		cmd := exec.Command(os.Args[0], "-test.run=^TestShardProcessMain$")
 		cmd.Env = append(os.Environ(),
 			"FIRESIM_SHARD_CONTROL="+controlAddr,
 			"FIRESIM_SHARD_NAME="+name,
+			"GORACE=atexit_sleep_ms=0",
 		)
+		cmd.Stderr = os.Stderr
 		return cmd
-	}
-}
-
-// newTestLog adapts t.Logf for the coordinator's background goroutines:
-// once the test finishes, late lines are dropped instead of panicking.
-func newTestLog(t *testing.T) func(string, ...any) {
-	var mu sync.Mutex
-	done := false
-	t.Cleanup(func() {
-		mu.Lock()
-		done = true
-		mu.Unlock()
-	})
-	return func(format string, args ...any) {
-		mu.Lock()
-		defer mu.Unlock()
-		if !done {
-			t.Logf(format, args...)
-		}
 	}
 }
 
@@ -101,19 +86,30 @@ func TestDistributedCleanSequential(t *testing.T) { runCleanDist(t, false) }
 func TestDistributedCleanParallel(t *testing.T)   { runCleanDist(t, true) }
 
 // runCleanDist is the no-failure baseline: a multi-process run must be
-// bit-identical to the in-process reference in one epoch.
+// bit-identical to the in-process reference in one epoch, and every
+// shard must have exited cleanly by the time RunDistributed returns.
 func runCleanDist(t *testing.T, parallel bool) {
 	spec := distTestSpec(t, 4, parallel)
 	const horizon = 8192
+	shards := map[string]*exec.Cmd{}
+	spawn := testSpawn()
 	report, err := RunDistributed(CoordinatorConfig{
 		Spec:      spec,
 		Procs:     2,
 		BaseDir:   t.TempDir(),
 		CkptEvery: 2048,
 		Horizon:   horizon,
-		Spawn:     testSpawn(),
-		Log:       newTestLog(t),
+		Spawn: func(name, controlAddr string) *exec.Cmd {
+			shards[name] = spawn(name, controlAddr)
+			return shards[name]
+		},
+		Log: t.Logf,
 	})
+	for name, cmd := range shards {
+		if cmd.ProcessState == nil || cmd.ProcessState.ExitCode() != 0 {
+			t.Errorf("%s: process state %v when RunDistributed returned, want exit code 0", name, cmd.ProcessState)
+		}
+	}
 	if err != nil {
 		t.Fatalf("RunDistributed: %v", err)
 	}
@@ -174,7 +170,7 @@ func TestDistributedRecoveryExhausted(t *testing.T) {
 		MaxRecoveries: 1,
 		Chaos:         chaos,
 		Spawn:         testSpawn(),
-		Log:           newTestLog(t),
+		Log:           t.Logf,
 	})
 	if err == nil || !strings.Contains(err.Error(), "giving up after 1 recoveries") {
 		t.Fatalf("RunDistributed error = %v, want it to give up after 1 recovery", err)
@@ -206,7 +202,7 @@ func runChaosDist(t *testing.T, tc chaosCase) {
 		RespawnBudget: tc.respawnBudget,
 		Chaos:         chaos,
 		Spawn:         testSpawn(),
-		Log:           newTestLog(t),
+		Log:           t.Logf,
 		Lease:         800 * time.Millisecond,
 		StallAfter:    1500 * time.Millisecond,
 	})

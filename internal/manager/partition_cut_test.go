@@ -159,7 +159,7 @@ func TestDistributedTreeCut(t *testing.T) {
 		RespawnBudget: 0,
 		Chaos:         chaos,
 		Spawn:         testSpawn(),
-		Log:           newTestLog(t),
+		Log:           t.Logf,
 		Lease:         800 * time.Millisecond,
 		StallAfter:    1500 * time.Millisecond,
 	})

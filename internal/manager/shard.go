@@ -158,32 +158,6 @@ func RunShard(cfg ShardConfig) error {
 			if err := s.send(msgDone, done); err != nil {
 				return err
 			}
-		case msgCheckpoint, msgQuiesce:
-			reply := DoneMsg{Epoch: s.assign.Epoch, Cycle: s.cycle.Load()}
-			if err := s.persist(); err != nil {
-				if serr := s.send(msgError, ErrorMsg{Epoch: s.assign.Epoch, Msg: err.Error(), Cycle: s.cycle.Load()}); serr != nil {
-					return serr
-				}
-				continue
-			}
-			if err := s.send(msgDone, reply); err != nil {
-				return err
-			}
-		case msgReport:
-			reply := DoneMsg{Epoch: s.assign.Epoch, Cycle: s.cycle.Load()}
-			if s.part != nil {
-				hashes, err := s.part.UnitHashes()
-				if err != nil {
-					if serr := s.send(msgError, ErrorMsg{Epoch: s.assign.Epoch, Msg: err.Error(), Cycle: s.cycle.Load()}); serr != nil {
-						return serr
-					}
-					continue
-				}
-				reply.Hashes = hashes
-			}
-			if err := s.send(msgDone, reply); err != nil {
-				return err
-			}
 		case msgShutdown:
 			s.logf("shutdown at cycle %d", s.cycle.Load())
 			return nil

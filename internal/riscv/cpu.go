@@ -88,8 +88,8 @@ type CPU struct {
 	sbOn       bool
 	sb         []superblock
 	sbVer      uint64
-	sbLo, sbHi uint64 // envelope of code covered by live blocks
-	sbInstret  uint64 // instructions retired via block dispatch (observability)
+	sbLo, sbHi uint64        // envelope of code covered by live blocks
+	sbInstret  uint64        // instructions retired via block dispatch (observability)
 	winNow     *clock.Cycles // window plumbing: bus clock to advance per instruction
 	winStop    *bool         // window plumbing: set by the bus mid-dispatch to exit
 	spanBus    FetchSpanner  // bus's optional batched-fetch view, asserted once

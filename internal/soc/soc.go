@@ -690,8 +690,8 @@ type coreBus struct {
 	fetch2Way   int
 	fetch2Gen   uint64
 	ilineBytes  uint64
-	ilineShift uint // log2(ilineBytes) when it is a power of two, else 0
-	ihitLat    clock.Cycles
+	ilineShift  uint // log2(ilineBytes) when it is a power of two, else 0
+	ihitLat     clock.Cycles
 }
 
 // lineIndex maps a DRAM offset to its I-line index, by shift when the

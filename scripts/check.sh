@@ -8,8 +8,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== go vet =="
+echo "== go vet, gofmt =="
 go vet ./...
+test -z "$(gofmt -l .)"
 
 echo "== go build =="
 go build ./...
