@@ -1,123 +1,43 @@
 package blockdev
 
-import (
-	"fmt"
-	"sort"
+import "repro/internal/snapshot"
 
-	"repro/internal/clock"
-	"repro/internal/snapshot"
-)
+// Save implements snapshot.Snapshotter.
+func (d *Device) Save(w *snapshot.Writer) error { return d.state(snapshot.Encode(w)) }
 
-// Save serialises the controller (trackers, staging registers, completion
-// queue, interrupt enable, counters) and the sparse sector store in
-// sorted sector order so equal disks always produce equal bytes.
-func (d *Device) Save(w *snapshot.Writer) error {
-	w.Begin("blockdev.Device", 1)
-	w.Uvarint(uint64(len(d.trackers)))
-	for _, tr := range d.trackers {
-		w.Bool(tr.busy)
-		w.U64(uint64(tr.doneAt))
-	}
-	w.U64(d.addr)
-	w.U64(d.sector)
-	w.U64(d.nsectors)
-	w.U64(d.write)
-	w.Uvarint(uint64(len(d.completions)))
-	for _, id := range d.completions {
-		w.Uvarint(uint64(id))
-	}
-	w.Bool(d.intrEn)
-	w.U64(d.stats.Reads)
-	w.U64(d.stats.Writes)
-	w.U64(d.stats.SectorsMoved)
-	w.U64(d.stats.AllocFailed)
+// Restore implements snapshot.Snapshotter.
+func (d *Device) Restore(r *snapshot.Reader) error { return d.state(snapshot.Decode(r)) }
 
-	sectors := make([]uint64, 0, len(d.disk))
-	for s := range d.disk {
-		sectors = append(sectors, s)
+// state lists the controller (trackers, staging registers, completion
+// queue, interrupt enable, counters) and the sparse sector store.
+func (d *Device) state(s *snapshot.State) error {
+	s.Begin("blockdev.Device", 1)
+	s.Shape("trackers", len(d.trackers))
+	for i := range d.trackers {
+		s.Bool(&d.trackers[i].busy)
+		snapshot.Fixed(s, &d.trackers[i].doneAt)
 	}
-	sort.Slice(sectors, func(i, j int) bool { return sectors[i] < sectors[j] })
-	w.Uvarint(uint64(len(sectors)))
-	for _, s := range sectors {
-		w.Uvarint(s)
-		w.Bytes(d.disk[s])
-	}
-	return w.Err()
-}
-
-// Restore overwrites the controller and disk contents from r.
-func (d *Device) Restore(r *snapshot.Reader) error {
-	if err := r.Begin("blockdev.Device", 1); err != nil {
-		return err
-	}
-	ntrackers := r.Uvarint()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if ntrackers != uint64(len(d.trackers)) {
-		return fmt.Errorf("blockdev: checkpoint has %d trackers, device has %d", ntrackers, len(d.trackers))
-	}
-	trackers := make([]tracker, ntrackers)
-	for i := range trackers {
-		trackers[i] = tracker{busy: r.Bool(), doneAt: clock.Cycles(r.U64()), id: i}
-	}
-	addr := r.U64()
-	sector := r.U64()
-	nsectors := r.U64()
-	write := r.U64()
+	s.U64(&d.addr)
+	s.U64(&d.sector)
+	s.U64(&d.nsectors)
+	s.U64(&d.write)
 	// The completion queue has no hard structural bound (a tracker can
 	// complete again before software pops the previous entry); cap it
 	// generously rather than exactly.
-	completions := make([]int, r.Count(1<<16))
-	for i := range completions {
-		id := r.Uvarint()
-		if r.Err() == nil && id >= ntrackers {
-			return fmt.Errorf("blockdev: completion for tracker %d, device has %d", id, ntrackers)
-		}
-		completions[i] = int(id)
-	}
-	intrEn := r.Bool()
-	var stats Stats
-	stats.Reads = r.U64()
-	stats.Writes = r.U64()
-	stats.SectorsMoved = r.U64()
-	stats.AllocFailed = r.U64()
-
-	nsec := r.Count(int(d.NumSectors()))
-	if err := r.Err(); err != nil {
-		return err
-	}
-	disk := make(map[uint64][]byte, nsec)
-	var prev uint64
-	for i := 0; i < nsec; i++ {
-		s := r.Uvarint()
-		data := r.Bytes(SectorBytes)
-		if err := r.Err(); err != nil {
-			return err
-		}
-		if i > 0 && s <= prev {
-			return fmt.Errorf("blockdev: checkpoint sectors out of order (%d after %d)", s, prev)
-		}
-		if s >= d.NumSectors() {
-			return fmt.Errorf("blockdev: checkpoint sector %d beyond capacity", s)
-		}
-		if len(data) != SectorBytes {
-			return fmt.Errorf("blockdev: checkpoint sector %d is %d bytes, want %d", s, len(data), SectorBytes)
-		}
-		prev = s
-		disk[s] = data
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	d.trackers = trackers
-	d.addr = addr
-	d.sector = sector
-	d.nsectors = nsectors
-	d.write = write
-	d.completions = completions
-	d.intrEn = intrEn
-	d.stats = stats
-	d.disk = disk
-	return nil
+	snapshot.Slice(s, &d.completions, 1<<16, func(id *int) {
+		snapshot.Uvarint(s, id)
+		s.Check(*id < len(d.trackers), "blockdev: completion for tracker %d, device has %d", *id, len(d.trackers))
+	})
+	s.Bool(&d.intrEn)
+	s.U64(&d.stats.Reads)
+	s.U64(&d.stats.Writes)
+	s.U64(&d.stats.SectorsMoved)
+	s.U64(&d.stats.AllocFailed)
+	snapshot.Map(s, &d.disk, int(d.NumSectors()), nil, func(sector *uint64, data *[]byte) {
+		snapshot.Uvarint(s, sector)
+		s.Bytes(data, SectorBytes)
+		s.Check(*sector < d.NumSectors(), "blockdev: checkpoint sector %d beyond capacity", *sector)
+		s.Check(len(*data) == SectorBytes, "blockdev: checkpoint sector %d is %d bytes, want %d", *sector, len(*data), SectorBytes)
+	})
+	return s.Err()
 }

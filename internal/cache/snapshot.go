@@ -1,71 +1,35 @@
 package cache
 
-import (
-	"fmt"
+import "repro/internal/snapshot"
 
-	"repro/internal/snapshot"
-)
+// Save implements snapshot.Snapshotter.
+func (c *Cache) Save(w *snapshot.Writer) error { return c.state(snapshot.Encode(w)) }
 
-// Save serialises the cache's tag/LRU/dirty state densely, plus the LRU
-// tick and counters. Geometry (set count, ways) is written so a restore
-// into a differently-shaped cache fails loudly instead of silently
+// Restore implements snapshot.Snapshotter.
+func (c *Cache) Restore(r *snapshot.Reader) error { return c.state(snapshot.Decode(r)) }
+
+// state lists the cache's tag/LRU/dirty state densely, plus the LRU tick
+// and counters. Geometry (set count, ways) is recorded so a restore into
+// a differently-shaped cache fails loudly instead of silently
 // reinterpreting lines.
-func (c *Cache) Save(w *snapshot.Writer) error {
-	w.Begin("cache.Cache", 1)
-	w.Uvarint(uint64(len(c.sets)))
-	w.Uvarint(uint64(c.cfg.Ways))
-	w.U64(c.tick)
-	w.U64(c.stats.Hits)
-	w.U64(c.stats.Misses)
-	w.U64(c.stats.Writebacks)
+func (c *Cache) state(s *snapshot.State) error {
+	s.Begin("cache.Cache", 1)
+	s.Shape("sets", len(c.sets))
+	s.Shape("ways", c.cfg.Ways)
+	s.U64(&c.tick)
+	s.U64(&c.stats.Hits)
+	s.U64(&c.stats.Misses)
+	s.U64(&c.stats.Writebacks)
 	for _, ways := range c.sets {
-		for _, ln := range ways {
-			w.U64(ln.tag)
-			w.Bool(ln.valid)
-			w.Bool(ln.dirty)
-			w.U64(ln.lru)
+		for i := range ways {
+			s.U64(&ways[i].tag)
+			s.Bool(&ways[i].valid)
+			s.Bool(&ways[i].dirty)
+			s.U64(&ways[i].lru)
 		}
 	}
-	return w.Err()
-}
-
-// Restore overwrites the cache's line state from r, verifying geometry.
-func (c *Cache) Restore(r *snapshot.Reader) error {
-	if err := r.Begin("cache.Cache", 1); err != nil {
-		return err
+	if s.Decoding() {
+		c.gen++ // residency may have changed wholesale; invalidate Lookup handles
 	}
-	nsets := r.Uvarint()
-	ways := r.Uvarint()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if nsets != uint64(len(c.sets)) || ways != uint64(c.cfg.Ways) {
-		return fmt.Errorf("cache %s: checkpoint geometry %dx%d, cache is %dx%d",
-			c.cfg.Name, nsets, ways, len(c.sets), c.cfg.Ways)
-	}
-	tick := r.U64()
-	var stats Stats
-	stats.Hits = r.U64()
-	stats.Misses = r.U64()
-	stats.Writebacks = r.U64()
-	fresh := make([][]line, len(c.sets))
-	for s := range fresh {
-		fresh[s] = make([]line, c.cfg.Ways)
-		for i := range fresh[s] {
-			fresh[s][i] = line{
-				tag:   r.U64(),
-				valid: r.Bool(),
-				dirty: r.Bool(),
-				lru:   r.U64(),
-			}
-		}
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	c.tick = tick
-	c.stats = stats
-	c.sets = fresh
-	c.gen++ // residency may have changed wholesale; invalidate Lookup handles
-	return nil
+	return s.Err()
 }

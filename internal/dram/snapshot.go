@@ -1,113 +1,47 @@
 package dram
 
-import (
-	"fmt"
-	"sort"
+import "repro/internal/snapshot"
 
-	"repro/internal/clock"
-	"repro/internal/snapshot"
-)
+// Save implements snapshot.Snapshotter.
+func (m *Model) Save(w *snapshot.Writer) error { return m.state(snapshot.Encode(w)) }
 
-// Save serialises the controller timing state (per-bank open row and
-// ready time, bus occupancy, counters) and the sparse functional backing
-// store. Chunks are written in sorted key order so equal memory images
-// always produce equal bytes, and all-zero chunks are skipped: chunk()
-// materialises zeroed chunks on demand, so "absent" and "all zero" are
-// behaviourally identical — skipping them both shrinks checkpoints and
-// keeps save → restore → save byte-stable (a restore never re-creates a
-// chunk the save dropped).
-func (m *Model) Save(w *snapshot.Writer) error {
-	w.Begin("dram.Model", 1)
-	w.Uvarint(uint64(len(m.banks)))
-	for _, bk := range m.banks {
-		w.I64(bk.openRow)
-		w.U64(uint64(bk.readyAt))
-	}
-	w.U64(uint64(m.busFreeAt))
-	w.U64(m.stats.Reads)
-	w.U64(m.stats.Writes)
-	w.U64(m.stats.RowHits)
-	w.U64(m.stats.RowMisses)
-	w.U64(uint64(m.stats.BusBusyCycles))
+// Restore implements snapshot.Snapshotter.
+func (m *Model) Restore(r *snapshot.Reader) error { return m.state(snapshot.Decode(r)) }
 
-	keys := make([]uint64, 0, len(m.mem))
-	for k, c := range m.mem {
-		if allZero(c) {
-			continue
-		}
-		keys = append(keys, k)
+// state lists the controller timing state (per-bank open row and ready
+// time, bus occupancy, counters) and the sparse functional backing store.
+// All-zero chunks are left out: chunk() materialises zeroed chunks on
+// demand, so "absent" and "all zero" are behaviourally identical —
+// leaving them out both shrinks checkpoints and keeps save → restore →
+// save byte-stable (a restore never re-creates a chunk the save dropped).
+func (m *Model) state(s *snapshot.State) error {
+	s.Begin("dram.Model", 1)
+	s.Shape("banks", len(m.banks))
+	for i := range m.banks {
+		snapshot.Fixed(s, &m.banks[i].openRow)
+		snapshot.Fixed(s, &m.banks[i].readyAt)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	w.Uvarint(uint64(len(keys)))
-	for _, k := range keys {
-		w.Uvarint(k)
-		w.Bytes(m.mem[k])
-	}
-	return w.Err()
+	snapshot.Fixed(s, &m.busFreeAt)
+	s.U64(&m.stats.Reads)
+	s.U64(&m.stats.Writes)
+	s.U64(&m.stats.RowHits)
+	s.U64(&m.stats.RowMisses)
+	snapshot.Fixed(s, &m.stats.BusBusyCycles)
+	maxChunks := m.cfg.CapacityBytes >> chunkShift
+	snapshot.Map(s, &m.mem, int(maxChunks), hasData, func(key *uint64, data *[]byte) {
+		snapshot.Uvarint(s, key)
+		s.Bytes(data, chunkSize)
+		s.Check(*key < maxChunks, "dram: checkpoint chunk %d beyond capacity (%d chunks)", *key, maxChunks)
+		s.Check(len(*data) == chunkSize, "dram: checkpoint chunk %d is %d bytes, want %d", *key, len(*data), chunkSize)
+	})
+	return s.Err()
 }
 
-// Restore overwrites the controller and functional state from r.
-func (m *Model) Restore(r *snapshot.Reader) error {
-	if err := r.Begin("dram.Model", 1); err != nil {
-		return err
-	}
-	nbanks := r.Uvarint()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if nbanks != uint64(len(m.banks)) {
-		return fmt.Errorf("dram: checkpoint has %d banks, model has %d", nbanks, len(m.banks))
-	}
-	banks := make([]bank, nbanks)
-	for i := range banks {
-		banks[i].openRow = r.I64()
-		banks[i].readyAt = clock.Cycles(r.U64())
-	}
-	busFreeAt := clock.Cycles(r.U64())
-	var stats Stats
-	stats.Reads = r.U64()
-	stats.Writes = r.U64()
-	stats.RowHits = r.U64()
-	stats.RowMisses = r.U64()
-	stats.BusBusyCycles = clock.Cycles(r.U64())
-
-	maxChunks := int(m.cfg.CapacityBytes >> chunkShift)
-	nchunks := r.Count(maxChunks)
-	if err := r.Err(); err != nil {
-		return err
-	}
-	mem := make(map[uint64][]byte, nchunks)
-	var prev uint64
-	for i := 0; i < nchunks; i++ {
-		key := r.Uvarint()
-		data := r.Bytes(chunkSize)
-		if err := r.Err(); err != nil {
-			return err
-		}
-		if i > 0 && key <= prev {
-			return fmt.Errorf("dram: checkpoint chunk keys out of order (%d after %d)", key, prev)
-		}
-		if key >= uint64(maxChunks) {
-			return fmt.Errorf("dram: checkpoint chunk %d beyond capacity (%d chunks)", key, maxChunks)
-		}
-		if len(data) != chunkSize {
-			return fmt.Errorf("dram: checkpoint chunk %d is %d bytes, want %d", key, len(data), chunkSize)
-		}
-		prev = key
-		mem[key] = data
-	}
-	m.banks = banks
-	m.busFreeAt = busFreeAt
-	m.stats = stats
-	m.mem = mem
-	return nil
-}
-
-func allZero(p []byte) bool {
+func hasData(p []byte) bool {
 	for _, b := range p {
 		if b != 0 {
-			return false
+			return true
 		}
 	}
-	return true
+	return false
 }

@@ -39,20 +39,14 @@ func (r *relay) TickBatch(n int, in, out []*token.Batch) {
 	r.cycle += int64(n)
 }
 
-func (r *relay) Save(w *snapshot.Writer) error {
-	w.Begin("test.relay", 1)
-	w.I64(r.cycle)
-	w.U64(r.hash)
-	return w.Err()
-}
+func (r *relay) Save(w *snapshot.Writer) error     { return r.state(snapshot.Encode(w)) }
+func (r *relay) Restore(rd *snapshot.Reader) error { return r.state(snapshot.Decode(rd)) }
 
-func (r *relay) Restore(rd *snapshot.Reader) error {
-	if err := rd.Begin("test.relay", 1); err != nil {
-		return err
-	}
-	r.cycle = rd.I64()
-	r.hash = rd.U64()
-	return rd.Err()
+func (r *relay) state(s *snapshot.State) error {
+	s.Begin("test.relay", 1)
+	snapshot.Fixed(s, &r.cycle)
+	s.U64(&r.hash)
+	return s.Err()
 }
 
 // faultChain builds a — r1 — r2 — z with latency-8 links. The weights

@@ -36,20 +36,14 @@ func (p *pulse) TickBatch(n int, in, out []*token.Batch) {
 	p.cycle += int64(n)
 }
 
-func (p *pulse) Save(w *snapshot.Writer) error {
-	w.Begin("test.pulse", 1)
-	w.I64(p.cycle)
-	w.U64(p.hash)
-	return w.Err()
-}
+func (p *pulse) Save(w *snapshot.Writer) error    { return p.state(snapshot.Encode(w)) }
+func (p *pulse) Restore(r *snapshot.Reader) error { return p.state(snapshot.Decode(r)) }
 
-func (p *pulse) Restore(r *snapshot.Reader) error {
-	if err := r.Begin("test.pulse", 1); err != nil {
-		return err
-	}
-	p.cycle = r.I64()
-	p.hash = r.U64()
-	return r.Err()
+func (p *pulse) state(s *snapshot.State) error {
+	s.Begin("test.pulse", 1)
+	snapshot.Fixed(s, &p.cycle)
+	s.U64(&p.hash)
+	return s.Err()
 }
 
 // pulsePair builds a two-endpoint topology with traffic in both

@@ -1,163 +1,69 @@
 package nic
 
-import (
-	"fmt"
-
-	"repro/internal/clock"
-	"repro/internal/snapshot"
-)
+import "repro/internal/snapshot"
 
 // maxFrameBytes bounds one packet in a checkpoint; anything larger than
 // the receive packet buffer could never have existed in a live NIC.
 const maxFrameBytes = 1 << 20
 
-// Save serialises the full NIC state: controller queues, the send
-// pipeline (staged packet bytes, DMA ready times, flit cursors), rate
-// limiter, receive assembly and packet buffer, writer occupancy and
-// counters. Config and the DMA port are wiring, re-established by the SoC
-// rebuild.
-func (n *NIC) Save(w *snapshot.Writer) error {
-	w.Begin("nic.NIC", 1)
-	w.Uvarint(uint64(len(n.sendReqs)))
-	for _, rq := range n.sendReqs {
-		w.U64(rq.addr)
-		w.Uvarint(uint64(rq.len))
-	}
-	w.Uvarint(uint64(len(n.recvBufs)))
-	for _, v := range n.recvBufs {
-		w.U64(v)
-	}
-	w.Uvarint(uint64(len(n.sendComps)))
-	for _, v := range n.sendComps {
-		w.U64(v)
-	}
-	w.Uvarint(uint64(len(n.recvComps)))
-	for _, v := range n.recvComps {
-		w.U64(v)
-	}
-	w.U64(n.intrMask)
+// Save implements snapshot.Snapshotter.
+func (n *NIC) Save(w *snapshot.Writer) error { return n.state(snapshot.Encode(w)) }
 
-	w.Uvarint(uint64(len(n.pipeline)))
-	for _, fl := range n.pipeline {
-		w.Bytes(fl.data)
-		w.U64(uint64(fl.readyAt))
-		w.Uvarint(uint64(fl.flit))
-	}
-	w.Uvarint(uint64(n.rateK))
-	w.Uvarint(uint64(n.rateP))
-	w.I64(n.rateCounter)
-	w.I64(n.rateBurst)
+// Restore implements snapshot.Snapshotter.
+func (n *NIC) Restore(r *snapshot.Reader) error { return n.state(snapshot.Decode(r)) }
 
-	w.Uvarint(uint64(len(n.rxAssembly)))
-	for _, f := range n.rxAssembly {
-		w.U64(f)
-	}
-	w.Uvarint(uint64(len(n.pktBuf)))
-	for _, p := range n.pktBuf {
-		w.Bytes(p.data)
-	}
-	w.U64(uint64(n.rxBusyUntil))
-	w.U64(uint64(n.cycle))
+// state lists the full NIC state: controller queues, the send pipeline
+// (staged packet bytes, DMA ready times, flit cursors), rate limiter,
+// receive assembly and packet buffer, writer occupancy and counters. The
+// hardware queue capacities bound every decoded queue, so a corrupted
+// stream cannot inflate on-die buffers. Config and the DMA port are
+// wiring, re-established by the SoC rebuild.
+func (n *NIC) state(s *snapshot.State) error {
+	s.Begin("nic.NIC", 1)
+	snapshot.Slice(s, &n.sendReqs, sendReqQueueCap, func(rq *sendReq) {
+		s.U64(&rq.addr)
+		snapshot.Uvarint(s, &rq.len)
+	})
+	snapshot.Slice(s, &n.recvBufs, recvReqQueueCap, s.U64)
+	snapshot.Slice(s, &n.sendComps, compQueueCap, s.U64)
+	snapshot.Slice(s, &n.recvComps, compQueueCap, s.U64)
+	s.U64(&n.intrMask)
 
-	w.U64(n.stats.PacketsSent)
-	w.U64(n.stats.PacketsRecv)
-	w.U64(n.stats.FlitsSent)
-	w.U64(n.stats.FlitsRecv)
-	w.U64(n.stats.RecvDropped)
-	w.U64(n.stats.RecvNoBuffer)
-	w.U64(n.stats.SendRejected)
-	return w.Err()
-}
-
-// Restore overwrites the NIC's state from r, enforcing the hardware queue
-// capacities so a corrupted stream cannot inflate on-die buffers.
-func (n *NIC) Restore(r *snapshot.Reader) error {
-	if err := r.Begin("nic.NIC", 1); err != nil {
-		return err
-	}
-	sendReqs := make([]sendReq, r.Count(sendReqQueueCap))
-	for i := range sendReqs {
-		sendReqs[i].addr = r.U64()
-		sendReqs[i].len = int(r.Uvarint())
-	}
-	recvBufs := make([]uint64, r.Count(recvReqQueueCap))
-	for i := range recvBufs {
-		recvBufs[i] = r.U64()
-	}
-	sendComps := make([]uint64, r.Count(compQueueCap))
-	for i := range sendComps {
-		sendComps[i] = r.U64()
-	}
-	recvComps := make([]uint64, r.Count(compQueueCap))
-	for i := range recvComps {
-		recvComps[i] = r.U64()
-	}
-	intrMask := r.U64()
-
-	pipeline := make([]*inflightSend, r.Count(readerDepth))
-	for i := range pipeline {
-		fl := &inflightSend{
-			data:    r.Bytes(maxFrameBytes),
-			readyAt: clock.Cycles(r.U64()),
-			flit:    int(r.Uvarint()),
+	snapshot.Slice(s, &n.pipeline, readerDepth, func(fl **inflightSend) {
+		if s.Decoding() {
+			*fl = new(inflightSend)
 		}
-		pipeline[i] = fl
-	}
-	rateK := uint32(r.Uvarint())
-	rateP := uint32(r.Uvarint())
-	rateCounter := r.I64()
-	rateBurst := r.I64()
+		f := *fl
+		s.Bytes(&f.data, maxFrameBytes)
+		snapshot.Fixed(s, &f.readyAt)
+		snapshot.Uvarint(s, &f.flit)
+		s.Check(f.flit <= (len(f.data)+7)/8, "nic: pipeline flit cursor %d out of range", f.flit)
+	})
+	snapshot.Uvarint(s, &n.rateK)
+	snapshot.Uvarint(s, &n.rateP)
+	snapshot.Fixed(s, &n.rateCounter)
+	snapshot.Fixed(s, &n.rateBurst)
+	s.Check(n.rateP != 0, "nic: rate limiter period is zero")
 
-	rxAssembly := make([]uint64, r.Count(maxFrameBytes/8))
-	for i := range rxAssembly {
-		rxAssembly[i] = r.U64()
-	}
-	pktBuf := make([]recvPacket, r.Count(n.cfg.PacketBufBytes))
+	snapshot.Slice(s, &n.rxAssembly, maxFrameBytes/8, s.U64)
 	pktBufBytes := 0
-	for i := range pktBuf {
-		pktBuf[i].data = r.Bytes(maxFrameBytes)
-		pktBufBytes += len(pktBuf[i].data)
+	snapshot.Slice(s, &n.pktBuf, n.cfg.PacketBufBytes, func(p *recvPacket) {
+		s.Bytes(&p.data, maxFrameBytes)
+		pktBufBytes += len(p.data)
+	})
+	s.Check(pktBufBytes <= n.cfg.PacketBufBytes, "nic: packet buffer holds %d bytes, capacity %d", pktBufBytes, n.cfg.PacketBufBytes)
+	if s.Decoding() {
+		n.pktBufBytes = pktBufBytes
 	}
-	rxBusyUntil := clock.Cycles(r.U64())
-	cycle := clock.Cycles(r.U64())
+	snapshot.Fixed(s, &n.rxBusyUntil)
+	snapshot.Fixed(s, &n.cycle)
 
-	var stats Stats
-	stats.PacketsSent = r.U64()
-	stats.PacketsRecv = r.U64()
-	stats.FlitsSent = r.U64()
-	stats.FlitsRecv = r.U64()
-	stats.RecvDropped = r.U64()
-	stats.RecvNoBuffer = r.U64()
-	stats.SendRejected = r.U64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if rateP == 0 {
-		return fmt.Errorf("nic: restored rate limiter period is zero")
-	}
-	if pktBufBytes > n.cfg.PacketBufBytes {
-		return fmt.Errorf("nic: restored packet buffer holds %d bytes, capacity %d", pktBufBytes, n.cfg.PacketBufBytes)
-	}
-	for i, fl := range pipeline {
-		if fl.flit < 0 || fl.flit > (len(fl.data)+7)/8 {
-			return fmt.Errorf("nic: restored pipeline entry %d flit cursor %d out of range", i, fl.flit)
-		}
-	}
-	n.sendReqs = sendReqs
-	n.recvBufs = recvBufs
-	n.sendComps = sendComps
-	n.recvComps = recvComps
-	n.intrMask = intrMask
-	n.pipeline = pipeline
-	n.rateK = rateK
-	n.rateP = rateP
-	n.rateCounter = rateCounter
-	n.rateBurst = rateBurst
-	n.rxAssembly = rxAssembly
-	n.pktBuf = pktBuf
-	n.pktBufBytes = pktBufBytes
-	n.rxBusyUntil = rxBusyUntil
-	n.cycle = cycle
-	n.stats = stats
-	return nil
+	s.U64(&n.stats.PacketsSent)
+	s.U64(&n.stats.PacketsRecv)
+	s.U64(&n.stats.FlitsSent)
+	s.U64(&n.stats.FlitsRecv)
+	s.U64(&n.stats.RecvDropped)
+	s.U64(&n.stats.RecvNoBuffer)
+	s.U64(&n.stats.SendRejected)
+	return s.Err()
 }

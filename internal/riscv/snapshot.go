@@ -1,92 +1,45 @@
 package riscv
 
-import (
-	"fmt"
+import "repro/internal/snapshot"
 
-	"repro/internal/clock"
-	"repro/internal/snapshot"
-)
+// Save implements snapshot.Snapshotter.
+func (c *CPU) Save(w *snapshot.Writer) error { return c.state(snapshot.Encode(w)) }
 
-// Save serialises the hart's full architectural and micro-architectural
+// Restore implements snapshot.Snapshotter.
+func (c *CPU) Restore(r *snapshot.Reader) error { return c.state(snapshot.Decode(r)) }
+
+// state lists the hart's full architectural and micro-architectural
 // state: register file, PC, machine-mode CSRs, cycle counter, halt/WFI
 // flags and the retirement counters. The bus and timing model are
-// configuration, re-established by whoever rebuilds the SoC.
-func (c *CPU) Save(w *snapshot.Writer) error {
-	w.Begin("riscv.CPU", 1)
-	for _, x := range c.X {
-		w.U64(x)
+// configuration, re-established by whoever rebuilds the SoC. X[0]
+// staying hardwired to zero is the one invariant worth checking.
+func (c *CPU) state(s *snapshot.State) error {
+	s.Begin("riscv.CPU", 1)
+	for i := range c.X {
+		s.U64(&c.X[i])
 	}
-	w.U64(c.PC)
-	w.U64(c.MStatus)
-	w.U64(c.MIE)
-	w.U64(c.MIP)
-	w.U64(c.MTVec)
-	w.U64(c.MEPC)
-	w.U64(c.MCause)
-	w.U64(c.MScratch)
-	w.U64(c.HartID)
-	w.U64(uint64(c.Cycle))
-	w.Bool(c.Halted)
-	w.Bool(c.WaitingForInterrupt)
-	w.U64(c.stats.Instret)
-	w.U64(c.stats.Loads)
-	w.U64(c.stats.Stores)
-	w.U64(c.stats.Branches)
-	w.U64(c.stats.Traps)
-	return w.Err()
-}
-
-// Restore overwrites the hart's state from r. X[0] staying hardwired to
-// zero is the one invariant worth checking; everything else is plain
-// data.
-func (c *CPU) Restore(r *snapshot.Reader) error {
-	if err := r.Begin("riscv.CPU", 1); err != nil {
-		return err
+	s.U64(&c.PC)
+	s.U64(&c.MStatus)
+	s.U64(&c.MIE)
+	s.U64(&c.MIP)
+	s.U64(&c.MTVec)
+	s.U64(&c.MEPC)
+	s.U64(&c.MCause)
+	s.U64(&c.MScratch)
+	s.U64(&c.HartID)
+	snapshot.Fixed(s, &c.Cycle)
+	s.Bool(&c.Halted)
+	s.Bool(&c.WaitingForInterrupt)
+	s.U64(&c.stats.Instret)
+	s.U64(&c.stats.Loads)
+	s.U64(&c.stats.Stores)
+	s.U64(&c.stats.Branches)
+	s.U64(&c.stats.Traps)
+	s.Check(c.X[0] == 0, "riscv: x0 = %#x, must be zero", c.X[0])
+	if s.Decoding() {
+		// The predecode cache is derived state: the checkpoint carries
+		// memory contents that may disagree with whatever was cached.
+		c.InvalidateDecodeAll()
 	}
-	var x [32]uint64
-	for i := range x {
-		x[i] = r.U64()
-	}
-	pc := r.U64()
-	mstatus := r.U64()
-	mie := r.U64()
-	mip := r.U64()
-	mtvec := r.U64()
-	mepc := r.U64()
-	mcause := r.U64()
-	mscratch := r.U64()
-	hartID := r.U64()
-	cycle := r.U64()
-	halted := r.Bool()
-	wfi := r.Bool()
-	var stats Stats
-	stats.Instret = r.U64()
-	stats.Loads = r.U64()
-	stats.Stores = r.U64()
-	stats.Branches = r.U64()
-	stats.Traps = r.U64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if x[0] != 0 {
-		return fmt.Errorf("riscv: restored x0 = %#x, must be zero", x[0])
-	}
-	c.X = x
-	c.PC = pc
-	c.MStatus = mstatus
-	c.MIE = mie
-	c.MIP = mip
-	c.MTVec = mtvec
-	c.MEPC = mepc
-	c.MCause = mcause
-	c.MScratch = mscratch
-	c.HartID = hartID
-	c.Cycle = clock.Cycles(cycle)
-	c.Halted = halted
-	c.WaitingForInterrupt = wfi
-	c.stats = stats
-	// The predecode cache is derived state: the checkpoint carries memory
-	// contents that may disagree with whatever was cached, so start cold.
-	c.InvalidateDecodeAll()
-	return nil
+	return s.Err()
 }

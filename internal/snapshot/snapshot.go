@@ -27,12 +27,15 @@
 //	payload   [length]byte
 //	crc       u32 IEEE CRC-32 of payload
 //
-// Within a payload, components write primitives through Writer and read
-// them back through Reader. Both use a sticky error: the first failure
-// latches and every later call is a cheap no-op, so Save/Restore code can
-// run straight-line and check the error once. The Reader never panics on
-// malformed input — every length is capped and every access bounds-checked
-// — which is what the FuzzReader fuzz target enforces.
+// Within a payload, each component lists its fields once, in a state
+// method that takes a State. Save runs that list through Encode (a State
+// over the Writer) and Restore runs the same list through Decode (a State
+// over the Reader), so the two directions cannot disagree on a field, its
+// encoding or its order. Writer and Reader each keep a sticky error: the
+// first failure latches and every later call is a cheap no-op, so a field
+// list runs straight-line and checks the error once. The Reader never panics
+// on malformed input — every length is capped and every access
+// bounds-checked — which is what the FuzzReader fuzz target enforces.
 package snapshot
 
 import (
@@ -84,11 +87,17 @@ type Header struct {
 
 // Snapshotter is implemented by every stateful simulation layer: the CPU
 // register file, caches, DRAM, the NIC, switch models, modeled-OS nodes
-// and the token runner itself. Save must be read-only (checkpointing a
-// live simulation must not perturb it) and deterministic: saving the same
-// state twice yields identical bytes (maps are serialised in sorted key
-// order). Restore must validate what it reads and return an error — never
-// panic — on malformed or mismatched input.
+// and the token runner itself. Each implementation runs one field list
+// (see State) in both directions.
+//
+// Save must be read-only (checkpointing a live simulation must not
+// perturb it) and deterministic: saving the same state twice yields
+// identical bytes (maps are serialised in sorted key order).
+//
+// Restore must validate what it reads and return an error — never panic —
+// on malformed or mismatched input. It overwrites fields in place as it
+// decodes them: after an error the target is partly overwritten and must
+// be discarded, never run or saved.
 type Snapshotter interface {
 	Save(w *Writer) error
 	Restore(r *Reader) error
@@ -97,9 +106,9 @@ type Snapshotter interface {
 // --- Writer ---
 
 // Writer serialises a snapshot stream. Create with NewWriter, open a
-// section per component with Section, write primitives, and Close.
-// Primitive methods latch the first error; check Err (or the error from
-// Close) once at the end.
+// section per component with Section, Save the component into it, and
+// Close. Primitive methods latch the first error; check Err (or the error
+// from Close) once at the end.
 type Writer struct {
 	dst      io.Writer
 	buf      bytes.Buffer // current section payload
@@ -213,9 +222,6 @@ func (w *Writer) U64(v uint64) {
 	w.buf.Write(b[:])
 }
 
-// I64 writes a signed 64-bit value.
-func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
-
 // F64 writes a float64 bit-exactly.
 func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
 
@@ -274,7 +280,6 @@ func (w *Writer) Begin(name string, version uint64) {
 // values afterwards and Err reports the cause.
 type Reader struct {
 	src     io.Reader
-	hdr     Header
 	payload []byte
 	pos     int
 	name    string
@@ -300,11 +305,8 @@ func NewReader(src io.Reader) (*Reader, Header, error) {
 		Cycle:        binary.LittleEndian.Uint64(hdr[16:24]),
 		Step:         binary.LittleEndian.Uint64(hdr[24:32]),
 	}
-	return &Reader{src: src, hdr: h}, h, nil
+	return &Reader{src: src}, h, nil
 }
-
-// Header returns the stream header read by NewReader.
-func (r *Reader) Header() Header { return r.hdr }
 
 // Err returns the first error latched by a primitive read.
 func (r *Reader) Err() error { return r.err }
@@ -314,9 +316,6 @@ func (r *Reader) setErr(err error) {
 		r.err = err
 	}
 }
-
-// SectionName returns the name of the current section.
-func (r *Reader) SectionName() string { return r.name }
 
 // Next advances to the next section and returns its name. It returns
 // io.EOF at the end-of-snapshot trailer; a stream that ends without the
@@ -424,9 +423,6 @@ func (r *Reader) U64() uint64 {
 	}
 	return binary.LittleEndian.Uint64(p)
 }
-
-// I64 reads a signed 64-bit value.
-func (r *Reader) I64() int64 { return int64(r.U64()) }
 
 // F64 reads a float64 bit-exactly.
 func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }

@@ -107,6 +107,23 @@ func RoundTrip(t *testing.T, src snapshot.Snapshotter, fresh func() snapshot.Sna
 		}
 	})
 
+	t.Run("RestoreOverPopulatedTarget", func(t *testing.T) {
+		// Restore decodes in place, so a restore over a populated target
+		// must leave no residue of what was there: a fresh instance's
+		// stream restored over src's state re-saves to exactly itself.
+		empty := save(t, fresh())
+		dst := fresh()
+		if err := restore(t, dst, first); err != nil {
+			t.Fatalf("restore of clean stream: %v", err)
+		}
+		if err := restore(t, dst, empty); err != nil {
+			t.Fatalf("restore of a fresh instance's stream: %v", err)
+		}
+		if got := save(t, dst); !bytes.Equal(got, empty) {
+			t.Fatalf("restore over a populated target left residue (%d vs %d bytes)", len(got), len(empty))
+		}
+	})
+
 	t.Run("TruncationNeverPanics", func(t *testing.T) {
 		// Every strict prefix must error. Dense sweep for short streams,
 		// sampled for long ones (memory images can be megabytes).

@@ -1,138 +1,50 @@
 package soc
 
-import (
-	"fmt"
-
-	"repro/internal/clock"
-	"repro/internal/snapshot"
-)
+import "repro/internal/snapshot"
 
 // maxConsoleBytes bounds the restored UART backlog.
 const maxConsoleBytes = 1 << 26
 
-// Save serialises the whole blade: blade-level state (cycle, halt latch,
+// Save implements snapshot.Snapshotter.
+func (s *SoC) Save(w *snapshot.Writer) error { return s.state(snapshot.Encode(w)) }
+
+// Restore implements snapshot.Snapshotter. The blade must have been
+// rebuilt from the same Config (same core count, same registered
+// devices); structural mismatches are reported, not papered over.
+func (s *SoC) Restore(r *snapshot.Reader) error { return s.state(snapshot.Decode(r)) }
+
+// state lists the whole blade: blade-level state (cycle, halt latch,
 // console), then each subsystem in a fixed order — DRAM, L2, every core
 // (hart, L1I, L1D, busy time), NIC, block device, and finally any
 // registered accelerator devices in ascending MMIO-base order. Devices
 // must implement snapshot.Snapshotter; a blade carrying one that does not
-// cannot be checkpointed, and Save says which.
-func (s *SoC) Save(w *snapshot.Writer) error {
-	w.Begin("soc.SoC", 1)
-	w.U64(uint64(s.cycle))
-	w.Bool(s.halted)
-	w.Bytes(s.console)
-	if err := s.dram.Save(w); err != nil {
-		return err
-	}
-	if err := s.l2.Save(w); err != nil {
-		return err
-	}
-	w.Uvarint(uint64(len(s.cores)))
+// cannot be checkpointed, and the error says which.
+func (s *SoC) state(st *snapshot.State) error {
+	st.Begin("soc.SoC", 1)
+	snapshot.Fixed(st, &s.cycle)
+	st.Bool(&s.halted)
+	st.Bytes(&s.console, maxConsoleBytes)
+	st.Sub(s.dram)
+	st.Sub(s.l2)
+	st.Shape("cores", len(s.cores))
 	for _, c := range s.cores {
-		if err := c.cpu.Save(w); err != nil {
-			return err
-		}
-		if err := c.bus.l1i.Save(w); err != nil {
-			return err
-		}
-		if err := c.bus.l1d.Save(w); err != nil {
-			return err
-		}
-		w.U64(uint64(c.busyUntil))
+		st.Sub(c.cpu)
+		st.Sub(c.bus.l1i)
+		st.Sub(c.bus.l1d)
+		snapshot.Fixed(st, &c.busyUntil)
 	}
-	if err := s.nic.Save(w); err != nil {
-		return err
-	}
-	if err := s.bdev.Save(w); err != nil {
-		return err
-	}
-	w.Uvarint(uint64(len(s.devices)))
+	st.Sub(s.nic)
+	st.Sub(s.bdev)
+	st.Shape("devices", len(s.devices))
 	for _, sl := range s.devices {
 		dev, ok := sl.dev.(snapshot.Snapshotter)
-		if !ok {
-			return fmt.Errorf("soc %s: device at %#x is not snapshottable", s.cfg.Name, sl.base)
+		if !st.Check(ok, "soc: device at %#x is not snapshottable", sl.base) {
+			break
 		}
-		w.U64(sl.base)
-		if err := dev.Save(w); err != nil {
-			return err
-		}
+		base := sl.base
+		st.U64(&base)
+		st.Check(base == sl.base, "soc: checkpoint device at %#x, blade has %#x", base, sl.base)
+		st.Sub(dev)
 	}
-	return w.Err()
-}
-
-// Restore overwrites the blade's state from r. The blade must have been
-// rebuilt from the same Config (same core count, same registered
-// devices); structural mismatches are reported, not papered over.
-func (s *SoC) Restore(r *snapshot.Reader) error {
-	if err := r.Begin("soc.SoC", 1); err != nil {
-		return err
-	}
-	cycle := clock.Cycles(r.U64())
-	halted := r.Bool()
-	console := r.Bytes(maxConsoleBytes)
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if err := s.dram.Restore(r); err != nil {
-		return err
-	}
-	if err := s.l2.Restore(r); err != nil {
-		return err
-	}
-	ncores := r.Uvarint()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if ncores != uint64(len(s.cores)) {
-		return fmt.Errorf("soc %s: checkpoint has %d cores, blade has %d", s.cfg.Name, ncores, len(s.cores))
-	}
-	for _, c := range s.cores {
-		if err := c.cpu.Restore(r); err != nil {
-			return err
-		}
-		if err := c.bus.l1i.Restore(r); err != nil {
-			return err
-		}
-		if err := c.bus.l1d.Restore(r); err != nil {
-			return err
-		}
-		c.busyUntil = clock.Cycles(r.U64())
-	}
-	if err := s.nic.Restore(r); err != nil {
-		return err
-	}
-	if err := s.bdev.Restore(r); err != nil {
-		return err
-	}
-	ndev := r.Uvarint()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if ndev != uint64(len(s.devices)) {
-		return fmt.Errorf("soc %s: checkpoint has %d devices, blade has %d", s.cfg.Name, ndev, len(s.devices))
-	}
-	for i := uint64(0); i < ndev; i++ {
-		base := r.U64()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		dev := s.deviceAt(base)
-		if dev == nil {
-			return fmt.Errorf("soc %s: checkpoint device at %#x not registered on this blade", s.cfg.Name, base)
-		}
-		snap, ok := dev.(snapshot.Snapshotter)
-		if !ok {
-			return fmt.Errorf("soc %s: device at %#x is not snapshottable", s.cfg.Name, base)
-		}
-		if err := snap.Restore(r); err != nil {
-			return err
-		}
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	s.cycle = cycle
-	s.halted = halted
-	s.console = console
-	return nil
+	return st.Err()
 }

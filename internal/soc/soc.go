@@ -214,15 +214,6 @@ func (s *SoC) RegisterDevice(base uint64, dev Device) error {
 	return nil
 }
 
-// deviceAt returns the registered device at exactly base, or nil.
-func (s *SoC) deviceAt(base uint64) Device {
-	i := sort.Search(len(s.devices), func(i int) bool { return s.devices[i].base >= base })
-	if i < len(s.devices) && s.devices[i].base == base {
-		return s.devices[i].dev
-	}
-	return nil
-}
-
 // NIC exposes the blade's NIC (for manager-side rate-limit configuration).
 func (s *SoC) NIC() *nic.NIC { return s.nic }
 

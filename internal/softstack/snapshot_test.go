@@ -2,6 +2,7 @@ package softstack
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -78,3 +79,57 @@ func snapshotErr(n *Node) error {
 type discard struct{}
 
 func (discard) Write(p []byte) (int, error) { return len(p), nil }
+
+// TestRestoreHostileCountAllocatesLittle: a short section whose TX-queue
+// or ARP count claims 2^24-1 elements must fail before anything is
+// allocated for them — every element takes at least one byte, so the
+// count can be refused against the bytes left in the section.
+func TestRestoreHostileCountAllocatesLittle(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// counts are the ARP, RX-flit and TX-queue counts to write; the
+		// last one is hostile and the stream ends a few bytes after it.
+		counts []uint64
+	}{
+		{"txq", []uint64{0, 0, 1<<24 - 1}},
+		{"arp", []uint64{1<<24 - 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			w, err := snapshot.NewWriter(&buf, snapshot.Header{Step: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.Section("state")
+			w.Begin("softstack.Node", 1)
+			for i := 0; i < 7; i++ { // cycle, eventSeq, five counters
+				w.U64(0)
+			}
+			for _, c := range tc.counts {
+				w.Uvarint(c)
+			}
+			w.Bytes(make([]byte, 40))
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			n := NewNode(Config{Name: "n", MAC: 1, IP: 1, Cores: 1})
+			r, _, err := snapshot.NewReader(bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r.Next(); err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err = n.Restore(r)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatal("restore of a hostile count succeeded")
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+				t.Fatalf("restore allocated %d bytes before failing (%v)", grew, err)
+			}
+		})
+	}
+}

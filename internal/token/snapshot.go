@@ -1,69 +1,45 @@
 package token
 
-import (
-	"fmt"
-
-	"repro/internal/snapshot"
-)
+import "repro/internal/snapshot"
 
 // maxBatchCycles bounds the window size a restored batch may claim. Real
 // batches are at most one link latency wide; the cap only exists so a
 // corrupted stream cannot request absurd allocations.
 const maxBatchCycles = 1 << 24
 
-// Save serialises the batch: the window size, then each occupied slot as
-// (offset, data, flags). Slots are already in strictly increasing offset
-// order, so the encoding is canonical — equal batches produce equal bytes.
-func (b *Batch) Save(w *snapshot.Writer) error {
-	w.Uvarint(uint64(b.N))
-	w.Uvarint(uint64(len(b.Slots)))
-	for _, s := range b.Slots {
-		w.Uvarint(uint64(s.Offset))
-		w.U64(s.Tok.Data)
+// Save implements snapshot.Snapshotter.
+func (b *Batch) Save(w *snapshot.Writer) error { return b.state(snapshot.Encode(w)) }
+
+// Restore implements snapshot.Snapshotter.
+func (b *Batch) Restore(r *snapshot.Reader) error { return b.state(snapshot.Decode(r)) }
+
+// state lists the batch: the window size, then each occupied slot as
+// (offset, data, flags). Slots are in strictly increasing offset order,
+// so the encoding is canonical — equal batches produce equal bytes.
+// Every invariant a live batch holds is checked: positive window, slot
+// count within the window, offsets strictly increasing and in range,
+// stored tokens valid.
+func (b *Batch) state(s *snapshot.State) error {
+	snapshot.Uvarint(s, &b.N)
+	s.Check(b.N > 0 && b.N <= maxBatchCycles, "token: batch window out of range")
+	prev, ok := int32(-1), true
+	snapshot.Slice(s, &b.Slots, b.N, func(sl *Slot) {
+		snapshot.Uvarint(s, &sl.Offset)
+		s.U64(&sl.Tok.Data)
 		var flags uint64
-		if s.Tok.Valid {
+		if sl.Tok.Valid {
 			flags |= 1
 		}
-		if s.Tok.Last {
+		if sl.Tok.Last {
 			flags |= 2
 		}
-		w.Uvarint(flags)
-	}
-	return w.Err()
-}
-
-// Restore overwrites the batch from r, validating every invariant a live
-// batch holds: positive window, slot count within the window, offsets
-// strictly increasing and in range, stored tokens valid.
-func (b *Batch) Restore(r *snapshot.Reader) error {
-	n := r.Count(maxBatchCycles)
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if n <= 0 {
-		return fmt.Errorf("token: restored batch window %d not positive", n)
-	}
-	nslots := r.Count(n)
-	if r.Err() != nil {
-		return r.Err()
-	}
-	b.Reset(n)
-	prev := -1
-	for i := 0; i < nslots; i++ {
-		off := int(r.Uvarint())
-		data := r.U64()
-		flags := r.Uvarint()
-		if err := r.Err(); err != nil {
-			return err
+		snapshot.Uvarint(s, &flags)
+		if s.Decoding() {
+			sl.Tok.Valid, sl.Tok.Last = flags&1 != 0, flags&2 != 0
 		}
-		if off <= prev || off >= n {
-			return fmt.Errorf("token: restored slot offset %d out of order or range [0,%d)", off, n)
-		}
-		if flags&1 == 0 || flags&^uint64(3) != 0 {
-			return fmt.Errorf("token: restored slot flags %#x invalid (stored tokens must be valid)", flags)
-		}
-		prev = off
-		b.Slots = append(b.Slots, Slot{Offset: int32(off), Tok: Token{Data: data, Valid: true, Last: flags&2 != 0}})
-	}
-	return nil
+		ok = ok && sl.Offset > prev && int(sl.Offset) < b.N && flags&1 != 0 && flags&^3 == 0
+		prev = sl.Offset
+	})
+	s.Check(ok, "token: slot offsets out of order or past the window, or a stored token invalid")
+	return s.Err()
 }

@@ -60,18 +60,21 @@ timeout 180 go run ./cmd/firesim run-dist -tree 4,8,8 -cut-level 2 -procs 4 \
     -chaos 'kill:shard1@4096,stall:shard2@10240+5000' \
     -verify -quiet
 
-echo "== snapshot, frame, token-batch, control and switch-window fuzz (short) =="
+echo "== snapshot, restore-payload, frame, token-batch, control and switch-window fuzz (short) =="
 # A few seconds of coverage-guided fuzzing over the snapshot decoder, the
-# frame parsers, the bridge's v3 batch decoder, the shard control
-# protocol and the switch's window split: the Reader must never panic on
-# malformed streams, the in-place frame views must agree with the copying
-# decoders, the batch decoder (with the per-frame sequence check, the
-# bridge's only defence against a malformed peer) must reject or
-# round-trip every input, every spec an assign frame carries must be
-# built or refused by the topology builder without a panic, and a switch
-# fed one ingress stream in any window split must emit the same tokens,
-# stats and checkpoint bytes.
+# component decoders behind valid framing (FuzzRestorePayload), the frame
+# parsers, the bridge's v3 batch decoder, the shard control protocol and
+# the switch's window split: the Reader must never panic on malformed
+# streams, a checkpoint whose section payload is corrupt but correctly
+# framed must restore or error without a panic, the in-place frame views
+# must agree with the copying decoders, the batch decoder (with the
+# per-frame sequence check, the bridge's only defence against a malformed
+# peer) must reject or round-trip every input, every spec an assign frame
+# carries must be built or refused by the topology builder without a
+# panic, and a switch fed one ingress stream in any window split must emit
+# the same tokens, stats and checkpoint bytes.
 go test ./internal/snapshot -run '^$' -fuzz FuzzReader -fuzztime 5s >/dev/null
+go test ./internal/manager -run '^$' -fuzz FuzzRestorePayload -fuzztime 3s >/dev/null
 go test ./internal/ethernet -run '^$' -fuzz FuzzParseFrame -fuzztime 3s >/dev/null
 go test ./internal/transport -run '^$' -fuzz FuzzReadBatchV3 -fuzztime 3s >/dev/null
 go test ./internal/manager -run '^$' -fuzz FuzzControlRead -fuzztime 3s >/dev/null
