@@ -27,7 +27,6 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/clock"
-	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/manager"
 	"repro/internal/softstack"
@@ -119,7 +118,7 @@ func cmdTopology(args []string) error {
 	if err != nil {
 		return err
 	}
-	topo, err := core.Tree(f, core.QuadCore)
+	topo, err := manager.Tree(f, manager.QuadCore)
 	if err != nil {
 		return err
 	}
@@ -142,7 +141,7 @@ func cmdBuild(args []string) error {
 	if err != nil {
 		return err
 	}
-	topo, err := core.Tree(f, core.QuadCore)
+	topo, err := manager.Tree(f, manager.QuadCore)
 	if err != nil {
 		return err
 	}
@@ -171,12 +170,12 @@ func cmdDeploy(args []string) error {
 	if err != nil {
 		return err
 	}
-	topo, err := core.Tree(f, core.QuadCore)
+	topo, err := manager.Tree(f, manager.QuadCore)
 	if err != nil {
 		return err
 	}
 	clk := clock.New(clock.DefaultTargetClock)
-	c, err := core.Deploy(topo, core.DeployConfig{
+	c, err := manager.Deploy(topo, manager.DeployConfig{
 		Supernode:   *supernode,
 		LinkLatency: clk.CyclesInMicros(*latencyUs),
 	})
@@ -218,7 +217,7 @@ func cmdPing(args []string) error {
 		return fmt.Errorf("ping: -nodes must be at least 2 (got %d): one node cannot ping another", *nodes)
 	}
 	clk := clock.New(clock.DefaultTargetClock)
-	c, err := core.Deploy(core.Rack("tor0", *nodes, core.QuadCore), core.DeployConfig{
+	c, err := manager.Deploy(manager.Rack("tor0", *nodes, manager.QuadCore), manager.DeployConfig{
 		LinkLatency:      clk.CyclesInMicros(*latencyUs),
 		DisableStaticARP: true,
 		Seed:             *faultSeed,
@@ -274,7 +273,7 @@ func cmdFaults(args []string) error {
 		return nil
 	}
 	clk := clock.New(clock.DefaultTargetClock)
-	c, err := core.Deploy(core.Rack("tor0", *nodes, core.QuadCore), core.DeployConfig{
+	c, err := manager.Deploy(manager.Rack("tor0", *nodes, manager.QuadCore), manager.DeployConfig{
 		Seed:          *seed,
 		FaultScenario: *scenario,
 		FaultHorizon:  clk.CyclesInMicros(*horizonUs),
@@ -319,11 +318,11 @@ func cmdWorkload(args []string) error {
 	if err != nil {
 		return err
 	}
-	topo, err := core.Tree(f, core.QuadCore)
+	topo, err := manager.Tree(f, manager.QuadCore)
 	if err != nil {
 		return err
 	}
-	c, err := core.Deploy(topo, core.DeployConfig{})
+	c, err := manager.Deploy(topo, manager.DeployConfig{})
 	if err != nil {
 		return err
 	}
@@ -344,7 +343,7 @@ func cmdMemcached(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	c, err := core.Deploy(core.Rack("tor0", 8, core.QuadCore), core.DeployConfig{Seed: 42})
+	c, err := manager.Deploy(manager.Rack("tor0", 8, manager.QuadCore), manager.DeployConfig{Seed: 42})
 	if err != nil {
 		return err
 	}

@@ -7,7 +7,6 @@ import (
 	"os"
 
 	"repro/internal/clock"
-	"repro/internal/core"
 	"repro/internal/manager"
 	"repro/internal/snapshot"
 	"repro/internal/stats"
@@ -56,17 +55,17 @@ func addSnapFlags(fs *flag.FlagSet) *snapFlags {
 	}
 }
 
-func (f *snapFlags) deploy() (*core.Cluster, error) {
-	return core.Deploy(f.topo(), f.config())
+func (f *snapFlags) deploy() (*manager.Cluster, error) {
+	return manager.Deploy(f.topo(), f.config())
 }
 
-func (f *snapFlags) topo() *core.Topology {
-	return core.Rack("tor0", *f.nodes, core.QuadCore)
+func (f *snapFlags) topo() manager.NodeSpec {
+	return manager.Rack("tor0", *f.nodes, manager.QuadCore)
 }
 
-func (f *snapFlags) config() core.DeployConfig {
+func (f *snapFlags) config() manager.DeployConfig {
 	clk := clock.New(clock.DefaultTargetClock)
-	return core.DeployConfig{
+	return manager.DeployConfig{
 		LinkLatency: clk.CyclesInMicros(*f.latencyUs),
 		Seed:        *f.seed,
 	}
@@ -75,7 +74,7 @@ func (f *snapFlags) config() core.DeployConfig {
 // startRing drives pure data-plane load (node i streams to node i+1 in a
 // ring). Raw streams keep every node quiescent — checkpointable at any
 // batch boundary — while still exercising the switch and every link.
-func startRing(c *core.Cluster) {
+func startRing(c *manager.Cluster) {
 	n := len(c.Servers)
 	for i, s := range c.Servers {
 		s.StartRawStream(100, c.Servers[(i+1)%n].MAC(), 256, 1.0, 1<<30)
@@ -195,7 +194,7 @@ func cmdSnapVerify(args []string) error {
 		return err
 	}
 
-	advance := func(c *core.Cluster, cycles clock.Cycles) error {
+	advance := func(c *manager.Cluster, cycles clock.Cycles) error {
 		if *parallel {
 			return c.Runner.RunParallel(cycles)
 		}

@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"repro/internal/clock"
-	"repro/internal/core"
+	"repro/internal/manager"
 	"repro/internal/obs"
 )
 
@@ -42,7 +42,7 @@ func cmdTop(args []string) error {
 	defer prof.Stop()
 
 	clk := clock.New(clock.DefaultTargetClock)
-	c, err := core.Deploy(core.Rack("tor0", *nodes, core.QuadCore), core.DeployConfig{
+	c, err := manager.Deploy(manager.Rack("tor0", *nodes, manager.QuadCore), manager.DeployConfig{
 		LinkLatency: clk.CyclesInMicros(*latencyUs),
 	})
 	if err != nil {

@@ -11,7 +11,7 @@ import (
 	"log"
 
 	"repro/internal/clock"
-	"repro/internal/core"
+	"repro/internal/manager"
 	"repro/internal/stats"
 )
 
@@ -21,11 +21,11 @@ func main() {
 	workers := flag.Int("workers", 0, "parallel worker count (0 = GOMAXPROCS)")
 	flag.Parse()
 
-	topo, err := core.Tree([]int{4, 8, 32}, core.QuadCore)
+	topo, err := manager.Tree([]int{4, 8, 32}, manager.QuadCore)
 	if err != nil {
 		log.Fatal(err)
 	}
-	cluster, err := core.Deploy(topo, core.DeployConfig{Supernode: true, Workers: *workers})
+	cluster, err := manager.Deploy(topo, manager.DeployConfig{Supernode: true, Workers: *workers})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func main() {
 		cycles -= cycles % cluster.Runner.Step()
 		rate, err = cluster.Runner.Measure(cycles, clock.DefaultTargetClock, true)
 	} else {
-		rate, err = core.MeasureRate(cluster, cycles)
+		rate, err = cluster.MeasureRate(cycles)
 	}
 	if err != nil {
 		log.Fatal(err)

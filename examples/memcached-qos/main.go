@@ -12,12 +12,12 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/clock"
-	"repro/internal/core"
+	"repro/internal/manager"
 	"repro/internal/stats"
 )
 
 func run(threads int, pinned bool, qps float64) (p50, p95 float64) {
-	cluster, err := core.Deploy(core.Rack("tor0", 8, core.QuadCore), core.DeployConfig{Seed: 42})
+	cluster, err := manager.Deploy(manager.Rack("tor0", 8, manager.QuadCore), manager.DeployConfig{Seed: 42})
 	if err != nil {
 		log.Fatal(err)
 	}

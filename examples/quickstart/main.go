@@ -10,7 +10,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/clock"
-	"repro/internal/core"
+	"repro/internal/manager"
 	"repro/internal/softstack"
 )
 
@@ -18,11 +18,11 @@ func main() {
 	clk := clock.New(clock.DefaultTargetClock)
 
 	// 1. Describe the target: one ToR switch, eight quad-core blades.
-	topo := core.Rack("tor0", 8, core.QuadCore)
+	topo := manager.Rack("tor0", 8, manager.QuadCore)
 
 	// 2. Deploy: the manager builds images, assigns MACs/IPs, populates
 	//    the switch's MAC table, and plans the EC2 instance mapping.
-	cluster, err := core.Deploy(topo, core.DeployConfig{})
+	cluster, err := manager.Deploy(topo, manager.DeployConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func main() {
 		cluster.Servers[1].IP(), cluster.Servers[2].IP(), server.GoodputGbps())
 
 	// 5. Report how fast the simulation itself ran.
-	rate, err := core.MeasureRate(cluster, cluster.LinkLatency*100)
+	rate, err := cluster.MeasureRate(cluster.LinkLatency * 100)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,107 +1,24 @@
-// Package core is the top-level FireSim API: it ties the FAME-1 token
-// runtime, the switch models, the modeled software stack and the
-// simulation manager into the workflow a user actually follows —
-// describe a topology, deploy it, treat the simulated nodes like a real
-// cluster, and measure.
-//
-// The paper's headline workflow (Section III-B3) is three steps:
-//
-//  1. describe the target: switches, blades, link characteristics;
-//  2. let the manager build images, map the simulation onto hosts and
-//     populate MAC tables;
-//  3. run workloads against the simulated cluster and collect
-//     cycle-exact measurements.
-//
-// This package provides exactly that surface. Lower-level control —
-// custom switch routers, custom endpoints, RTL-level blades — remains
-// available from the underlying packages (fame, switchmodel, soc, ...).
+// Package core holds the four names the benchmark harness (bench/rig.go)
+// still imports from the retired top-level API. The manager package is the
+// API — new code describes its topology as a manager.NodeSpec and deploys
+// it with manager.Deploy — and this package goes with the benchmark's
+// next revision.
 package core
 
-import (
-	"fmt"
+import "repro/internal/manager"
 
-	"repro/internal/clock"
-	"repro/internal/manager"
-	"repro/internal/softstack"
-)
+// DeployConfig is manager.DeployConfig.
+type DeployConfig = manager.DeployConfig
 
-// Re-exported topology vocabulary, so typical users only import core.
-type (
-	// Topology is a target datacenter description rooted at a switch.
-	Topology = manager.SwitchNode
-	// Server is one simulated blade in a topology.
-	Server = manager.ServerNode
-	// BladeType selects a blade configuration.
-	BladeType = manager.BladeType
-	// Cluster is a deployed, runnable simulation.
-	Cluster = manager.Cluster
-	// DeployConfig carries runtime-tunable simulation parameters.
-	DeployConfig = manager.DeployConfig
-)
+// QuadCore is manager.QuadCore.
+const QuadCore = manager.QuadCore
 
-// Blade types.
-const (
-	QuadCore   = manager.QuadCore
-	DualCore   = manager.DualCore
-	SingleCore = manager.SingleCore
-)
-
-// NewSwitch returns a switch node for topology construction.
-func NewSwitch(name string) *Topology { return manager.NewSwitchNode(name) }
-
-// NewServer returns a server blade for topology construction.
-func NewServer(name string, t BladeType) *Server { return manager.NewServerNode(name, t) }
-
-// Rack builds the most common building block: one ToR switch with n
-// identical servers.
-func Rack(name string, n int, blade BladeType) *Topology {
-	tor := manager.NewSwitchNode(name)
-	for i := 0; i < n; i++ {
-		tor.AddDownlinks(manager.NewServerNode(fmt.Sprintf("%s-s%d", name, i), blade))
-	}
-	return tor
+// Tree is manager.Tree.
+func Tree(fanouts []int, blade manager.BladeType) (manager.NodeSpec, error) {
+	return manager.Tree(fanouts, blade)
 }
 
-// Tree builds a uniform tree topology: fanouts lists the downlink count
-// at each switch level from the root down, and the final level's
-// downlinks are servers. Tree([]int{4, 8, 32}, QuadCore) is the paper's
-// 1024-node datacenter: a root over 4 aggregation switches, 8 ToRs each,
-// 32 servers per ToR.
-func Tree(fanouts []int, blade BladeType) (*Topology, error) {
-	if len(fanouts) == 0 {
-		return nil, fmt.Errorf("core: Tree needs at least one level")
-	}
-	var build func(level int, name string) *Topology
-	build = func(level int, name string) *Topology {
-		sw := manager.NewSwitchNode(name)
-		for i := 0; i < fanouts[level]; i++ {
-			child := fmt.Sprintf("%s.%d", name, i)
-			if level == len(fanouts)-1 {
-				sw.AddDownlinks(manager.NewServerNode(child, blade))
-			} else {
-				sw.AddDownlinks(build(level+1, child))
-			}
-		}
-		return sw
-	}
-	return build(0, "root"), nil
-}
-
-// Deploy validates, builds and instantiates a topology. The zero
-// DeployConfig gives the paper's standard parameters: a 200 Gbit/s,
-// 2 us-latency network at a 3.2 GHz target clock.
-func Deploy(topo *Topology, cfg DeployConfig) (*Cluster, error) {
+// Deploy is manager.Deploy.
+func Deploy(topo manager.NodeSpec, cfg DeployConfig) (*manager.Cluster, error) {
 	return manager.Deploy(topo, cfg)
 }
-
-// MeasureRate runs the cluster for the given number of target cycles and
-// reports the achieved simulation rate, the metric of the paper's
-// Figures 8 and 9.
-func MeasureRate(c *Cluster, cycles clock.Cycles) (clock.SimRate, error) {
-	cycles -= cycles % c.Runner.Step()
-	return c.Runner.Measure(cycles, clock.DefaultTargetClock, false)
-}
-
-// Nodes returns the cluster's simulated servers — the paper's "users can
-// then treat the simulated nodes as if they were part of a real cluster".
-func Nodes(c *Cluster) []*softstack.Node { return c.Servers }

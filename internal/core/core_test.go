@@ -7,8 +7,14 @@ import (
 	"repro/internal/softstack"
 )
 
+// The shim must keep composing the way the benchmark harness uses it:
+// Tree, then Deploy with a DeployConfig.
+
 func TestRack(t *testing.T) {
-	r := Rack("tor0", 8, QuadCore)
+	r, err := Tree([]int{8}, QuadCore)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got := manager.CountServers(r); got != 8 {
 		t.Errorf("rack has %d servers, want 8", got)
 	}
@@ -37,11 +43,15 @@ func TestTreeEmpty(t *testing.T) {
 }
 
 func TestDeployAndPing(t *testing.T) {
-	c, err := Deploy(Rack("tor0", 4, QuadCore), DeployConfig{LinkLatency: 3200})
+	topo, err := Tree([]int{4}, QuadCore)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes := Nodes(c)
+	c, err := Deploy(topo, DeployConfig{LinkLatency: 3200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := c.Servers
 	if len(nodes) != 4 {
 		t.Fatalf("deployed %d nodes", len(nodes))
 	}
@@ -54,11 +64,15 @@ func TestDeployAndPing(t *testing.T) {
 }
 
 func TestMeasureRate(t *testing.T) {
-	c, err := Deploy(Rack("tor0", 2, SingleCore), DeployConfig{LinkLatency: 6400})
+	topo, err := Tree([]int{2}, manager.SingleCore)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rate, err := MeasureRate(c, 640_000)
+	c, err := Deploy(topo, DeployConfig{LinkLatency: 6400})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rate, err := c.MeasureRate(640_000)
 	if err != nil {
 		t.Fatal(err)
 	}

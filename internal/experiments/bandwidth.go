@@ -6,9 +6,9 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/clock"
-	"repro/internal/core"
 	"repro/internal/ethernet"
 	"repro/internal/fame"
+	"repro/internal/manager"
 	"repro/internal/nic"
 	"repro/internal/riscv"
 	"repro/internal/soc"
@@ -42,7 +42,7 @@ func Iperf(sc Scale) (IperfResult, error) {
 	if sc.Quick {
 		dur = 16_000_000
 	}
-	c, err := core.Deploy(core.Rack("tor0", 2, core.QuadCore), core.DeployConfig{})
+	c, err := manager.Deploy(manager.Rack("tor0", 2, manager.QuadCore), manager.DeployConfig{})
 	if err != nil {
 		return IperfResult{}, err
 	}

@@ -5,7 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/clock"
-	"repro/internal/core"
+	"repro/internal/manager"
 	"repro/internal/softstack"
 	"repro/internal/stats"
 )
@@ -65,7 +65,7 @@ func Fig5(sc Scale) (Fig5Result, error) {
 	var out Fig5Result
 	for _, latUs := range latenciesUs {
 		lat := clk.CyclesInMicros(latUs)
-		c, err := core.Deploy(core.Rack("tor0", 8, core.QuadCore), core.DeployConfig{
+		c, err := manager.Deploy(manager.Rack("tor0", 8, manager.QuadCore), manager.DeployConfig{
 			LinkLatency:      lat,
 			DisableStaticARP: true, // reproduce the ARP-on-first-sample artifact
 		})

@@ -5,7 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/clock"
-	"repro/internal/core"
+	"repro/internal/manager"
 	"repro/internal/stats"
 )
 
@@ -75,9 +75,9 @@ func Fig6(sc Scale) (Fig6Result, error) {
 
 	var out Fig6Result
 	for _, rate := range rates {
-		topo := core.NewSwitch("root")
-		topo.AddDownlinks(core.Rack("tor0", 8, core.QuadCore), core.Rack("tor1", 8, core.QuadCore))
-		c, err := core.Deploy(topo, core.DeployConfig{})
+		topo := manager.NodeSpec{Switch: "root", Downlinks: []manager.NodeSpec{
+			manager.Rack("tor0", 8, manager.QuadCore), manager.Rack("tor1", 8, manager.QuadCore)}}
+		c, err := manager.Deploy(topo, manager.DeployConfig{})
 		if err != nil {
 			return Fig6Result{}, err
 		}

@@ -6,7 +6,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/clock"
-	"repro/internal/core"
+	"repro/internal/manager"
 	"repro/internal/stats"
 )
 
@@ -88,7 +88,7 @@ func Fig7(sc Scale) (Fig7Result, error) {
 }
 
 func fig7Point(cfg Fig7Config, qps float64, window clock.Cycles) (Fig7Point, error) {
-	c, err := core.Deploy(core.Rack("tor0", 8, core.QuadCore), core.DeployConfig{Seed: 1234})
+	c, err := manager.Deploy(manager.Rack("tor0", 8, manager.QuadCore), manager.DeployConfig{Seed: 1234})
 	if err != nil {
 		return Fig7Point{}, err
 	}

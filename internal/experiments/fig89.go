@@ -5,8 +5,8 @@ import (
 	"strings"
 
 	"repro/internal/clock"
-	"repro/internal/core"
 	"repro/internal/hostplatform"
+	"repro/internal/manager"
 	"repro/internal/stats"
 )
 
@@ -53,19 +53,19 @@ func (r Fig8Result) Render() string {
 
 // fig8Topology builds an idle cluster of the given size using the same
 // shapes as the paper (single ToR up to 32 nodes, ToR+root above).
-func fig8Topology(nodes int) (*core.Topology, error) {
+func fig8Topology(nodes int) (manager.NodeSpec, error) {
 	switch {
 	case nodes <= 32:
-		return core.Rack("tor0", nodes, core.QuadCore), nil
+		return manager.Rack("tor0", nodes, manager.QuadCore), nil
 	case nodes <= 256:
 		racks := (nodes + 31) / 32
-		root := core.NewSwitch("root")
+		root := manager.NodeSpec{Switch: "root"}
 		for i := 0; i < racks; i++ {
-			root.AddDownlinks(core.Rack(fmt.Sprintf("tor%d", i), nodes/racks, core.QuadCore))
+			root.Downlinks = append(root.Downlinks, manager.Rack(fmt.Sprintf("tor%d", i), nodes/racks, manager.QuadCore))
 		}
 		return root, nil
 	default:
-		return core.Tree([]int{4, 8, nodes / 32}, core.QuadCore)
+		return manager.Tree([]int{4, 8, nodes / 32}, manager.QuadCore)
 	}
 }
 
@@ -85,7 +85,7 @@ func Fig8(sc Scale) (Fig8Result, error) {
 		if err != nil {
 			return Fig8Result{}, err
 		}
-		c, err := core.Deploy(topo, core.DeployConfig{})
+		c, err := manager.Deploy(topo, manager.DeployConfig{})
 		if err != nil {
 			return Fig8Result{}, err
 		}
@@ -93,7 +93,7 @@ func Fig8(sc Scale) (Fig8Result, error) {
 		if n >= 256 {
 			r = rounds / 4
 		}
-		rate, err := core.MeasureRate(c, c.LinkLatency*r)
+		rate, err := c.MeasureRate(c.LinkLatency * r)
 		if err != nil {
 			return Fig8Result{}, err
 		}
@@ -152,13 +152,13 @@ func Fig9(sc Scale) (Fig9Result, error) {
 	var out Fig9Result
 	for _, latUs := range latenciesUs {
 		lat := clk.CyclesInMicros(latUs)
-		c, err := core.Deploy(core.Rack("tor0", 8, core.QuadCore), core.DeployConfig{LinkLatency: lat})
+		c, err := manager.Deploy(manager.Rack("tor0", 8, manager.QuadCore), manager.DeployConfig{LinkLatency: lat})
 		if err != nil {
 			return Fig9Result{}, err
 		}
 		cycles := clk.CyclesInMicros(targetUs)
 		cycles -= cycles % lat
-		rate, err := core.MeasureRate(c, cycles)
+		rate, err := c.MeasureRate(cycles)
 		if err != nil {
 			return Fig9Result{}, err
 		}

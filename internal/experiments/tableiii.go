@@ -6,7 +6,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/clock"
-	"repro/internal/core"
+	"repro/internal/manager"
 	"repro/internal/stats"
 )
 
@@ -57,15 +57,15 @@ func Fig10(sc Scale) (Fig10Result, error) {
 		fanouts = []int{2, 4, 8} // 64 nodes, same shape
 		rounds = 200
 	}
-	topo, err := core.Tree(fanouts, core.QuadCore)
+	topo, err := manager.Tree(fanouts, manager.QuadCore)
 	if err != nil {
 		return Fig10Result{}, err
 	}
-	c, err := core.Deploy(topo, core.DeployConfig{Supernode: true})
+	c, err := manager.Deploy(topo, manager.DeployConfig{Supernode: true})
 	if err != nil {
 		return Fig10Result{}, err
 	}
-	rate, err := core.MeasureRate(c, c.LinkLatency*rounds)
+	rate, err := c.MeasureRate(c.LinkLatency * rounds)
 	if err != nil {
 		return Fig10Result{}, err
 	}
@@ -145,11 +145,11 @@ func TableIII(sc Scale) (TableIIIResult, error) {
 
 	var out TableIIIResult
 	for _, pairing := range []string{"Cross-ToR", "Cross-aggregation", "Cross-datacenter"} {
-		topo, err := core.Tree(fanouts, core.QuadCore)
+		topo, err := manager.Tree(fanouts, manager.QuadCore)
 		if err != nil {
 			return TableIIIResult{}, err
 		}
-		c, err := core.Deploy(topo, core.DeployConfig{Supernode: true, Seed: 7})
+		c, err := manager.Deploy(topo, manager.DeployConfig{Supernode: true, Seed: 7})
 		if err != nil {
 			return TableIIIResult{}, err
 		}

@@ -1,7 +1,6 @@
 package manager
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/obs"
@@ -18,10 +17,7 @@ func benchmarkDeployedRun(b *testing.B, withMetrics bool) {
 }
 
 func benchmarkDeployedRunParts(b *testing.B, runnerMetrics, switchMetrics bool) {
-	topo := NewSwitchNode("tor0")
-	for i := 0; i < 8; i++ {
-		topo.AddDownlinks(NewServerNode(fmt.Sprintf("s%d", i), QuadCore))
-	}
+	topo := rackOf(8)
 	c, err := Deploy(topo, DeployConfig{})
 	if err != nil {
 		b.Fatal(err)

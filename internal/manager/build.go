@@ -64,20 +64,13 @@ func (f *BuildFarm) Build(blade BladeType, supernode bool) (Image, error) {
 // BuildAll builds every distinct blade type in the topology (the builds
 // are independent, which is what the paper parallelises across build
 // instances) and returns the images sorted by blade type.
-func (f *BuildFarm) BuildAll(root *SwitchNode, supernode bool) ([]Image, error) {
+func (f *BuildFarm) BuildAll(root NodeSpec, supernode bool) ([]Image, error) {
 	types := make(map[BladeType]bool)
-	var walk func(t TopoNode)
-	walk = func(t TopoNode) {
-		switch v := t.(type) {
-		case *SwitchNode:
-			for _, c := range v.Downlinks {
-				walk(c)
-			}
-		case *ServerNode:
-			types[v.Type] = true
+	root.each(func(n *NodeSpec) {
+		if n.Server != "" {
+			types[n.Blade] = true
 		}
-	}
-	walk(root)
+	})
 	var out []Image
 	for bt := range types {
 		img, err := f.Build(bt, supernode)

@@ -1,13 +1,13 @@
 // The topology builder. Every instantiation of a target — a whole-cluster
 // Deploy, the coordinator's root partition, a shard's units — runs the
-// same two steps: assignIdentities names and numbers the FULL tree, and
-// one pre-order walk instantiates the slice this process simulates. Deploy
-// walks the tree with nothing cut. The root partition walks it with every
-// cut point (CutUnits) replaced by a half-link to a down-bridge. A shard
-// walks each hosted unit's subtree under an up-bridge. So names, MACs,
-// IPs, seeds, MAC tables and the runner's Add/Connect order agree across
-// all three, which is what keeps their checkpoint sections
-// interchangeable.
+// same two steps on one validated NodeSpec tree: assignIdentities numbers
+// the servers of the FULL tree, and one pre-order walk instantiates the
+// slice this process simulates. Deploy walks the tree with nothing cut.
+// The root partition walks it with every cut point (CutUnits) replaced by
+// a half-link to a down-bridge. A shard walks each hosted unit's subtree
+// under an up-bridge. So names, MACs, IPs, seeds, MAC tables and the
+// runner's Add/Connect order agree across all three, which is what keeps
+// their checkpoint sections interchangeable.
 package manager
 
 import (
@@ -58,98 +58,64 @@ type NodeIdentity struct {
 }
 
 // topoIdentities is the output of the assignment pass: server identities
-// in depth-first order and per-subtree MAC lists for switch MAC-table
-// construction. It is pure metadata — no simulation component is
+// in depth-first order and, per node, the span of those identities its
+// subtree holds. It is pure metadata — no simulation component is
 // instantiated — so a partition builder can run the pass over the FULL
-// topology and then instantiate only its slice, with names, MACs, IPs and
-// seeds identical to a whole-cluster Deploy.
+// topology and then instantiate only its slice, with MACs, IPs and seeds
+// identical to a whole-cluster Deploy.
 type topoIdentities struct {
-	servers     []*NodeIdentity
-	bySpec      map[*ServerNode]*NodeIdentity
-	subtreeMACs map[TopoNode][]ethernet.MAC
+	servers []*NodeIdentity
+	spans   map[*NodeSpec]span
 }
 
-// assignIdentities walks the tree depth-first, so MAC/IP assignment is
-// stable under topology edits elsewhere in the tree. Empty names are
-// filled in on the spec tree itself (the names are part of the
-// deployment's identity): switches in pre-order, servers in assignment
-// order. Servers and switches share one namespace, because checkpoint
-// sections and component hashes are keyed by name; a repeated name —
-// including an auto-assigned one that collides with a user's — is an
-// error.
-func assignIdentities(root *SwitchNode, cfg DeployConfig) (*topoIdentities, error) {
-	ids := &topoIdentities{
-		bySpec:      make(map[*ServerNode]*NodeIdentity),
-		subtreeMACs: make(map[TopoNode][]ethernet.MAC),
-	}
-	names := make(map[string]bool)
-	switches := 0
-	var assign func(t TopoNode) error
-	assign = func(t TopoNode) error {
-		var macs []ethernet.MAC
-		switch v := t.(type) {
-		case *SwitchNode:
-			if v.Name == "" {
-				v.Name = fmt.Sprintf("switch%d", switches)
-			}
-			switches++
-			if names[v.Name] {
-				return fmt.Errorf("manager: two components named %q", v.Name)
-			}
-			names[v.Name] = true
-			for _, d := range v.Downlinks {
-				if err := assign(d); err != nil {
-					return err
-				}
-				macs = append(macs, ids.subtreeMACs[d]...)
-			}
-		case *ServerNode:
-			idx := len(ids.servers)
-			if v.Name == "" {
-				v.Name = fmt.Sprintf("server%d", idx)
-			}
-			if names[v.Name] {
-				return fmt.Errorf("manager: two components named %q", v.Name)
-			}
-			names[v.Name] = true
-			cores, _ := v.Type.Cores()
-			id := &NodeIdentity{
-				Index: idx,
-				Name:  v.Name,
-				MAC:   ethernet.MAC(0x0200_0000_0000) + ethernet.MAC(idx+1),
-				IP:    ethernet.IP(0x0a00_0000) + ethernet.IP(idx+1),
-				Seed:  cfg.Seed + uint64(idx)*0x9e37,
+// span is the half-open range [lo, hi) of server indices below one node;
+// a server's span holds just its own index.
+type span struct{ lo, hi int }
+
+// assignIdentities walks a validated tree depth-first, so MAC/IP
+// assignment is stable under topology edits elsewhere in the tree.
+func assignIdentities(root *NodeSpec, cfg DeployConfig) *topoIdentities {
+	ids := &topoIdentities{spans: make(map[*NodeSpec]span)}
+	var assign func(n *NodeSpec)
+	assign = func(n *NodeSpec) {
+		lo := len(ids.servers)
+		if n.Server != "" {
+			cores, _ := n.Blade.Cores()
+			ids.servers = append(ids.servers, &NodeIdentity{
+				Index: lo,
+				Name:  n.Server,
+				MAC:   ethernet.MAC(0x0200_0000_0000) + ethernet.MAC(lo+1),
+				IP:    ethernet.IP(0x0a00_0000) + ethernet.IP(lo+1),
+				Seed:  cfg.Seed + uint64(lo)*0x9e37,
 				Cores: cores,
-			}
-			ids.bySpec[v] = id
-			ids.servers = append(ids.servers, id)
-			macs = []ethernet.MAC{id.MAC}
+			})
 		}
-		ids.subtreeMACs[t] = macs
-		return nil
+		for i := range n.Downlinks {
+			assign(&n.Downlinks[i])
+		}
+		ids.spans[n] = span{lo, len(ids.servers)}
 	}
-	if err := assign(root); err != nil {
-		return nil, err
-	}
-	return ids, nil
+	assign(root)
+	return ids
 }
 
 // setMACTable installs the static MAC table for one switch: every server
 // below downlink i maps to port i; everything else exits the uplink
 // (uplink < 0 for the root).
-func setMACTable(sw *switchmodel.Switch, s *SwitchNode, ids *topoIdentities, uplink int) {
-	below := make(map[ethernet.MAC]bool)
-	for i, d := range s.Downlinks {
-		for _, m := range ids.subtreeMACs[d] {
-			sw.MACTable().Set(m, i)
-			below[m] = true
+func setMACTable(sw *switchmodel.Switch, s *NodeSpec, ids *topoIdentities, uplink int) {
+	for i := range s.Downlinks {
+		d := ids.spans[&s.Downlinks[i]]
+		for _, id := range ids.servers[d.lo:d.hi] {
+			sw.MACTable().Set(id.MAC, i)
 		}
 	}
 	if uplink >= 0 {
-		for _, id := range ids.servers {
-			if !below[id.MAC] {
-				sw.MACTable().Set(id.MAC, uplink)
-			}
+		own := ids.spans[s]
+		for _, id := range ids.servers[:own.lo] {
+			sw.MACTable().Set(id.MAC, uplink)
+		}
+		for _, id := range ids.servers[own.hi:] {
+			sw.MACTable().Set(id.MAC, uplink)
 		}
 	}
 }
@@ -182,7 +148,7 @@ func (t *unitTable) register(section string, s snapshot.Snapshotter) {
 // endpoint indices.
 type builder struct {
 	cfg      DeployConfig // normalized
-	root     *SwitchNode
+	root     *NodeSpec
 	ids      *topoIdentities
 	topoHash uint64
 	runner   *fame.Runner
@@ -190,7 +156,7 @@ type builder struct {
 	// cuts maps each cut point to its unit when building the root
 	// partition; half and bridgeTimeout configure the bridges that
 	// replace cut links.
-	cuts          map[TopoNode]int
+	cuts          map[*NodeSpec]int
 	half          clock.Cycles
 	bridgeTimeout time.Duration
 	bridges       map[int]*transport.Bridge
@@ -201,18 +167,15 @@ type builder struct {
 	tab      *unitTable      // the unit being built
 }
 
-// newBuilder names the full tree and prepares an empty runner.
-func newBuilder(root *SwitchNode, cfg DeployConfig) (*builder, error) {
+// newBuilder numbers the full, validated tree and prepares an empty
+// runner.
+func newBuilder(root *NodeSpec, cfg DeployConfig) (*builder, error) {
 	cfg = normalizeConfig(cfg)
-	ids, err := assignIdentities(root, cfg)
-	if err != nil {
-		return nil, err
-	}
 	b := &builder{
 		cfg:      cfg,
 		root:     root,
-		ids:      ids,
-		topoHash: TopologyHash(root, cfg),
+		ids:      assignIdentities(root, cfg),
+		topoHash: TopologyHash(*root, cfg),
 		runner:   fame.NewRunner(),
 		bridges:  make(map[int]*transport.Bridge),
 		tab:      newUnitTable(),
@@ -230,8 +193,8 @@ func (b *builder) add(ep fame.Endpoint) {
 }
 
 // node instantiates the server model for a blade and registers it.
-func (b *builder) node(v *ServerNode) *softstack.Node {
-	id := b.ids.bySpec[v]
+func (b *builder) node(v *NodeSpec) *softstack.Node {
+	id := b.ids.servers[b.ids.spans[v].lo]
 	n := softstack.NewNode(softstack.Config{
 		Name:  id.Name,
 		MAC:   id.MAC,
@@ -267,16 +230,15 @@ func (b *builder) bridge(dir string, unit int) *transport.Bridge {
 
 // attach instantiates subtree t and links its uplink port — a blade's
 // only port, a switch's last — to the given port of parent.
-func (b *builder) attach(t TopoNode, parent fame.Endpoint, port int, latency clock.Cycles) error {
+func (b *builder) attach(t *NodeSpec, parent fame.Endpoint, port int, latency clock.Cycles) error {
 	var ep fame.Endpoint
-	switch v := t.(type) {
-	case *ServerNode:
-		n := b.node(v)
+	if t.Server != "" {
+		n := b.node(t)
 		b.add(n)
 		b.targets = append(b.targets, faults.Target{Name: n.Name(), Ports: 1, Kind: faults.NodeTarget})
 		ep = n
-	case *SwitchNode:
-		sw, err := b.walkSwitch(v)
+	} else {
+		sw, err := b.walkSwitch(t)
 		if err != nil {
 			return err
 		}
@@ -288,21 +250,21 @@ func (b *builder) attach(t TopoNode, parent fame.Endpoint, port int, latency clo
 // walkSwitch instantiates switch s and every downlink below it that is
 // not cut away. A switch has an uplink port, numbered after its
 // downlinks, exactly when it is not the tree root.
-func (b *builder) walkSwitch(s *SwitchNode) (*switchmodel.Switch, error) {
+func (b *builder) walkSwitch(s *NodeSpec) (*switchmodel.Switch, error) {
 	ports, uplink := len(s.Downlinks), -1
 	if s != b.root {
 		uplink = ports
 		ports++
 	}
 	sw := switchmodel.New(switchmodel.Config{
-		Name:             s.Name,
+		Name:             s.Switch,
 		Ports:            ports,
 		SwitchingLatency: b.cfg.SwitchingLatency,
 	})
 	setMACTable(sw, s, b.ids, uplink)
 	b.switches = append(b.switches, sw)
 	b.add(sw)
-	b.tab.register("switch/"+s.Name, sw)
+	b.tab.register("switch/"+s.Switch, sw)
 
 	var group []int // ports of sibling blades awaiting supernode packing
 	flush := func() error {
@@ -313,17 +275,17 @@ func (b *builder) walkSwitch(s *SwitchNode) (*switchmodel.Switch, error) {
 		group = group[:0]
 		return err
 	}
-	for i, d := range s.Downlinks {
+	for i := range s.Downlinks {
 		var err error
+		d := &s.Downlinks[i]
 		unit, cut := b.cuts[d]
-		_, blade := d.(*ServerNode)
 		switch {
 		case cut:
 			// The subtree is a shard-hosted unit.
 			if err = flush(); err == nil {
 				err = b.runner.Connect(b.bridge("down", unit), 0, sw, i, b.half)
 			}
-		case blade && b.cfg.Supernode:
+		case d.Server != "" && b.cfg.Supernode:
 			if group = append(group, i); len(group) == 4 {
 				err = flush()
 			}
@@ -344,15 +306,15 @@ func (b *builder) walkSwitch(s *SwitchNode) (*switchmodel.Switch, error) {
 // (one FPGA), exactly the packing of Section III-A5. The composite is
 // functionally indistinguishable from the blades running standalone
 // (asserted by tests).
-func (b *builder) pack(s *SwitchNode, sw *switchmodel.Switch, ports []int) error {
+func (b *builder) pack(s *NodeSpec, sw *switchmodel.Switch, ports []int) error {
 	if len(ports) == 1 {
-		return b.attach(s.Downlinks[ports[0]], sw, ports[0], b.cfg.LinkLatency)
+		return b.attach(&s.Downlinks[ports[0]], sw, ports[0], b.cfg.LinkLatency)
 	}
 	eps := make([]fame.Endpoint, len(ports))
 	for k, port := range ports {
-		eps[k] = b.node(s.Downlinks[port].(*ServerNode))
+		eps[k] = b.node(&s.Downlinks[port])
 	}
-	m := fame.NewMultiplex(fmt.Sprintf("%s-fpga%d", s.Name, ports[0]/4), eps...)
+	m := fame.NewMultiplex(fmt.Sprintf("%s-fpga%d", s.Switch, ports[0]/4), eps...)
 	b.add(m)
 	for k, port := range ports {
 		if err := b.runner.Connect(m, m.PortOf(k, 0), sw, port, b.cfg.LinkLatency); err != nil {

@@ -22,24 +22,14 @@ func startRing(c *Cluster) {
 	}
 }
 
-// goldenTree builds an unnamed uniform tree from the public topology API,
-// so every switch and server name is assigned by the builder.
-func goldenTree(fanouts []int) *SwitchNode {
-	root := NewSwitchNode("")
-	var grow func(s *SwitchNode, level int)
-	grow = func(s *SwitchNode, level int) {
-		for i := 0; i < fanouts[level]; i++ {
-			if level == len(fanouts)-1 {
-				s.AddDownlinks(NewServerNode("", SingleCore))
-				continue
-			}
-			c := NewSwitchNode("")
-			s.AddDownlinks(c)
-			grow(c, level+1)
-		}
+// goldenTree builds a uniform single-core tree named switchN/serverN, as
+// TreeSpec names it.
+func goldenTree(t *testing.T, fanouts []int) NodeSpec {
+	spec, err := TreeSpec(fanouts, SingleCore, DeployConfig{}, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	grow(root, 0)
-	return root
+	return spec.Root
 }
 
 func sha(b []byte) string {
@@ -57,15 +47,15 @@ func TestCheckpointBytesGolden(t *testing.T) {
 	supernode.Supernode = true
 	clusters := []struct {
 		name string
-		root *SwitchNode
+		root NodeSpec
 		cfg  DeployConfig
 		want string
 		// hashes is the topology hash, the component count and the
 		// combined component hashes.
 		hashes string
 	}{
-		{"rack4", goldenTree([]int{4}), DeployConfig{LinkLatency: 64, Seed: 42}, "276763399f6c079c9befcd3f5e6383cceef67b6e25e310ad9509f42cfc2ab85e", "3a96e143e43cc9fe 5 b19becba579b61bd"},
-		{"tree222", goldenTree([]int{2, 2, 2}), DeployConfig{LinkLatency: 64, Seed: 42}, "fea051f8aa8e68d32993bcd815ac1df90b32d58e6e8138338cc63053ffca572d", "334967c769797fa9 15 cfdbf9fee6dded4b"},
+		{"rack4", goldenTree(t, []int{4}), DeployConfig{LinkLatency: 64, Seed: 42}, "276763399f6c079c9befcd3f5e6383cceef67b6e25e310ad9509f42cfc2ab85e", "3a96e143e43cc9fe 5 b19becba579b61bd"},
+		{"tree222", goldenTree(t, []int{2, 2, 2}), DeployConfig{LinkLatency: 64, Seed: 42}, "fea051f8aa8e68d32993bcd815ac1df90b32d58e6e8138338cc63053ffca572d", "334967c769797fa9 15 cfdbf9fee6dded4b"},
 		{"supernode-faults", snapTopo(), supernode, "d30bd59232fde651a6df27a4e239bd7c97da52181ee59b810db80b863f2651e3", "5ebde3fd59ad5582 7 336c91121b027877"},
 	}
 	for _, tc := range clusters {
@@ -147,36 +137,16 @@ func TestCheckpointBytesGolden(t *testing.T) {
 
 // TestDuplicateComponentNamesRejected: checkpoint sections and component
 // hashes are keyed by name, so two components with one name — two
-// servers, a server and a switch, or an auto-assigned name colliding with
-// a user's — must be refused by every builder instead of silently
-// dropping one of them from checkpoints and hash checks.
+// servers, or a server and a switch — must be refused by every builder
+// instead of silently dropping one of them from checkpoints and hash
+// checks.
 func TestDuplicateComponentNamesRejected(t *testing.T) {
-	trees := map[string]func() *SwitchNode{
-		"two servers": func() *SwitchNode {
-			root := NewSwitchNode("root")
-			root.AddDownlinks(NewServerNode("a", SingleCore), NewServerNode("a", SingleCore))
-			return root
-		},
-		"server and switch": func() *SwitchNode {
-			root := NewSwitchNode("root")
-			tor := NewSwitchNode("a")
-			tor.AddDownlinks(NewServerNode("b", SingleCore))
-			root.AddDownlinks(tor, NewServerNode("a", SingleCore))
-			return root
-		},
-		"auto name after user name": func() *SwitchNode {
-			root := NewSwitchNode("root")
-			root.AddDownlinks(NewServerNode("server1", SingleCore), NewServerNode("", SingleCore))
-			return root
-		},
-		"user name after auto name": func() *SwitchNode {
-			root := NewSwitchNode("")
-			root.AddDownlinks(NewServerNode("", SingleCore), NewServerNode("switch0", SingleCore))
-			return root
-		},
+	trees := map[string]NodeSpec{
+		"two servers":       sw("root", srv("a", SingleCore), srv("a", SingleCore)),
+		"server and switch": sw("root", sw("a", srv("b", SingleCore)), srv("a", SingleCore)),
 	}
 	for name, tree := range trees {
-		if _, err := Deploy(tree(), DeployConfig{LinkLatency: 64}); err == nil || !strings.Contains(err.Error(), "two components named") {
+		if _, err := Deploy(tree, DeployConfig{LinkLatency: 64}); err == nil || !strings.Contains(err.Error(), "two components named") {
 			t.Errorf("%s: Deploy err = %v, want a duplicate-name error", name, err)
 		}
 	}

@@ -378,16 +378,11 @@ func RunDistributed(cfg CoordinatorConfig) (*DistReport, error) {
 
 // unitWeights counts the servers under each partition unit at the given
 // cut level — the packing weight of each unit.
-func unitWeights(root *SwitchNode, cutLevel int) []int {
+func unitWeights(root NodeSpec, cutLevel int) []int {
 	cuts := CutUnits(root, cutLevel)
 	w := make([]int, len(cuts))
 	for i, d := range cuts {
-		switch v := d.(type) {
-		case *ServerNode:
-			w[i] = 1
-		case *SwitchNode:
-			w[i] = CountServers(v)
-		}
+		w[i] = CountServers(*d)
 	}
 	return w
 }

@@ -80,12 +80,6 @@ type Cluster struct {
 	ids   []*NodeIdentity // server identities in assignment order
 }
 
-// NodeByName returns the named server, or nil.
-func (c *Cluster) NodeByName(name string) *softstack.Node {
-	n, _ := c.comps.comps["node/"+name].(*softstack.Node)
-	return n
-}
-
 // RunFor advances the whole simulation by at least the given number of
 // target cycles, rounded up to a whole number of batches (the runner can
 // only advance in Step()-sized quanta). Asking for zero or negative
@@ -126,12 +120,20 @@ func (c *Cluster) RunUntil(pred func() bool, maxCycles clock.Cycles) (bool, erro
 	return pred(), nil
 }
 
+// MeasureRate runs the cluster for the given number of target cycles,
+// rounded down to whole batches, and reports the achieved simulation
+// rate, the metric of the paper's Figures 8 and 9.
+func (c *Cluster) MeasureRate(cycles clock.Cycles) (clock.SimRate, error) {
+	cycles -= cycles % c.Runner.Step()
+	return c.Runner.Measure(cycles, clock.DefaultTargetClock, false)
+}
+
 // Deploy validates, builds, maps and instantiates the topology.
-func Deploy(root *SwitchNode, cfg DeployConfig) (*Cluster, error) {
+func Deploy(root NodeSpec, cfg DeployConfig) (*Cluster, error) {
 	if err := Validate(root); err != nil {
 		return nil, err
 	}
-	b, err := newBuilder(root, cfg)
+	b, err := newBuilder(&root, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -139,14 +141,14 @@ func Deploy(root *SwitchNode, cfg DeployConfig) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := b.walkSwitch(root); err != nil {
+	if _, err := b.walkSwitch(b.root); err != nil {
 		return nil, err
 	}
 	c := &Cluster{
 		Runner:      b.runner,
 		Servers:     b.servers,
 		Switches:    b.switches,
-		Deployment:  planDeployment(root, b.cfg.Supernode),
+		Deployment:  planDeployment(b.root, b.cfg.Supernode),
 		Images:      images,
 		LinkLatency: b.cfg.LinkLatency,
 		TopoHash:    b.topoHash,
@@ -202,25 +204,24 @@ func (c *Cluster) wireFaults(cfg DeployConfig, targets []faults.Target) error {
 // into a 64-bit value. The two halves of a distributed simulation pass it
 // as transport.BridgeConfig.TopologyHash so the bridge handshake refuses
 // to splice simulations of different targets together.
-func TopologyHash(root *SwitchNode, cfg DeployConfig) uint64 {
+func TopologyHash(root NodeSpec, cfg DeployConfig) uint64 {
 	h := fnv.New64a()
 	write := func(s string) { h.Write([]byte(s)); h.Write([]byte{0}) }
 	cfg = normalizeConfig(cfg)
 	write(fmt.Sprintf("link=%d supernode=%v", cfg.LinkLatency, cfg.Supernode))
-	var walk func(t TopoNode)
-	walk = func(t TopoNode) {
-		switch v := t.(type) {
-		case *SwitchNode:
-			write("sw " + v.Name)
-			for _, d := range v.Downlinks {
-				walk(d)
-			}
-			write("end")
-		case *ServerNode:
-			write("srv " + v.Name + " " + string(v.Type))
+	var walk func(n *NodeSpec)
+	walk = func(n *NodeSpec) {
+		if n.Server != "" {
+			write("srv " + n.Server + " " + string(n.Blade))
+			return
 		}
+		write("sw " + n.Switch)
+		for i := range n.Downlinks {
+			walk(&n.Downlinks[i])
+		}
+		write("end")
 	}
-	walk(root)
+	walk(&root)
 	return h.Sum64()
 }
 
@@ -228,13 +229,13 @@ func TopologyHash(root *SwitchNode, cfg DeployConfig) uint64 {
 // their servers go to f1.16xlarge instances (8 FPGAs each, 1 or 4 nodes
 // per FPGA), while aggregation and root switch models get m4.16xlarge
 // instances — the mapping of Figure 2 and Section V-C.
-func planDeployment(root *SwitchNode, supernode bool) *hostplatform.Deployment {
+func planDeployment(root *NodeSpec, supernode bool) *hostplatform.Deployment {
 	d := hostplatform.NewDeployment()
 	nodesPerFPGA := 1
 	if supernode {
 		nodesPerFPGA = 4
 	}
-	servers := CountServers(root)
+	servers := CountServers(*root)
 	fpgas := (servers + nodesPerFPGA - 1) / nodesPerFPGA
 	if fpgas <= 2 {
 		// Small experiments rent single-FPGA f1.2xlarge instances rather
@@ -247,22 +248,14 @@ func planDeployment(root *SwitchNode, supernode bool) *hostplatform.Deployment {
 	// Count switches that have at least one switch child: they cannot be
 	// co-located with server FPGAs and run on m4.16xlarge hosts.
 	aggLike := 0
-	var walk func(t TopoNode)
-	walk = func(t TopoNode) {
-		if v, ok := t.(*SwitchNode); ok {
-			hasSwitchChild := false
-			for _, c := range v.Downlinks {
-				if _, isSwitch := c.(*SwitchNode); isSwitch {
-					hasSwitchChild = true
-				}
-				walk(c)
-			}
-			if hasSwitchChild {
+	root.each(func(n *NodeSpec) {
+		for i := range n.Downlinks {
+			if n.Downlinks[i].Switch != "" {
 				aggLike++
+				return
 			}
 		}
-	}
-	walk(root)
+	})
 	if aggLike > 0 {
 		d.Add(hostplatform.M4_16XLarge, aggLike)
 	}

@@ -2,7 +2,6 @@ package manager
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 
 	"repro/internal/clock"
@@ -14,10 +13,7 @@ import (
 func faultedRack(t *testing.T, n int) (*Cluster, clock.Cycles) {
 	t.Helper()
 	const horizon = 100 * 6400 // 640k cycles at the default link latency
-	topo := NewSwitchNode("tor0")
-	for i := 0; i < n; i++ {
-		topo.AddDownlinks(NewServerNode(fmt.Sprintf("s%d", i), QuadCore))
-	}
+	topo := rackOf(n)
 	// Aggressive rates so a short run sees every fault kind.
 	fcfg := &faults.Config{
 		Scenario:    "test-aggressive",
@@ -121,10 +117,7 @@ func TestFaultDeterminism(t *testing.T) {
 
 	// Different seed: the schedule must actually differ (faults are not
 	// being ignored).
-	topo := NewSwitchNode("tor0")
-	for i := 0; i < 4; i++ {
-		topo.AddDownlinks(NewServerNode(fmt.Sprintf("s%d", i), QuadCore))
-	}
+	topo := rackOf(4)
 	fcfg := c1.Faults.Config()
 	fcfg.Seed = 100
 	c4, err := Deploy(topo, DeployConfig{Seed: 7, FaultConfig: &fcfg})
@@ -139,8 +132,7 @@ func TestFaultDeterminism(t *testing.T) {
 // TestDeployFaultScenario covers the named-scenario path through
 // DeployConfig.
 func TestDeployFaultScenario(t *testing.T) {
-	topo := NewSwitchNode("tor0")
-	topo.AddDownlinks(NewServerNode("s0", QuadCore), NewServerNode("s1", QuadCore))
+	topo := rackOf(2)
 	c, err := Deploy(topo, DeployConfig{Seed: 3, FaultScenario: "flaky-links"})
 	if err != nil {
 		t.Fatal(err)
@@ -149,14 +141,12 @@ func TestDeployFaultScenario(t *testing.T) {
 		t.Fatal("named scenario produced no fault plan")
 	}
 
-	topo2 := NewSwitchNode("tor0")
-	topo2.AddDownlinks(NewServerNode("s0", QuadCore))
+	topo2 := rackOf(1)
 	if _, err := Deploy(topo2, DeployConfig{FaultScenario: "no-such-scenario"}); err == nil {
 		t.Error("unknown fault scenario accepted")
 	}
 
-	topo3 := NewSwitchNode("tor0")
-	topo3.AddDownlinks(NewServerNode("s0", QuadCore))
+	topo3 := rackOf(1)
 	c3, err := Deploy(topo3, DeployConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -169,13 +159,7 @@ func TestDeployFaultScenario(t *testing.T) {
 // TestTopologyHash: equal deployments hash equal; structural or parameter
 // changes change the hash.
 func TestTopologyHash(t *testing.T) {
-	mk := func(n int) *SwitchNode {
-		topo := NewSwitchNode("tor0")
-		for i := 0; i < n; i++ {
-			topo.AddDownlinks(NewServerNode(fmt.Sprintf("s%d", i), QuadCore))
-		}
-		return topo
-	}
+	mk := rackOf
 	h1 := TopologyHash(mk(4), DeployConfig{})
 	h2 := TopologyHash(mk(4), DeployConfig{})
 	if h1 != h2 {

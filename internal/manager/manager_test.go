@@ -9,34 +9,42 @@ import (
 	"repro/internal/softstack"
 )
 
+// sw and srv build test topologies tersely.
+func sw(name string, downlinks ...NodeSpec) NodeSpec {
+	return NodeSpec{Switch: name, Downlinks: downlinks}
+}
+
+func srv(name string, blade BladeType) NodeSpec { return NodeSpec{Server: name, Blade: blade} }
+
+// rackOf is a ToR named tor0 over n quad-core servers named s0, s1, ...
+func rackOf(n int) NodeSpec {
+	tor := sw("tor0")
+	for i := 0; i < n; i++ {
+		tor.Downlinks = append(tor.Downlinks, srv(fmt.Sprintf("s%d", i), QuadCore))
+	}
+	return tor
+}
+
 // figure4Topology builds the paper's 64-node example: a root switch over 8
 // ToR switches with 8 quad-core servers each (Figures 1 and 4).
-func figure4Topology() *SwitchNode {
-	root := NewSwitchNode("root")
+func figure4Topology() NodeSpec {
+	root := sw("root")
 	for i := 0; i < 8; i++ {
-		tor := NewSwitchNode(fmt.Sprintf("tor%d", i))
-		root.AddDownlinks(tor)
-		for j := 0; j < 8; j++ {
-			tor.AddDownlinks(NewServerNode("", QuadCore))
-		}
+		root.Downlinks = append(root.Downlinks, Rack(fmt.Sprintf("tor%d", i), 8, QuadCore))
 	}
 	return root
 }
 
 // figure10Topology builds the 1024-node datacenter: 32 ToR switches of 32
 // servers each, 4 aggregation switches of 8 ToRs each, one root.
-func figure10Topology() *SwitchNode {
-	root := NewSwitchNode("root")
+func figure10Topology() NodeSpec {
+	root := sw("root")
 	for a := 0; a < 4; a++ {
-		agg := NewSwitchNode(fmt.Sprintf("agg%d", a))
-		root.AddDownlinks(agg)
+		agg := sw(fmt.Sprintf("agg%d", a))
 		for t := 0; t < 8; t++ {
-			tor := NewSwitchNode(fmt.Sprintf("tor%d_%d", a, t))
-			agg.AddDownlinks(tor)
-			for s := 0; s < 32; s++ {
-				tor.AddDownlinks(NewServerNode("", QuadCore))
-			}
+			agg.Downlinks = append(agg.Downlinks, Rack(fmt.Sprintf("tor%d_%d", a, t), 32, QuadCore))
 		}
+		root.Downlinks = append(root.Downlinks, agg)
 	}
 	return root
 }
@@ -45,23 +53,22 @@ func TestValidate(t *testing.T) {
 	if err := Validate(figure4Topology()); err != nil {
 		t.Errorf("valid topology rejected: %v", err)
 	}
-	if err := Validate(nil); err == nil {
-		t.Error("nil root accepted")
-	}
-	empty := NewSwitchNode("empty")
-	if err := Validate(empty); err == nil {
-		t.Error("switch with no downlinks accepted")
-	}
-	dup := NewSwitchNode("root")
-	srv := NewServerNode("s", QuadCore)
-	dup.AddDownlinks(srv, srv)
-	if err := Validate(dup); err == nil {
-		t.Error("repeated node accepted")
-	}
-	bad := NewSwitchNode("root")
-	bad.AddDownlinks(NewServerNode("s", BladeType("OctoCore")))
-	if err := Validate(bad); err == nil {
-		t.Error("unknown blade type accepted")
+	for _, tc := range []struct {
+		name string
+		root NodeSpec
+	}{
+		{"zero root", NodeSpec{}},
+		{"server root", srv("s", QuadCore)},
+		{"switch with no downlinks", sw("empty")},
+		{"repeated name", sw("root", srv("s", QuadCore), srv("s", QuadCore))},
+		{"unknown blade type", sw("root", srv("s", BladeType("OctoCore")))},
+		{"unnamed server", sw("root", srv("", QuadCore))},
+		{"switch and server at once", sw("root", NodeSpec{Switch: "x", Server: "x", Blade: QuadCore})},
+		{"server with downlinks", sw("root", NodeSpec{Server: "s", Blade: QuadCore, Downlinks: []NodeSpec{srv("t", QuadCore)}})},
+	} {
+		if err := Validate(tc.root); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 }
 
@@ -84,12 +91,7 @@ func TestCounts(t *testing.T) {
 
 func TestBuildFarmDedupes(t *testing.T) {
 	farm := NewBuildFarm()
-	topo := NewSwitchNode("root")
-	topo.AddDownlinks(
-		NewServerNode("a", QuadCore),
-		NewServerNode("b", QuadCore),
-		NewServerNode("c", SingleCore),
-	)
+	topo := sw("root", srv("a", QuadCore), srv("b", QuadCore), srv("c", SingleCore))
 	images, err := farm.BuildAll(topo, false)
 	if err != nil {
 		t.Fatal(err)
@@ -141,8 +143,8 @@ func TestDeployFigure4Mapping(t *testing.T) {
 		}
 		macs[uint64(s.MAC())] = true
 	}
-	if c.NodeByName("server0") == nil {
-		t.Error("auto-named server0 not found")
+	if got := c.Servers[0].Name(); got != "tor0-s0" {
+		t.Errorf("first server is %q, want tor0-s0", got)
 	}
 }
 
@@ -177,34 +179,28 @@ func TestPingAcrossDeployedCluster(t *testing.T) {
 	// End-to-end: deploy a 2-ToR topology and ping same-rack vs
 	// cross-rack; the cross-rack RTT must exceed same-rack by exactly
 	// 4 link latencies plus 2 switch crossings (the Table III mechanism).
-	root := NewSwitchNode("root")
-	for i := 0; i < 2; i++ {
-		tor := NewSwitchNode(fmt.Sprintf("tor%d", i))
-		root.AddDownlinks(tor)
-		for j := 0; j < 2; j++ {
-			tor.AddDownlinks(NewServerNode(fmt.Sprintf("n%d%d", i, j), QuadCore))
-		}
-	}
+	root := sw("root",
+		sw("tor0", srv("n00", QuadCore), srv("n01", QuadCore)),
+		sw("tor1", srv("n10", QuadCore), srv("n11", QuadCore)))
 	const lat = 6400
 	c, err := Deploy(root, DeployConfig{LinkLatency: lat})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	ping := func(from, to string) clock.Cycles {
-		src := c.NodeByName(from)
-		dst := c.NodeByName(to)
+	ping := func(from, to int) clock.Cycles {
+		src, dst := c.Servers[from], c.Servers[to]
 		var res []softstack.PingResult
 		src.Ping(c.Runner.Cycle(), dst.IP(), 3, 100*3200, func(r []softstack.PingResult) { res = r })
 		ok, err := c.RunUntil(func() bool { return res != nil }, c.Runner.Cycle()+20_000_000)
 		if err != nil || !ok {
-			t.Fatalf("ping %s->%s did not complete: %v", from, to, err)
+			t.Fatalf("ping %s->%s did not complete: %v", src.Name(), dst.Name(), err)
 		}
 		return res[len(res)-1].RTT // last sample: steady state
 	}
 
-	same := ping("n00", "n01")
-	cross := ping("n00", "n11")
+	same := ping(0, 1)  // n00 -> n01
+	cross := ping(0, 3) // n00 -> n11
 	wantDelta := clock.Cycles(4*lat + 2*10)
 	delta := cross - same
 	slack := clock.Cycles(200) // frame serialisation slack
@@ -214,8 +210,7 @@ func TestPingAcrossDeployedCluster(t *testing.T) {
 }
 
 func TestRunForRounds(t *testing.T) {
-	root := NewSwitchNode("root")
-	root.AddDownlinks(NewServerNode("a", SingleCore), NewServerNode("b", SingleCore))
+	root := sw("root", srv("a", SingleCore), srv("b", SingleCore))
 	c, err := Deploy(root, DeployConfig{LinkLatency: 100})
 	if err != nil {
 		t.Fatal(err)
@@ -244,8 +239,7 @@ func TestRunForRounds(t *testing.T) {
 }
 
 func TestRunUntilStopsAtMaxCycles(t *testing.T) {
-	root := NewSwitchNode("root")
-	root.AddDownlinks(NewServerNode("a", SingleCore), NewServerNode("b", SingleCore))
+	root := sw("root", srv("a", SingleCore), srv("b", SingleCore))
 	c, err := Deploy(root, DeployConfig{LinkLatency: 100})
 	if err != nil {
 		t.Fatal(err)
@@ -265,7 +259,7 @@ func TestRunUntilStopsAtMaxCycles(t *testing.T) {
 }
 
 func TestDeployValidatesTopology(t *testing.T) {
-	if _, err := Deploy(NewSwitchNode("empty"), DeployConfig{}); err == nil {
+	if _, err := Deploy(sw("empty"), DeployConfig{}); err == nil {
 		t.Error("empty topology deployed")
 	}
 }
@@ -275,18 +269,13 @@ func TestDeployValidatesTopology(t *testing.T) {
 // the same topology.
 func TestSupernodeEquivalence(t *testing.T) {
 	run := func(supernode bool) []clock.Cycles {
-		root := NewSwitchNode("root")
-		tor := NewSwitchNode("tor0")
-		root.AddDownlinks(tor)
-		for j := 0; j < 8; j++ {
-			tor.AddDownlinks(NewServerNode(fmt.Sprintf("n%d", j), QuadCore))
-		}
+		root := sw("root", Rack("tor0", 8, QuadCore))
 		c, err := Deploy(root, DeployConfig{LinkLatency: 3200, Supernode: supernode, Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
 		var res []softstack.PingResult
-		c.NodeByName("n0").Ping(0, c.NodeByName("n7").IP(), 4, 50*3200,
+		c.Servers[0].Ping(0, c.Servers[7].IP(), 4, 50*3200,
 			func(r []softstack.PingResult) { res = r })
 		ok, err := c.RunUntil(func() bool { return res != nil }, 20_000_000)
 		if err != nil || !ok {
@@ -312,12 +301,7 @@ func TestWorkloadRegistry(t *testing.T) {
 	if len(names) < 2 {
 		t.Fatalf("workloads = %v", names)
 	}
-	root := NewSwitchNode("root")
-	tor := NewSwitchNode("tor0")
-	root.AddDownlinks(tor)
-	for j := 0; j < 3; j++ {
-		tor.AddDownlinks(NewServerNode(fmt.Sprintf("w%d", j), QuadCore))
-	}
+	root := sw("root", Rack("tor0", 3, QuadCore))
 	c, err := Deploy(root, DeployConfig{LinkLatency: 3200})
 	if err != nil {
 		t.Fatal(err)
@@ -326,7 +310,7 @@ func TestWorkloadRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(report, "w1") || !strings.Contains(report, "w2") {
+	if !strings.Contains(report, "tor0-s1") || !strings.Contains(report, "tor0-s2") {
 		t.Errorf("ping-all report missing peers:\n%s", report)
 	}
 	report, err = RunWorkload("net-stats", c)
@@ -342,8 +326,7 @@ func TestWorkloadRegistry(t *testing.T) {
 }
 
 func TestSmallDeployUsesF12xlarge(t *testing.T) {
-	root := NewSwitchNode("root")
-	root.AddDownlinks(NewServerNode("a", QuadCore), NewServerNode("b", QuadCore))
+	root := sw("root", srv("a", QuadCore), srv("b", QuadCore))
 	c, err := Deploy(root, DeployConfig{})
 	if err != nil {
 		t.Fatal(err)

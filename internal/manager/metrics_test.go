@@ -1,7 +1,6 @@
 package manager
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/obs"
@@ -13,10 +12,7 @@ import (
 // name the same final cycle, and the switch mirror must have seen the
 // ping traffic.
 func TestClusterMetricsEndToEnd(t *testing.T) {
-	topo := NewSwitchNode("tor0")
-	for i := 0; i < 2; i++ {
-		topo.AddDownlinks(NewServerNode(fmt.Sprintf("s%d", i), QuadCore))
-	}
+	topo := rackOf(2)
 	c, err := Deploy(topo, DeployConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -24,7 +20,7 @@ func TestClusterMetricsEndToEnd(t *testing.T) {
 	reg := obs.NewRegistry("cluster")
 	c.EnableMetrics(reg)
 
-	c.NodeByName("s0").Ping(0, c.NodeByName("s1").IP(), 3, 40*c.LinkLatency, nil)
+	c.Servers[0].Ping(0, c.Servers[1].IP(), 3, 40*c.LinkLatency, nil)
 	if err := c.RunFor(20 * c.LinkLatency); err != nil {
 		t.Fatal(err)
 	}

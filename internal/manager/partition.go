@@ -14,10 +14,10 @@
 // boundaries). The star shape means shards only ever dial the
 // coordinator: no shard↔shard connections to manage or to fail.
 //
-// Every process runs the builder Deploy uses (builder.go), which names
-// the FULL tree before instantiating its slice, so names, MACs, IPs,
-// seeds and MAC tables agree everywhere without any cross-process
-// negotiation.
+// Every process runs the builder Deploy uses (builder.go) on the spec's
+// one NodeSpec tree, which numbers the FULL tree before instantiating its
+// slice, so names, MACs, IPs, seeds and MAC tables agree everywhere
+// without any cross-process negotiation.
 package manager
 
 import (
@@ -46,21 +46,22 @@ const RootUnit = -1
 // hanging above the cut level becomes its own single-node unit, so the
 // coordinator's partition always contains only switches. cutLevel <= 1
 // reproduces the historical root-downlink units (one unit per root
-// downlink, numbered by port).
-func CutUnits(root *SwitchNode, cutLevel int) []TopoNode {
-	var units []TopoNode
-	var walk func(s *SwitchNode, depth int)
-	walk = func(s *SwitchNode, depth int) {
-		for _, d := range s.Downlinks {
-			sub, isSwitch := d.(*SwitchNode)
-			if !isSwitch || depth+1 >= cutLevel {
+// downlink, numbered by port). The units point into root's downlinks,
+// which a copy of root shares, so a builder walking root meets them.
+func CutUnits(root NodeSpec, cutLevel int) []*NodeSpec {
+	var units []*NodeSpec
+	var walk func(s *NodeSpec, depth int)
+	walk = func(s *NodeSpec, depth int) {
+		for i := range s.Downlinks {
+			d := &s.Downlinks[i]
+			if d.Server != "" || depth+1 >= cutLevel {
 				units = append(units, d)
 				continue
 			}
-			walk(sub, depth+1)
+			walk(d, depth+1)
 		}
 	}
-	walk(root, 0)
+	walk(&root, 0)
 	return units
 }
 
@@ -103,7 +104,7 @@ func BuildPartition(spec ClusterSpec, units []int, bridgeTimeout time.Duration) 
 	if err != nil {
 		return nil, err
 	}
-	b, err := newBuilder(root, cfg)
+	b, err := newBuilder(&root, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -128,12 +129,12 @@ func BuildPartition(spec ClusterSpec, units []int, bridgeTimeout time.Duration) 
 		// their uplink port toward their parent exactly as a
 		// whole-cluster Deploy wires them, so checkpoint sections stay
 		// interchangeable.
-		b.cuts = make(map[TopoNode]int, len(cuts))
+		b.cuts = make(map[*NodeSpec]int, len(cuts))
 		for unit, t := range cuts {
 			b.cuts[t] = unit
 			p.Units = append(p.Units, unit)
 		}
-		if _, err := b.walkSwitch(root); err != nil {
+		if _, err := b.walkSwitch(b.root); err != nil {
 			return nil, err
 		}
 		p.units[RootUnit] = b.tab

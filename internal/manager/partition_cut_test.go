@@ -17,17 +17,14 @@ import (
 // <= 1 reproducing the historical root-downlink numbering.
 func TestCutUnitsEnumeration(t *testing.T) {
 	// Rack: every cut level degenerates to one unit per server.
-	rack := NewSwitchNode("root")
-	for i := 0; i < 4; i++ {
-		rack.AddDownlinks(NewServerNode("", SingleCore))
-	}
+	rack := Rack("root", 4, SingleCore)
 	for _, lvl := range []int{0, 1, 2} {
 		units := CutUnits(rack, lvl)
 		if len(units) != 4 {
 			t.Fatalf("rack cut level %d: %d units, want 4", lvl, len(units))
 		}
 		for i, u := range units {
-			if u != rack.Downlinks[i] {
+			if u != &rack.Downlinks[i] {
 				t.Errorf("rack cut level %d unit %d is not downlink %d", lvl, i, i)
 			}
 		}
@@ -35,20 +32,10 @@ func TestCutUnitsEnumeration(t *testing.T) {
 
 	// Uniform tree {2,2,2}: level 1 cuts the 2 aggregation subtrees,
 	// level 2 the 4 ToR subtrees, level 3 the 8 servers.
-	tree := NewSwitchNode("root")
-	var grow func(s *SwitchNode, depth int)
-	grow = func(s *SwitchNode, depth int) {
-		if depth == 2 {
-			s.AddDownlinks(NewServerNode("", SingleCore), NewServerNode("", SingleCore))
-			return
-		}
-		for i := 0; i < 2; i++ {
-			c := NewSwitchNode("")
-			s.AddDownlinks(c)
-			grow(c, depth+1)
-		}
+	tree, err := Tree([]int{2, 2, 2}, SingleCore)
+	if err != nil {
+		t.Fatal(err)
 	}
-	grow(tree, 0)
 	for _, tc := range []struct{ level, want int }{{1, 2}, {2, 4}, {3, 8}} {
 		units := CutUnits(tree, tc.level)
 		if len(units) != tc.want {
@@ -56,12 +43,7 @@ func TestCutUnitsEnumeration(t *testing.T) {
 		}
 		servers := 0
 		for _, u := range units {
-			switch v := u.(type) {
-			case *ServerNode:
-				servers++
-			case *SwitchNode:
-				servers += CountServers(v)
-			}
+			servers += CountServers(*u)
 		}
 		if servers != 8 {
 			t.Errorf("tree cut level %d covers %d servers, want all 8", tc.level, servers)
@@ -70,21 +52,17 @@ func TestCutUnitsEnumeration(t *testing.T) {
 
 	// Ragged tree: a server hanging above the cut level becomes its own
 	// unit, and pre-order interleaves it with the severed subtrees.
-	ragged := NewSwitchNode("root")
-	srv := NewServerNode("", SingleCore)
-	agg := NewSwitchNode("")
-	tor := NewSwitchNode("")
-	tor.AddDownlinks(NewServerNode("", SingleCore), NewServerNode("", SingleCore))
-	leafSrv := NewServerNode("", SingleCore)
-	agg.AddDownlinks(tor, leafSrv)
-	ragged.AddDownlinks(srv, agg)
+	ragged := sw("root",
+		srv("srv", SingleCore),
+		sw("agg", sw("tor", srv("a", SingleCore), srv("b", SingleCore)), srv("leaf", SingleCore)))
 	units := CutUnits(ragged, 2)
 	if len(units) != 3 {
 		t.Fatalf("ragged cut level 2: %d units, want 3", len(units))
 	}
-	if units[0] != TopoNode(srv) || units[1] != TopoNode(tor) || units[2] != TopoNode(leafSrv) {
-		t.Errorf("ragged cut level 2 pre-order: got [%T %T %T], want [server, ToR switch, server]",
-			units[0], units[1], units[2])
+	agg := &ragged.Downlinks[1]
+	if units[0] != &ragged.Downlinks[0] || units[1] != &agg.Downlinks[0] || units[2] != &agg.Downlinks[1] {
+		t.Errorf("ragged cut level 2 pre-order: got [%+v %+v %+v], want [srv, tor, leaf]",
+			*units[0], *units[1], *units[2])
 	}
 
 	// Weights follow the same enumeration.

@@ -118,7 +118,7 @@ func restoreSections(src io.Reader, topoHash uint64, step clock.Cycles, tab *uni
 // root and cfg must describe the same deployment that produced the
 // checkpoint (applications re-register their handlers on the fresh nodes
 // before resuming, exactly as on a cold start).
-func RestoreCluster(src io.Reader, root *SwitchNode, cfg DeployConfig) (*Cluster, error) {
+func RestoreCluster(src io.Reader, root NodeSpec, cfg DeployConfig) (*Cluster, error) {
 	c, err := Deploy(root, cfg)
 	if err != nil {
 		return nil, err

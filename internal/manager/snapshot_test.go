@@ -75,17 +75,12 @@ func (rc *recorder) FilterOutput(ep string, port int, start clock.Cycles, b *tok
 	rc.fold("out", ep, port, start, b)
 }
 
-// snapTopo builds a fresh 4-node, 2-rack tree per call (Deploy mutates
-// the spec tree, so checkpointed and restored deployments each get their
-// own copy).
-func snapTopo() *SwitchNode {
-	root := NewSwitchNode("root")
-	tor0 := NewSwitchNode("tor0")
-	tor1 := NewSwitchNode("tor1")
-	tor0.AddDownlinks(NewServerNode("n00", SingleCore), NewServerNode("n01", SingleCore))
-	tor1.AddDownlinks(NewServerNode("n10", SingleCore), NewServerNode("n11", SingleCore))
-	root.AddDownlinks(tor0, tor1)
-	return root
+// snapTopo is a 4-node, 2-rack tree; Servers indexes n00, n01, n10, n11
+// as 0-3.
+func snapTopo() NodeSpec {
+	return sw("root",
+		sw("tor0", srv("n00", SingleCore), srv("n01", SingleCore)),
+		sw("tor1", srv("n10", SingleCore), srv("n11", SingleCore)))
 }
 
 // snapCfg enables fault injection with kinds that perturb the token
@@ -110,9 +105,9 @@ func snapCfg() DeployConfig {
 // load that keeps every node quiescent (checkpointable) while exercising
 // both ToRs, the root and the fault injector.
 func startStreams(c *Cluster) {
-	pairs := [][2]string{{"n00", "n10"}, {"n01", "n11"}, {"n11", "n00"}}
+	pairs := [][2]int{{0, 2}, {1, 3}, {3, 0}} // n00->n10, n01->n11, n11->n00
 	for _, p := range pairs {
-		src, dst := c.NodeByName(p[0]), c.NodeByName(p[1])
+		src, dst := c.Servers[p[0]], c.Servers[p[1]]
 		src.StartRawStream(100, dst.MAC(), 256, 1.0, 1<<20)
 	}
 }
@@ -197,8 +192,8 @@ func TestClusterCheckpointDeterminism(t *testing.T) {
 					t.Errorf("token stream %q diverged after restore", key)
 				}
 			}
-			for _, n1 := range c1.Servers {
-				n2 := c2.NodeByName(n1.Name())
+			for i, n1 := range c1.Servers {
+				n2 := c2.Servers[i]
 				if n1.Stats() != n2.Stats() {
 					t.Errorf("node %s stats diverged: %+v vs %+v", n1.Name(), n1.Stats(), n2.Stats())
 				}
@@ -215,7 +210,7 @@ func TestCheckpointRefusesNonQuiescentNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.NodeByName("n01").Ping(10, c.NodeByName("n10").IP(), 1, 1000, nil)
+	c.Servers[1].Ping(10, c.Servers[2].IP(), 1, 1000, nil) // n01 -> n10
 	if err := c.RunFor(64); err != nil {
 		t.Fatal(err)
 	}
@@ -236,8 +231,7 @@ func TestRestoreRefusesTopologyMismatch(t *testing.T) {
 	if err := c.Checkpoint(&ck); err != nil {
 		t.Fatal(err)
 	}
-	small := NewSwitchNode("root")
-	small.AddDownlinks(NewServerNode("a", SingleCore), NewServerNode("b", SingleCore))
+	small := sw("root", srv("a", SingleCore), srv("b", SingleCore))
 	if _, err := RestoreCluster(bytes.NewReader(ck.Bytes()), small, snapCfg()); err == nil ||
 		!strings.Contains(err.Error(), "topology hash") {
 		t.Fatalf("restore into different topology: err = %v", err)

@@ -10,7 +10,7 @@ import (
 )
 
 // TestWorkloadSpecValidation: a spec arrives over the control wire, so a
-// workload StartRawStream cannot install must be rejected by DecodeSpec
+// workload StartRawStream cannot install must be rejected by Topology()
 // and by BuildPartition (the assign path) with an error, never reach the
 // build and panic a shard.
 func TestWorkloadSpecValidation(t *testing.T) {
@@ -47,16 +47,6 @@ func TestWorkloadSpecValidation(t *testing.T) {
 			}
 			if _, err := BuildPartition(spec, []int{0}, time.Second); (err == nil) != tc.ok {
 				t.Errorf("BuildPartition error = %v, want ok=%v", err, tc.ok)
-			}
-			if math.IsNaN(w.Gbps) || math.IsInf(w.Gbps, 0) {
-				return // not representable in JSON; Topology covers it
-			}
-			data, err := spec.Encode()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := DecodeSpec(data); (err == nil) != tc.ok {
-				t.Errorf("DecodeSpec error = %v, want ok=%v", err, tc.ok)
 			}
 		})
 	}

@@ -132,10 +132,7 @@ func TestSupervisorDeadPeer(t *testing.T) {
 func TestSupervisorAllHealthy(t *testing.T) {
 	const horizon = clock.Cycles(20 * 3200)
 	deploy := func() *Cluster {
-		topo := NewSwitchNode("tor0")
-		for i := 0; i < 2; i++ {
-			topo.AddDownlinks(NewServerNode(fmt.Sprintf("s%d", i), QuadCore))
-		}
+		topo := rackOf(2)
 		c, err := Deploy(topo, DeployConfig{Seed: 3, LinkLatency: 3200})
 		if err != nil {
 			t.Fatal(err)

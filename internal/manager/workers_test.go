@@ -1,7 +1,6 @@
 package manager
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/clock"
@@ -11,10 +10,7 @@ import (
 // worker count.
 func workersRack(t *testing.T, workers int) *Cluster {
 	t.Helper()
-	topo := NewSwitchNode("tor0")
-	for i := 0; i < 4; i++ {
-		topo.AddDownlinks(NewServerNode(fmt.Sprintf("s%d", i), QuadCore))
-	}
+	topo := rackOf(4)
 	c, err := Deploy(topo, DeployConfig{Seed: 7, LinkLatency: 3200, Workers: workers})
 	if err != nil {
 		t.Fatal(err)
@@ -58,8 +54,7 @@ func TestDeployWorkersEquivalence(t *testing.T) {
 		}
 	}
 
-	bad := NewSwitchNode("t")
-	bad.AddDownlinks(NewServerNode("s", QuadCore))
+	bad := sw("t", srv("s", QuadCore))
 	if _, err := Deploy(bad, DeployConfig{Workers: -1}); err == nil {
 		t.Error("Deploy accepted a negative worker count")
 	}

@@ -245,24 +245,6 @@ func (s *Store) Load(cycle uint64) ([]byte, error) {
 	return nil, fmt.Errorf("snapshot: store load cycle %d: no generation file", cycle)
 }
 
-// LatestValid returns the newest intact generation (cycle and bytes),
-// skipping over any torn or corrupt newer files. ok is false when no
-// intact generation exists at all.
-func (s *Store) LatestValid() (cycle uint64, data []byte, ok bool) {
-	cycles, err := s.Cycles()
-	if err != nil || len(cycles) == 0 {
-		return 0, nil, false
-	}
-	for i := len(cycles) - 1; i >= 0; i-- {
-		d, err := s.Load(cycles[i])
-		if err != nil {
-			continue
-		}
-		return cycles[i], d, true
-	}
-	return 0, nil, false
-}
-
 // GC enforces retention: every orphaned temp file is removed, every
 // corrupt generation file is removed (it can never be loaded), and only
 // the newest `retain` intact generations are kept. GC never touches the

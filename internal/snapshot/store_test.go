@@ -71,10 +71,21 @@ func TestStoreSaveLoadRoundTrip(t *testing.T) {
 	if h.Cycle != 200 || len(infos) != 2 {
 		t.Fatalf("loaded header %+v with %d sections", h, len(infos))
 	}
-	cycle, _, ok := s.LatestValid()
+	cycle, _, ok := latest(s)
 	if !ok || cycle != 200 {
-		t.Fatalf("LatestValid = %d, %v; want 200, true", cycle, ok)
+		t.Fatalf("latest = %d, %v; want 200, true", cycle, ok)
 	}
+}
+
+// latest is the rewind point a coordinator picks for one store — the
+// newest intact generation — and its bytes.
+func latest(s *Store) (cycle uint64, data []byte, ok bool) {
+	cycle, ok = CoordinatedCycle([]*Store{s})
+	if !ok {
+		return 0, nil, false
+	}
+	data, err := s.Load(cycle)
+	return cycle, data, err == nil
 }
 
 func TestStoreFailedSaveLeavesNoGeneration(t *testing.T) {
@@ -149,12 +160,12 @@ func TestStoreTornNewestFallsBack(t *testing.T) {
 		if err := os.WriteFile(newest, mutated, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		cycle, data, ok := s.LatestValid()
+		cycle, data, ok := latest(s)
 		if !ok {
-			t.Fatal("LatestValid found nothing; want fallback to generation 100")
+			t.Fatal("latest found nothing; want fallback to generation 100")
 		}
 		if cycle != 100 {
-			t.Fatalf("LatestValid = cycle %d, want fallback to 100", cycle)
+			t.Fatalf("latest = cycle %d, want fallback to 100", cycle)
 		}
 		if h, _, err := Inspect(strings.NewReader(string(data))); err != nil || h.Cycle != 100 {
 			t.Fatalf("fallback bytes invalid: cycle %d err %v", h.Cycle, err)
@@ -186,8 +197,8 @@ func TestStoreTornNewestFallsBack(t *testing.T) {
 	if err := os.WriteFile(newest, pristine, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if cycle, _, ok := s.LatestValid(); !ok || cycle != 200 {
-		t.Fatalf("after repair LatestValid = %d, %v; want 200", cycle, ok)
+	if cycle, _, ok := latest(s); !ok || cycle != 200 {
+		t.Fatalf("after repair latest = %d, %v; want 200", cycle, ok)
 	}
 }
 
@@ -209,8 +220,8 @@ func TestStoreCRCMismatchSkipped(t *testing.T) {
 	if cycles, _ := s.Cycles(); len(cycles) != 0 {
 		t.Fatalf("corrupt-only store lists cycles %v", cycles)
 	}
-	if _, _, ok := s.LatestValid(); ok {
-		t.Fatal("LatestValid returned a corrupt generation")
+	if _, _, ok := latest(s); ok {
+		t.Fatal("latest returned a corrupt generation")
 	}
 }
 

@@ -699,6 +699,3 @@ func (n *Node) StartRawStream(startAt clock.Cycles, dst ethernet.MAC, frameBytes
 	}
 	n.gen = &generator{dst: dst, flits: flits, next: float64(startAt), interval: cyclesPerFrame, stopAt: stopAt}
 }
-
-// StopStream halts the raw stream.
-func (n *Node) StopStream() { n.gen = nil }

@@ -20,16 +20,20 @@ func TestSwitchSnapshotConformance(t *testing.T) {
 	}
 	sw := mk()
 	flits := mkFrameFlits(t, 0x2222, 0x1111, 40)
-	// One complete packet waiting out its switching latency in an egress
-	// queue plus a second packet cut off mid-assembly, so both an egress
-	// queue and a partial ingress carry state. (The pending queue is
-	// always empty between rounds and is not checkpointed.)
-	tick(sw, 16, map[int]*token.Batch{0: packetBatch(16, 2, flits)})
+	// Two complete packets for egress port 2, one in flight and one still
+	// queued behind it, plus a third packet cut off mid-assembly, so the
+	// in-flight transmission, an egress queue and a partial ingress all
+	// carry state. (The pending queue is always empty between rounds and
+	// is not checkpointed.)
+	tick(sw, 16, map[int]*token.Batch{0: packetBatch(16, 2, flits), 3: packetBatch(16, 2, flits)})
 	half := token.NewBatch(8)
 	for i := 0; i < 4; i++ {
 		half.Put(i, token.Token{Data: flits[i], Valid: true})
 	}
 	tick(sw, 8, map[int]*token.Batch{1: half})
+	if o := &sw.out[2]; o.tx == nil || o.queue.len() != 1 {
+		t.Fatalf("egress port 2: in flight %v, queued %d; want one of each", o.tx != nil, o.queue.len())
+	}
 	snaptest.RoundTrip(t, sw, func() snapshot.Snapshotter { return mk() })
 }
 

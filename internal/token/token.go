@@ -137,15 +137,6 @@ func (b *Batch) Dense() []Token {
 	return out
 }
 
-// FromDense builds a batch from a dense token slice.
-func FromDense(toks []Token) *Batch {
-	b := NewBatch(len(toks))
-	for i, t := range toks {
-		b.Put(i, t)
-	}
-	return b
-}
-
 // Filter removes, in place, every token for which keep returns false. It
 // preserves slot ordering and is the primitive fault injectors use to model
 // link flaps and packet loss without reallocating the batch.
@@ -182,61 +173,4 @@ func (b *Batch) Copy() *Batch {
 	nb := &Batch{N: b.N, Slots: make([]Slot, len(b.Slots))}
 	copy(nb.Slots, b.Slots)
 	return nb
-}
-
-// Queue is a FIFO of tokens used by per-cycle components (for example the
-// NIC top-level interface) to stage tokens between the cycle-exact domain
-// and the batched transport domain. The zero value is not usable; use
-// NewQueue.
-type Queue struct {
-	buf  []Token
-	head int
-	size int
-}
-
-// NewQueue returns a queue with the given capacity. Capacity is fixed:
-// token queues model finite hardware buffers.
-func NewQueue(capacity int) *Queue {
-	if capacity <= 0 {
-		panic(fmt.Sprintf("token: queue capacity must be positive, got %d", capacity))
-	}
-	return &Queue{buf: make([]Token, capacity)}
-}
-
-// Len reports the number of tokens currently queued.
-func (q *Queue) Len() int { return q.size }
-
-// Cap reports the fixed capacity of the queue.
-func (q *Queue) Cap() int { return len(q.buf) }
-
-// Full reports whether the queue cannot accept another token.
-func (q *Queue) Full() bool { return q.size == len(q.buf) }
-
-// Push enqueues tok, reporting false if the queue is full.
-func (q *Queue) Push(tok Token) bool {
-	if q.Full() {
-		return false
-	}
-	q.buf[(q.head+q.size)%len(q.buf)] = tok
-	q.size++
-	return true
-}
-
-// Pop dequeues the oldest token, reporting false if the queue is empty.
-func (q *Queue) Pop() (Token, bool) {
-	if q.size == 0 {
-		return Empty, false
-	}
-	tok := q.buf[q.head]
-	q.head = (q.head + 1) % len(q.buf)
-	q.size--
-	return tok, true
-}
-
-// Peek returns the oldest token without dequeuing it.
-func (q *Queue) Peek() (Token, bool) {
-	if q.size == 0 {
-		return Empty, false
-	}
-	return q.buf[q.head], true
 }

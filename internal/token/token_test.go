@@ -89,7 +89,8 @@ func TestBatchReset(t *testing.T) {
 }
 
 func TestDenseRoundTrip(t *testing.T) {
-	// Property: FromDense(b.Dense()) reproduces b for any occupancy pattern.
+	// Property: b.Dense() holds b.At(i) at every offset i, for any
+	// occupancy pattern.
 	check := func(pattern uint16) bool {
 		b := NewBatch(16)
 		for i := 0; i < 16; i++ {
@@ -97,12 +98,12 @@ func TestDenseRoundTrip(t *testing.T) {
 				b.Put(i, Token{Data: uint64(i) * 7, Valid: true, Last: i%3 == 0})
 			}
 		}
-		rt := FromDense(b.Dense())
-		if rt.N != b.N || rt.Occupied() != b.Occupied() {
+		dense := b.Dense()
+		if len(dense) != b.N {
 			return false
 		}
 		for i := 0; i < 16; i++ {
-			if rt.At(i) != b.At(i) {
+			if dense[i] != b.At(i) {
 				return false
 			}
 		}
@@ -120,85 +121,6 @@ func TestBatchCopyIsDeep(t *testing.T) {
 	c.Slots[0].Tok.Data = 99
 	if b.At(2).Data != 42 {
 		t.Error("Copy shares slot storage with original")
-	}
-}
-
-func TestQueueFIFO(t *testing.T) {
-	q := NewQueue(3)
-	if q.Len() != 0 || q.Cap() != 3 {
-		t.Fatalf("fresh queue Len=%d Cap=%d", q.Len(), q.Cap())
-	}
-	for i := 0; i < 3; i++ {
-		if !q.Push(Token{Data: uint64(i), Valid: true}) {
-			t.Fatalf("Push %d failed", i)
-		}
-	}
-	if q.Push(Token{Valid: true}) {
-		t.Error("Push into full queue succeeded")
-	}
-	if !q.Full() {
-		t.Error("queue should report full")
-	}
-	for i := 0; i < 3; i++ {
-		tok, ok := q.Pop()
-		if !ok || tok.Data != uint64(i) {
-			t.Fatalf("Pop %d = %v, %v", i, tok, ok)
-		}
-	}
-	if _, ok := q.Pop(); ok {
-		t.Error("Pop from empty queue succeeded")
-	}
-}
-
-func TestQueueWraparound(t *testing.T) {
-	q := NewQueue(2)
-	for round := 0; round < 10; round++ {
-		q.Push(Token{Data: uint64(round), Valid: true})
-		tok, ok := q.Pop()
-		if !ok || tok.Data != uint64(round) {
-			t.Fatalf("round %d: got %v, %v", round, tok, ok)
-		}
-	}
-}
-
-func TestQueuePeek(t *testing.T) {
-	q := NewQueue(2)
-	if _, ok := q.Peek(); ok {
-		t.Error("Peek on empty queue succeeded")
-	}
-	q.Push(Token{Data: 5, Valid: true})
-	tok, ok := q.Peek()
-	if !ok || tok.Data != 5 {
-		t.Errorf("Peek = %v, %v", tok, ok)
-	}
-	if q.Len() != 1 {
-		t.Error("Peek consumed the token")
-	}
-}
-
-// Property: queue never loses or reorders tokens under arbitrary
-// push/pop interleavings.
-func TestQueueOrderProperty(t *testing.T) {
-	check := func(ops []bool) bool {
-		q := NewQueue(8)
-		next := uint64(0)   // next value to push
-		expect := uint64(0) // next value we must pop
-		for _, push := range ops {
-			if push {
-				if q.Push(Token{Data: next, Valid: true}) {
-					next++
-				}
-			} else if tok, ok := q.Pop(); ok {
-				if tok.Data != expect {
-					return false
-				}
-				expect++
-			}
-		}
-		return true
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Error(err)
 	}
 }
 

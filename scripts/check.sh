@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Full local gate: static checks, build, the test suite under the race
 # detector, one quick pass of the repository benchmark (plain and traced),
-# and the checkpoint, distributed-chaos and snapshot-fuzz smokes. Performance
-# is judged by `go run ./bench` against BENCHMARK.json, not here: every
-# step below is pass/fail and none is retried. Run from anywhere inside
-# the repo.
+# and the checkpoint, example, distributed-chaos and snapshot-fuzz smokes.
+# Performance is judged by `go run ./bench` against BENCHMARK.json, not
+# here: every step below is pass/fail and none is retried. Run from
+# anywhere inside the repo.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -39,6 +39,11 @@ go run ./cmd/firesim snap verify -nodes 4 -cycles 2048 -extra 2048 >/dev/null
 go run ./cmd/firesim snap verify -nodes 4 -cycles 2048 -extra 2048 -parallel >/dev/null
 # firesim top has no unit tests: drive it once end to end.
 go run ./cmd/firesim top -nodes 4 -slices 2 -horizon-us 50 -format prometheus >/dev/null
+
+echo "== examples =="
+# The examples have no unit tests: run the two quick ones end to end.
+go run ./examples/quickstart >/dev/null
+go run ./examples/memcached-qos >/dev/null
 
 echo "== distributed chaos smoke =="
 # Self-healing multi-process runs: shards SIGKILLed, SIGSTOPped and stalled
