@@ -197,11 +197,15 @@ func (n *Node) TickBatch(nCycles int, in, out []*token.Batch) {
 	start := n.cycle
 	end := start + clock.Cycles(nCycles)
 
-	// 1. Ingress: reassemble frames from occupied tokens.
-	for _, slot := range in[0].Slots {
-		n.rxFlits = append(n.rxFlits, slot.Tok.Data)
-		if slot.Tok.Last {
-			arrival := start + clock.Cycles(slot.Offset)
+	// 1. Ingress: reassemble frames from occupied tokens, one frame per
+	// AppendFrame.
+	for slots := in[0].Slots; len(slots) > 0; {
+		var k int
+		n.rxFlits, k = token.AppendFrame(n.rxFlits, slots)
+		lastSlot := slots[k-1]
+		slots = slots[k:]
+		if lastSlot.Tok.Last {
+			arrival := start + clock.Cycles(lastSlot.Offset)
 			n.stats.FramesRecv++
 			n.stats.BytesRecv += uint64(len(n.rxFlits) * ethernet.FlitSize)
 			n.rxBuf = ethernet.AppendFlitBytes(n.rxBuf[:0], n.rxFlits)
@@ -217,7 +221,7 @@ func (n *Node) TickBatch(nCycles int, in, out []*token.Batch) {
 		n.fire(max(ev.At, start), &ev.Val)
 	}
 
-	// 3. Egress: emit queued frames, one flit per cycle.
+	// 3. Egress: emit queued frames, one flit per cycle, a run at a time.
 	n.emitTX(start, end, out[0])
 	n.cycle = end
 }
@@ -250,12 +254,12 @@ func (n *Node) emitTX(start, end clock.Cycles, out *token.Batch) {
 		if cursor >= end {
 			break
 		}
-		for f.flit < len(f.flits) && cursor < end {
-			last := f.flit == len(f.flits)-1
-			out.Put(int(cursor-start), token.Token{Data: f.flits[f.flit], Valid: true, Last: last})
-			f.flit++
-			cursor++
-		}
+		// The frame's next segment: as many flits as the window has room
+		// for, on consecutive cycles.
+		k := min(len(f.flits)-f.flit, int(end-cursor))
+		out.PutRun(int(cursor-start), f.flits[f.flit:f.flit+k], f.flit+k == len(f.flits))
+		f.flit += k
+		cursor += clock.Cycles(k)
 		n.txCursor = cursor
 		if f.flit == len(f.flits) {
 			n.stats.FramesSent++

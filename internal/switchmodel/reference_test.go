@@ -15,6 +15,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/clock"
@@ -304,7 +305,7 @@ func TestSwitchStreamEquivalenceFuzz(t *testing.T) {
 					}
 					streams[p] = streams[p][took:]
 					inA[p] = b
-					inB[p] = b.Copy()
+					inB[p] = &token.Batch{N: b.N, Slots: slices.Clone(b.Slots)}
 					outA[p] = token.NewBatch(n)
 					outB[p] = token.NewBatch(n)
 				}

@@ -463,22 +463,27 @@ func (s *Switch) TickBatch(n int, in, out []*token.Batch) {
 		}
 	}
 
-	// Phase 1: ingress. Buffer valid tokens into packets; timestamp each
-	// completed packet with its last token's arrival cycle plus the
-	// minimum switching latency, and push it into the global queue.
+	// Phase 1: ingress. Buffer valid tokens into packets, one frame per
+	// AppendFrame; timestamp each completed packet with its last token's
+	// arrival cycle plus the minimum switching latency, and push it into
+	// the global queue.
 	for p := 0; p < s.cfg.Ports; p++ {
 		ip := &s.in[p]
-		for _, slot := range in[p].Slots {
+		slots := in[p].Slots
+		s.stats.FlitsIn += uint64(len(slots))
+		for len(slots) > 0 {
 			if ip.cur == nil {
 				ip.cur = s.newPacket()
 			}
-			ip.cur.Flits = append(ip.cur.Flits, slot.Tok.Data)
-			s.stats.FlitsIn++
-			if slot.Tok.Last {
+			var k int
+			ip.cur.Flits, k = token.AppendFrame(ip.cur.Flits, slots)
+			lastSlot := slots[k-1]
+			slots = slots[k:]
+			if lastSlot.Tok.Last {
 				pkt := ip.cur
 				ip.cur = nil
 				pkt.InPort = p
-				pkt.Release = s.cycle + clock.Cycles(slot.Offset) + s.cfg.SwitchingLatency
+				pkt.Release = s.cycle + clock.Cycles(lastSlot.Offset) + s.cfg.SwitchingLatency
 				s.stats.PacketsIn++
 				s.queue.Push(pkt.Release, uint64(p), pkt)
 			}
@@ -516,9 +521,10 @@ func (s *Switch) TickBatch(n int, in, out []*token.Batch) {
 	}
 
 	// Phase 3: egress. Per port, release packets whose timestamp has been
-	// reached, one flit per cycle. The output token buffer for the round
-	// is exactly n tokens, so a congested port simply fails to release —
-	// which is the paper's congestion model.
+	// reached, one flit per cycle, written a run of cycles at a time. The
+	// output token buffer for the round is exactly n tokens, so a
+	// congested port simply fails to release — which is the paper's
+	// congestion model.
 	for p := 0; p < s.cfg.Ports; p++ {
 		s.releasePort(p, n, out[p])
 	}
@@ -580,15 +586,34 @@ func (s *Switch) releasePort(p int, n int, out *token.Batch) {
 			}
 			continue
 		}
-		flit := o.tx.Flits[o.txFlit]
-		last := o.txFlit == len(o.tx.Flits)-1
-		out.Put(i, token.Token{Data: flit, Valid: true, Last: last})
-		s.stats.FlitsOut++
-		s.stats.BytesSwitched += ethernet.FlitSize
-		if s.probe != nil {
-			s.probe(now, p)
+		// Transmit a run: one flit per cycle from i until the packet or the
+		// window ends, or until the first stalled cycle, which is then
+		// counted here exactly as the top of the loop would count it.
+		k := min(len(o.tx.Flits)-o.txFlit, n-i)
+		stalled := false
+		if s.stall != nil {
+			for j := 1; j < k; j++ {
+				if s.stall(p, now+clock.Cycles(j)) {
+					k, stalled = j, true
+					break
+				}
+			}
 		}
-		o.txFlit++
+		o.txFlit += k
+		last := o.txFlit == len(o.tx.Flits)
+		out.PutRun(i, o.tx.Flits[o.txFlit-k:o.txFlit], last)
+		s.stats.FlitsOut += uint64(k)
+		s.stats.BytesSwitched += uint64(k) * ethernet.FlitSize
+		if s.probe != nil {
+			for j := range k {
+				s.probe(now+clock.Cycles(j), p)
+			}
+		}
+		i += k - 1
+		if stalled {
+			i++
+			s.stats.StallCycles++
+		}
 		if last {
 			o.queuedBytes -= len(o.tx.Flits) * ethernet.FlitSize
 			s.stats.PacketsOut++

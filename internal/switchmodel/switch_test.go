@@ -1,6 +1,7 @@
 package switchmodel
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/clock"
@@ -81,10 +82,10 @@ func TestUnicastRoutingAndTiming(t *testing.T) {
 			t.Errorf("port %d unexpectedly carried %d tokens", p, out1[p].Occupied())
 		}
 	}
-	got := out1[2].Dense()
+	got := out1[2]
 	wantStart := 5 + len(flits) - 1 + 10
 	for i, f := range flits {
-		tok := got[wantStart+i]
+		tok := got.At(wantStart + i)
 		if !tok.Valid || tok.Data != f {
 			t.Fatalf("cycle %d: got %v, want flit %#x", wantStart+i, tok, f)
 		}
@@ -92,7 +93,7 @@ func TestUnicastRoutingAndTiming(t *testing.T) {
 			t.Errorf("cycle %d: Last = %v", wantStart+i, tok.Last)
 		}
 	}
-	if got[wantStart-1].Valid {
+	if got.At(wantStart - 1).Valid {
 		t.Error("packet released before minimum switching latency")
 	}
 	st := sw.Stats()
@@ -278,21 +279,65 @@ func TestStaleDrop(t *testing.T) {
 	}
 }
 
+// TestProbeCountsFlits checks that the probe fires once per released flit
+// with that flit's absolute cycle and port: the probe calls, in order, must
+// be exactly the out-batch slots at their absolute cycles. Egress writes a
+// run of flits at a time, so the cases cut runs at a window boundary, at
+// every fourth cycle, and at a stalled cycle in the middle of a packet.
 func TestProbeCountsFlits(t *testing.T) {
-	sw := New(Config{Name: "root", Ports: 2})
 	dst := ethernet.MAC(0x9)
-	sw.MACTable().Set(dst, 1)
-	flits := mkFrameFlits(t, dst, 0x2, 8)
-	var count int
-	sw.SetProbe(func(cycle clock.Cycles, port int) {
-		if port != 1 {
-			t.Errorf("probe port = %d", port)
-		}
-		count++
-	})
-	tick(sw, 64, map[int]*token.Batch{0: packetBatch(64, 0, flits)})
-	if count != len(flits) {
-		t.Errorf("probe fired %d times, want %d", count, len(flits))
+	flits := mkFrameFlits(t, dst, 0x2, 200)
+	// The last flit arrives at cycle 40, so egress starts at 40+10 = 50
+	// and, unstalled, ends at 50+len-1, past the 64-cycle boundary.
+	const lastArrival, release, horizon = 40, 50, 128
+	first := lastArrival - (len(flits) - 1)
+	cases := []struct {
+		name      string
+		n         int
+		stall     func(port int, cycle clock.Cycles) bool
+		stalls    uint64
+		lastCycle clock.Cycles
+	}{
+		{"packet spans a window boundary", 64, nil, 0, release + clock.Cycles(len(flits)-1)},
+		{"window of 4 cycles", 4, nil, 0, release + clock.Cycles(len(flits)-1)},
+		{"port 1 stalled mid-packet", 64, func(port int, cycle clock.Cycles) bool {
+			return port == 1 && cycle >= 55 && cycle < 59
+		}, 4, release + clock.Cycles(len(flits)-1) + 4},
+	}
+	type hit struct {
+		cycle clock.Cycles
+		port  int
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sw := New(Config{Name: "root", Ports: 2})
+			sw.MACTable().Set(dst, 1)
+			sw.SetStall(tc.stall)
+			var probes, slots []hit
+			sw.SetProbe(func(cycle clock.Cycles, port int) { probes = append(probes, hit{cycle, port}) })
+			for start := 0; start < horizon; start += tc.n {
+				in := token.NewBatch(tc.n)
+				for i, f := range flits {
+					if c := first + i; c >= start && c < start+tc.n {
+						in.Put(c-start, token.Token{Data: f, Valid: true, Last: i == len(flits)-1})
+					}
+				}
+				for p, b := range tick(sw, tc.n, map[int]*token.Batch{0: in}) {
+					for _, s := range b.Slots {
+						slots = append(slots, hit{clock.Cycles(start) + clock.Cycles(s.Offset), p})
+					}
+				}
+			}
+			if len(slots) != len(flits) || slots[0] != (hit{release, 1}) || slots[len(slots)-1] != (hit{tc.lastCycle, 1}) {
+				t.Fatalf("egress slots %v: want %d flits on port 1 over cycles [%d, %d]", slots, len(flits), release, tc.lastCycle)
+			}
+			if !slices.Equal(probes, slots) {
+				t.Errorf("probe calls %v, want the out-batch slots %v", probes, slots)
+			}
+			if got := sw.Stats().StallCycles; got != tc.stalls {
+				t.Errorf("StallCycles = %d, want %d", got, tc.stalls)
+			}
+		})
 	}
 }
 

@@ -13,9 +13,17 @@
 // transmitted, and a Last flag marking the final flit of a packet so that
 // the transport layer can delimit packets without understanding the
 // link-layer protocol.
+//
+// Datapaths that move whole packets (switch egress, a NIC's TX queue) write
+// each packet segment with one Batch.PutRun and reassemble received frames
+// with AppendFrame, so the host pays per run of flits rather than per flit.
+// Batch.Put is for endpoints that decide one cycle at a time.
 package token
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Token is one target cycle's worth of link data.
 type Token struct {
@@ -87,7 +95,9 @@ func (b *Batch) Reset(n int) {
 // Put records tok at cycle offset within the batch. Offsets must be added
 // in strictly increasing order; Put panics otherwise, since out-of-order
 // writes would corrupt the per-cycle ordering invariants that the switch
-// models rely on. Empty tokens are not stored.
+// models rely on. Empty tokens are not stored. Put suits endpoints that
+// emit one token per decided cycle; a run of flits on consecutive cycles
+// (a packet being transmitted) goes in with one PutRun instead.
 func (b *Batch) Put(offset int, tok Token) {
 	if offset < 0 || offset >= b.N {
 		panic(fmt.Sprintf("token: offset %d out of batch range [0,%d)", offset, b.N))
@@ -99,6 +109,53 @@ func (b *Batch) Put(offset int, tok Token) {
 		panic(fmt.Sprintf("token: out-of-order Put at offset %d after %d", offset, b.Slots[n-1].Offset))
 	}
 	b.Slots = append(b.Slots, Slot{Offset: int32(offset), Tok: tok})
+}
+
+// PutRun records len(data) valid tokens at the consecutive offsets
+// offset, offset+1, ... and marks the final one Last when last is set. It
+// is len(data) Put calls in one: the run must fit in the window and start
+// after the previous slot, and PutRun panics like Put otherwise, but it
+// checks once per run and grows Slots once. An empty run records nothing.
+func (b *Batch) PutRun(offset int, data []uint64, last bool) {
+	k := len(data)
+	if k == 0 {
+		return
+	}
+	if offset < 0 || offset > b.N-k {
+		panic(fmt.Sprintf("token: run [%d,%d) out of batch range [0,%d)", offset, offset+k, b.N))
+	}
+	if n := len(b.Slots); n > 0 && int(b.Slots[n-1].Offset) >= offset {
+		panic(fmt.Sprintf("token: out-of-order PutRun at offset %d after %d", offset, b.Slots[n-1].Offset))
+	}
+	base := len(b.Slots)
+	b.Slots = slices.Grow(b.Slots, k)[:base+k]
+	run := b.Slots[base:]
+	for j, d := range data {
+		run[j] = Slot{Offset: int32(offset + j), Tok: Token{Data: d, Valid: true}}
+	}
+	run[k-1].Tok.Last = last
+}
+
+// AppendFrame appends to dst the data of slots up to and including the
+// first Last token (all of slots if none is Last) and returns the extended
+// slice and the number of slots consumed. Receivers call it once per frame:
+// a frame is complete when the last consumed slot is Last, and otherwise
+// continues in the next batch. dst grows by the frame's length, not the
+// window's.
+func AppendFrame(dst []uint64, slots []Slot) ([]uint64, int) {
+	k := len(slots)
+	for i := range slots {
+		if slots[i].Tok.Last {
+			k = i + 1
+			break
+		}
+	}
+	base := len(dst)
+	dst = slices.Grow(dst, k)[:base+k]
+	for i, s := range slots[:k] {
+		dst[base+i] = s.Tok.Data
+	}
+	return dst, k
 }
 
 // At returns the token at the given cycle offset, which is the empty token
@@ -125,17 +182,6 @@ func (b *Batch) Occupied() int { return len(b.Slots) }
 
 // IsEmpty reports whether the batch carries no valid tokens.
 func (b *Batch) IsEmpty() bool { return len(b.Slots) == 0 }
-
-// Dense expands the batch to a dense per-cycle token slice of length N.
-// It is intended for tests and for per-cycle components (such as the
-// cycle-exact SoC model) that genuinely need to observe every cycle.
-func (b *Batch) Dense() []Token {
-	out := make([]Token, b.N)
-	for _, s := range b.Slots {
-		out[s.Offset] = s.Tok
-	}
-	return out
-}
 
 // Filter removes, in place, every token for which keep returns false. It
 // preserves slot ordering and is the primitive fault injectors use to model
@@ -165,12 +211,4 @@ func (b *Batch) Mutate(fn func(offset int, tok Token) Token) {
 		kept = append(kept, s)
 	}
 	b.Slots = kept
-}
-
-// Copy returns a deep copy of the batch. Transports that fan a batch out to
-// multiple consumers must copy, since consumers may retain slot slices.
-func (b *Batch) Copy() *Batch {
-	nb := &Batch{N: b.N, Slots: make([]Slot, len(b.Slots))}
-	copy(nb.Slots, b.Slots)
-	return nb
 }

@@ -1,8 +1,8 @@
 package token
 
 import (
+	"slices"
 	"testing"
-	"testing/quick"
 )
 
 func TestEmptyTokenString(t *testing.T) {
@@ -62,6 +62,13 @@ func TestBatchPutPanics(t *testing.T) {
 			b.Put(2, Token{Valid: true})
 		}},
 		{"zero batch", func() { NewBatch(0) }},
+		{"run past N", func() { NewBatch(4).PutRun(2, []uint64{1, 2, 3}, true) }},
+		{"run negative offset", func() { NewBatch(4).PutRun(-1, []uint64{1}, false) }},
+		{"run overlaps previous slot", func() {
+			b := NewBatch(8)
+			b.PutRun(2, []uint64{1, 2}, false)
+			b.PutRun(3, []uint64{3}, true)
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -85,42 +92,6 @@ func TestBatchReset(t *testing.T) {
 	b.Put(0, Token{Data: 2, Valid: true}) // re-put at low offset must work after reset
 	if got := b.At(0).Data; got != 2 {
 		t.Errorf("At(0).Data = %d, want 2", got)
-	}
-}
-
-func TestDenseRoundTrip(t *testing.T) {
-	// Property: b.Dense() holds b.At(i) at every offset i, for any
-	// occupancy pattern.
-	check := func(pattern uint16) bool {
-		b := NewBatch(16)
-		for i := 0; i < 16; i++ {
-			if pattern&(1<<i) != 0 {
-				b.Put(i, Token{Data: uint64(i) * 7, Valid: true, Last: i%3 == 0})
-			}
-		}
-		dense := b.Dense()
-		if len(dense) != b.N {
-			return false
-		}
-		for i := 0; i < 16; i++ {
-			if dense[i] != b.At(i) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestBatchCopyIsDeep(t *testing.T) {
-	b := NewBatch(8)
-	b.Put(2, Token{Data: 42, Valid: true})
-	c := b.Copy()
-	c.Slots[0].Tok.Data = 99
-	if b.At(2).Data != 42 {
-		t.Error("Copy shares slot storage with original")
 	}
 }
 
@@ -173,4 +144,142 @@ func TestMutate(t *testing.T) {
 	if b.Occupied() != 2 {
 		t.Errorf("Occupied = %d, want 2", b.Occupied())
 	}
+}
+
+// tok is a valid token with the given data and Last flag.
+func tok(data uint64, last bool) Token { return Token{Data: data, Valid: true, Last: last} }
+
+func TestPutRun(t *testing.T) {
+	type run struct {
+		offset int
+		data   []uint64
+		last   bool
+	}
+	cases := []struct {
+		name string
+		n    int
+		runs []run
+		want []Slot
+	}{
+		{"empty run", 8, []run{{3, []uint64{1}, true}, {4, nil, true}}, []Slot{{3, tok(1, true)}}},
+		{"run ending at N-1", 8, []run{{5, []uint64{1, 2, 3}, true}},
+			[]Slot{{5, tok(1, false)}, {6, tok(2, false)}, {7, tok(3, true)}}},
+		{"last false", 8, []run{{0, []uint64{1, 2}, false}}, []Slot{{0, tok(1, false)}, {1, tok(2, false)}}},
+		{"adjacent runs", 8, []run{{1, []uint64{1}, false}, {2, []uint64{2, 3}, true}},
+			[]Slot{{1, tok(1, false)}, {2, tok(2, false)}, {3, tok(3, true)}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			b := NewBatch(tc.n)
+			for _, r := range tc.runs {
+				b.PutRun(r.offset, r.data, r.last)
+			}
+			if !slices.Equal(b.Slots, tc.want) {
+				t.Errorf("Slots = %v, want %v", b.Slots, tc.want)
+			}
+		})
+	}
+}
+
+func TestAppendFrame(t *testing.T) {
+	cases := []struct {
+		name  string
+		dst   []uint64
+		slots []Slot
+		want  []uint64
+		wantK int
+	}{
+		{"empty slots", []uint64{7}, nil, []uint64{7}, 0},
+		{"stops at first Last", nil, []Slot{{0, tok(1, false)}, {1, tok(2, true)}, {2, tok(3, true)}},
+			[]uint64{1, 2}, 2},
+		{"no Last in slots", nil, []Slot{{0, tok(1, false)}, {4, tok(2, false)}}, []uint64{1, 2}, 2},
+		// The second half of a frame whose first half came in the
+		// previous batch: dst already holds it.
+		{"frame split across two calls", []uint64{1, 2}, []Slot{{0, tok(3, true)}, {1, tok(9, false)}},
+			[]uint64{1, 2, 3}, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got, k := AppendFrame(tc.dst, tc.slots)
+			if k != tc.wantK || !slices.Equal(got, tc.want) {
+				t.Errorf("AppendFrame = %v, %d; want %v, %d", got, k, tc.want, tc.wantK)
+			}
+		})
+	}
+}
+
+// FuzzBatchRuns checks the run API against its per-token definition:
+// runs written with PutRun give the same Slots as the equivalent Put
+// loop, and AppendFrame reassembles any slot sequence, cut into batches
+// anywhere, into the frames a per-slot loop would.
+func FuzzBatchRuns(f *testing.F) {
+	f.Add([]byte{16, 0, 7, 2, 4, 0, 0})
+	f.Add([]byte{0, 0, 3})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) == 0 {
+			return
+		}
+		n := 1 + int(ops[0])
+		runs, loop := NewBatch(n), NewBatch(n)
+		off, data := 0, uint64(0)
+		for rest := ops[1:]; len(rest) >= 2 && off <= n; rest = rest[2:] {
+			off += int(rest[0] % 8)
+			k := max(0, min(int(rest[1]>>1)%16, n-off))
+			last := rest[1]&1 != 0
+			flits := make([]uint64, k)
+			for j := range flits {
+				data++
+				flits[j] = data
+			}
+			runs.PutRun(off, flits, last)
+			for j, d := range flits {
+				loop.Put(off+j, tok(d, last && j == k-1))
+			}
+			off += k
+		}
+		if !slices.Equal(runs.Slots, loop.Slots) {
+			t.Fatalf("PutRun slots %v, Put loop slots %v", runs.Slots, loop.Slots)
+		}
+
+		// One slot per input byte: its value as data, its low bit as Last.
+		slots := make([]Slot, len(ops))
+		for i, b := range ops {
+			slots[i] = Slot{Offset: int32(i), Tok: tok(uint64(b), b&1 != 0)}
+		}
+		var want [][]uint64
+		var cur []uint64
+		for _, s := range slots {
+			cur = append(cur, s.Tok.Data)
+			if s.Tok.Last {
+				want, cur = append(want, cur), nil
+			}
+		}
+		wantTail := cur
+
+		var got [][]uint64
+		cur = nil
+		chunk := 1 + int(ops[0]%7)
+		for lo := 0; lo < len(slots); lo += chunk {
+			batch := slots[lo:min(lo+chunk, len(slots))]
+			for len(batch) > 0 {
+				var k int
+				cur, k = AppendFrame(cur, batch)
+				if k == 0 {
+					t.Fatal("AppendFrame consumed no slot of a non-empty batch")
+				}
+				if batch[k-1].Tok.Last {
+					got, cur = append(got, cur), nil
+				}
+				batch = batch[k:]
+			}
+		}
+		if len(got) != len(want) || !slices.Equal(cur, wantTail) {
+			t.Fatalf("AppendFrame frames %v + tail %v, per-slot loop %v + tail %v", got, cur, want, wantTail)
+		}
+		for i := range want {
+			if !slices.Equal(got[i], want[i]) {
+				t.Fatalf("frame %d: AppendFrame %v, per-slot loop %v", i, got[i], want[i])
+			}
+		}
+	})
 }

@@ -65,7 +65,7 @@ timeout 180 go run ./cmd/firesim run-dist -tree 4,8,8 -cut-level 2 -procs 4 \
     -chaos 'kill:shard1@4096,stall:shard2@10240+5000' \
     -verify -quiet
 
-echo "== snapshot, restore-payload, frame, token-batch, control and switch-window fuzz (short) =="
+echo "== snapshot, restore-payload, frame, token-batch, control, switch-window and token-run fuzz (short) =="
 # A few seconds of coverage-guided fuzzing over the snapshot decoder, the
 # component decoders behind valid framing (FuzzRestorePayload), the frame
 # parsers, the bridge's v3 batch decoder, the shard control protocol and
@@ -76,13 +76,16 @@ echo "== snapshot, restore-payload, frame, token-batch, control and switch-windo
 # per-frame sequence check, the bridge's only defence against a malformed
 # peer) must reject or round-trip every input, every spec an assign frame
 # carries must be built or refused by the topology builder without a
-# panic, and a switch fed one ingress stream in any window split must emit
-# the same tokens, stats and checkpoint bytes.
+# panic, a switch fed one ingress stream in any window split must emit
+# the same tokens, stats and checkpoint bytes, and token runs written with
+# Batch.PutRun and frames reassembled with AppendFrame must match their
+# one-token-at-a-time definitions (FuzzBatchRuns).
 go test ./internal/snapshot -run '^$' -fuzz FuzzReader -fuzztime 5s >/dev/null
 go test ./internal/manager -run '^$' -fuzz FuzzRestorePayload -fuzztime 3s >/dev/null
 go test ./internal/ethernet -run '^$' -fuzz FuzzParseFrame -fuzztime 3s >/dev/null
 go test ./internal/transport -run '^$' -fuzz FuzzReadBatchV3 -fuzztime 3s >/dev/null
 go test ./internal/manager -run '^$' -fuzz FuzzControlRead -fuzztime 3s >/dev/null
 go test ./internal/switchmodel -run '^$' -fuzz FuzzSwitchWindowSplit -fuzztime 3s >/dev/null
+go test ./internal/token -run '^$' -fuzz FuzzBatchRuns -fuzztime 3s >/dev/null
 
 echo "OK"
