@@ -122,16 +122,6 @@ func (s *MemcachedServer) serviceDraw() clock.Cycles {
 	return clock.Cycles(cost)
 }
 
-// WorkerQueueLens reports the instantaneous queue depth of each worker,
-// for imbalance diagnostics.
-func (s *MemcachedServer) WorkerQueueLens() []int {
-	out := make([]int, len(s.workers))
-	for i, w := range s.workers {
-		out[i] = w.QueueLen()
-	}
-	return out
-}
-
 // MutilateConfig parameterises a load-generator node.
 type MutilateConfig struct {
 	// Server is the target memcached instance.

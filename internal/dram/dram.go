@@ -139,12 +139,6 @@ func New(cfg Config) *Model {
 	return m
 }
 
-// Config returns the model's effective configuration.
-func (m *Model) Config() Config { return m.cfg }
-
-// Stats returns a snapshot of the counters.
-func (m *Model) Stats() Stats { return m.stats }
-
 // bankAndRow decomposes an address: line-interleaved across banks, rows
 // above that, which gives streaming accesses bank-level parallelism.
 func (m *Model) bankAndRow(addr uint64) (int, int64) {
@@ -330,11 +324,4 @@ func (m *Model) Write64(addr uint64, v uint64) {
 		b[i] = byte(v >> (8 * i))
 	}
 	m.WriteBytes(addr, b[:])
-}
-
-// StreamBandwidthBytesPerCycle reports the model's peak streaming
-// bandwidth, the quantity that caps the bare-metal NIC experiment at
-// ~100 Gbit/s in Section IV-C.
-func (m *Model) StreamBandwidthBytesPerCycle() float64 {
-	return float64(m.cfg.LineBytes) / float64(m.cfg.BusCyclesPerLine)
 }

@@ -75,9 +75,6 @@ func TestStreamingBandwidthCeiling(t *testing.T) {
 	if bw < 3.5 || bw > 4.01 {
 		t.Errorf("streaming bandwidth = %.2f B/cycle, want ~4", bw)
 	}
-	if got := m.StreamBandwidthBytesPerCycle(); got != 4 {
-		t.Errorf("StreamBandwidthBytesPerCycle = %g", got)
-	}
 }
 
 func TestAccessMonotonicProperty(t *testing.T) {

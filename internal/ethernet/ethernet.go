@@ -136,16 +136,6 @@ func ParseFrame(buf []byte) (Frame, error) {
 	}, nil
 }
 
-// DecodeFrame is ParseFrame with the payload copied out of buf.
-func DecodeFrame(buf []byte) (*Frame, error) {
-	f, err := ParseFrame(buf)
-	if err != nil {
-		return nil, err
-	}
-	f.Payload = append([]byte(nil), f.Payload...)
-	return &f, nil
-}
-
 // FlitSize is the link word size in bytes: 64-bit flits, matching the
 // paper's token data field width for 200 Gbit/s links at 3.2 GHz.
 const FlitSize = 8
@@ -199,9 +189,4 @@ func (f *Frame) FrameFlits() ([]uint64, error) {
 		return nil, err
 	}
 	return ToFlits(buf), nil
-}
-
-// DecodeFlits is a convenience: reassemble and parse a frame from flits.
-func DecodeFlits(flits []uint64) (*Frame, error) {
-	return DecodeFrame(FromFlits(flits))
 }

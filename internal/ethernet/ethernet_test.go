@@ -46,11 +46,11 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeFrame(buf)
+	got, err := ParseFrame(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(f, got) {
+	if !reflect.DeepEqual(*f, got) {
 		t.Errorf("round trip mismatch:\nhave %+v\nwant %+v", got, f)
 	}
 }
@@ -63,14 +63,14 @@ func TestFrameTooLong(t *testing.T) {
 }
 
 func TestDecodeFrameErrors(t *testing.T) {
-	if _, err := DecodeFrame([]byte{1, 2, 3}); err == nil {
+	if _, err := ParseFrame([]byte{1, 2, 3}); err == nil {
 		t.Error("short frame decoded without error")
 	}
 	// length field larger than buffer
 	f := &Frame{Dst: 1, Src: 2, Type: TypeARP, Payload: []byte("xy")}
 	buf, _ := f.Encode()
 	buf[0], buf[1] = 0xff, 0xff
-	if _, err := DecodeFrame(buf); err == nil {
+	if _, err := ParseFrame(buf); err == nil {
 		t.Error("frame with oversized length field decoded without error")
 	}
 }
@@ -87,7 +87,7 @@ func TestFlitRoundTripWithPadding(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := DecodeFlits(flits)
+		got, err := ParseFrame(FromFlits(flits))
 		if err != nil {
 			return false
 		}
@@ -125,69 +125,69 @@ func TestFlitCount(t *testing.T) {
 
 func TestIPv4RoundTrip(t *testing.T) {
 	p := &IPv4{Src: IP(0x0a000001), Dst: IP(0x0a000002), Proto: ProtoUDP, TTL: 64, Payload: []byte("data")}
-	got, err := DecodeIPv4(p.Encode())
+	got, err := ParseIPv4(p.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(p, got) {
+	if !reflect.DeepEqual(*p, got) {
 		t.Errorf("round trip mismatch: %+v vs %+v", got, p)
 	}
 }
 
 func TestIPv4Errors(t *testing.T) {
-	if _, err := DecodeIPv4([]byte{1}); err == nil {
+	if _, err := ParseIPv4([]byte{1}); err == nil {
 		t.Error("short ipv4 decoded without error")
 	}
 	p := (&IPv4{Payload: []byte("abc")}).Encode()
 	p[10], p[11] = 0xff, 0xff
-	if _, err := DecodeIPv4(p); err == nil {
+	if _, err := ParseIPv4(p); err == nil {
 		t.Error("ipv4 with bad payload length decoded without error")
 	}
 }
 
 func TestICMPRoundTrip(t *testing.T) {
 	m := &ICMP{Type: ICMPEchoRequest, ID: 7, Seq: 42, SentCycle: 123456789}
-	got, err := DecodeICMP(m.Encode())
+	got, err := ParseICMP(m.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(m, got) {
+	if got != *m {
 		t.Errorf("round trip mismatch: %+v vs %+v", got, m)
 	}
-	if _, err := DecodeICMP([]byte{1, 2}); err == nil {
+	if _, err := ParseICMP([]byte{1, 2}); err == nil {
 		t.Error("short icmp decoded without error")
 	}
 }
 
 func TestUDPRoundTrip(t *testing.T) {
 	u := &UDP{SrcPort: 11211, DstPort: 4096, Payload: []byte("get key1")}
-	got, err := DecodeUDP(u.Encode())
+	got, err := ParseUDP(u.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(u, got) {
+	if !reflect.DeepEqual(*u, got) {
 		t.Errorf("round trip mismatch: %+v vs %+v", got, u)
 	}
-	if _, err := DecodeUDP([]byte{1}); err == nil {
+	if _, err := ParseUDP([]byte{1}); err == nil {
 		t.Error("short udp decoded without error")
 	}
 	buf := u.Encode()
 	buf[4], buf[5], buf[6], buf[7] = 0xff, 0xff, 0xff, 0xff
-	if _, err := DecodeUDP(buf); err == nil {
+	if _, err := ParseUDP(buf); err == nil {
 		t.Error("udp with bad payload length decoded without error")
 	}
 }
 
 func TestARPRoundTrip(t *testing.T) {
 	a := &ARP{Op: ARPRequest, SenderMAC: 0x1, SenderIP: 0x0a000001, TargetMAC: 0, TargetIP: 0x0a000002}
-	got, err := DecodeARP(a.Encode())
+	got, err := ParseARP(a.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(a, got) {
+	if got != *a {
 		t.Errorf("round trip mismatch: %+v vs %+v", got, a)
 	}
-	if _, err := DecodeARP([]byte{0}); err == nil {
+	if _, err := ParseARP([]byte{0}); err == nil {
 		t.Error("short arp decoded without error")
 	}
 }
@@ -202,19 +202,19 @@ func TestNestedEncapsulation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fr2, err := DecodeFlits(flits)
+	fr2, err := ParseFrame(FromFlits(flits))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ip2, err := DecodeIPv4(fr2.Payload)
+	ip2, err := ParseIPv4(fr2.Payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	icmp2, err := DecodeICMP(ip2.Payload)
+	icmp2, err := ParseICMP(ip2.Payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(icmp, icmp2) {
+	if icmp2 != *icmp {
 		t.Errorf("nested round trip mismatch: %+v vs %+v", icmp2, icmp)
 	}
 }

@@ -6,11 +6,9 @@ import (
 	"testing"
 )
 
-// FuzzParseFrame feeds arbitrary bytes through every parser layer. The
-// non-allocating Parse* views and the copying Decode* wrappers must agree
-// on acceptance and on every field, nothing may panic, an accepted frame
-// must re-encode to the bytes it was parsed from, and any buffer must
-// survive the flit round trip.
+// FuzzParseFrame feeds arbitrary bytes through every parser layer: nothing
+// may panic, an accepted frame must re-encode to the bytes it was parsed
+// from, and any buffer must survive the flit round trip.
 func FuzzParseFrame(f *testing.F) {
 	echo := func(typ ICMPType) []byte {
 		icmp := (&ICMP{Type: typ, ID: 7, Seq: 3, SentCycle: 99}).Encode()
@@ -44,15 +42,8 @@ func FuzzParseFrame(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		fr, err := ParseFrame(buf)
-		dfr, derr := DecodeFrame(buf)
-		if (err == nil) != (derr == nil) {
-			t.Fatalf("ParseFrame err %v, DecodeFrame err %v", err, derr)
-		}
 		body := buf // parse the inner layers from the raw bytes when the frame fails
 		if err == nil {
-			if fr.Dst != dfr.Dst || fr.Src != dfr.Src || fr.Type != dfr.Type || !bytes.Equal(fr.Payload, dfr.Payload) {
-				t.Fatalf("ParseFrame %+v, DecodeFrame %+v", fr, *dfr)
-			}
 			enc, err := fr.Encode()
 			if err != nil || !bytes.Equal(enc, buf[:HeaderLen+len(fr.Payload)]) {
 				t.Fatalf("re-encode = %x, %v; parsed from %x", enc, err, buf)
@@ -60,33 +51,12 @@ func FuzzParseFrame(f *testing.F) {
 			body = fr.Payload
 		}
 
-		ip, err := ParseIPv4(body)
-		dip, derr := DecodeIPv4(body)
-		if (err == nil) != (derr == nil) {
-			t.Fatalf("ParseIPv4 err %v, DecodeIPv4 err %v", err, derr)
-		}
-		if err == nil {
-			if ip.Src != dip.Src || ip.Dst != dip.Dst || ip.Proto != dip.Proto || ip.TTL != dip.TTL || !bytes.Equal(ip.Payload, dip.Payload) {
-				t.Fatalf("ParseIPv4 %+v, DecodeIPv4 %+v", ip, *dip)
-			}
+		if ip, err := ParseIPv4(body); err == nil {
 			body = ip.Payload
 		}
-
-		m, err := ParseICMP(body)
-		dm, derr := DecodeICMP(body)
-		if (err == nil) != (derr == nil) || err == nil && m != *dm {
-			t.Fatalf("ParseICMP %+v, %v; DecodeICMP %+v, %v", m, err, dm, derr)
-		}
-		u, err := ParseUDP(body)
-		du, derr := DecodeUDP(body)
-		if (err == nil) != (derr == nil) || err == nil && (u.SrcPort != du.SrcPort || u.DstPort != du.DstPort || !bytes.Equal(u.Payload, du.Payload)) {
-			t.Fatalf("ParseUDP %+v, %v; DecodeUDP %+v, %v", u, err, du, derr)
-		}
-		a, err := ParseARP(body)
-		da, derr := DecodeARP(body)
-		if (err == nil) != (derr == nil) || err == nil && a != *da {
-			t.Fatalf("ParseARP %+v, %v; DecodeARP %+v, %v", a, err, da, derr)
-		}
+		ParseICMP(body)
+		ParseUDP(body)
+		ParseARP(body)
 
 		flits := ToFlits(buf)
 		if back := FromFlits(flits); len(back) < len(buf) || !bytes.Equal(back[:len(buf)], buf) {

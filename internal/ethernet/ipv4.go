@@ -12,7 +12,6 @@ type Protocol uint8
 const (
 	ProtoICMP Protocol = 1
 	ProtoUDP  Protocol = 17
-	ProtoTCP  Protocol = 6
 )
 
 // IPv4HeaderLen is the fixed (option-free) header length used in
@@ -27,7 +26,8 @@ type IPv4 struct {
 	Payload  []byte
 }
 
-// Encode serialises the packet:
+// AppendIPv4Header appends the header of a packet carrying plen payload
+// bytes to b. The caller appends the payload. The packet layout is:
 //
 //	bytes 0..3  src IP
 //	bytes 4..7  dst IP
@@ -35,13 +35,6 @@ type IPv4 struct {
 //	byte  9     TTL
 //	bytes 10..11 payload length
 //	bytes 12..  payload
-func (p *IPv4) Encode() []byte {
-	buf := AppendIPv4Header(make([]byte, 0, IPv4HeaderLen+len(p.Payload)), p.Src, p.Dst, p.Proto, p.TTL, len(p.Payload))
-	return append(buf, p.Payload...)
-}
-
-// AppendIPv4Header appends the header of a packet carrying plen payload
-// bytes to b. The caller appends the payload.
 func AppendIPv4Header(b []byte, src, dst IP, proto Protocol, ttl uint8, plen int) []byte {
 	b = binary.BigEndian.AppendUint32(b, uint32(src))
 	b = binary.BigEndian.AppendUint32(b, uint32(dst))
@@ -68,16 +61,6 @@ func ParseIPv4(buf []byte) (IPv4, error) {
 	}, nil
 }
 
-// DecodeIPv4 is ParseIPv4 with the payload copied out of buf.
-func DecodeIPv4(buf []byte) (*IPv4, error) {
-	p, err := ParseIPv4(buf)
-	if err != nil {
-		return nil, err
-	}
-	p.Payload = append([]byte(nil), p.Payload...)
-	return &p, nil
-}
-
 // ICMPType distinguishes echo requests from replies.
 type ICMPType uint8
 
@@ -99,9 +82,6 @@ type ICMP struct {
 
 // ICMPLen is the serialised ICMP echo message length.
 const ICMPLen = 16
-
-// Encode serialises the message.
-func (m *ICMP) Encode() []byte { return m.Append(make([]byte, 0, ICMPLen)) }
 
 // Append appends the serialised message to b.
 func (m *ICMP) Append(b []byte) []byte {
@@ -125,15 +105,6 @@ func ParseICMP(buf []byte) (ICMP, error) {
 	}, nil
 }
 
-// DecodeICMP is ParseICMP returning a pointer.
-func DecodeICMP(buf []byte) (*ICMP, error) {
-	m, err := ParseICMP(buf)
-	if err != nil {
-		return nil, err
-	}
-	return &m, nil
-}
-
 // UDPHeaderLen is the serialised UDP header length.
 const UDPHeaderLen = 8
 
@@ -141,12 +112,6 @@ const UDPHeaderLen = 8
 type UDP struct {
 	SrcPort, DstPort uint16
 	Payload          []byte
-}
-
-// Encode serialises the datagram.
-func (u *UDP) Encode() []byte {
-	buf := AppendUDPHeader(make([]byte, 0, UDPHeaderLen+len(u.Payload)), u.SrcPort, u.DstPort, len(u.Payload))
-	return append(buf, u.Payload...)
 }
 
 // AppendUDPHeader appends the header of a datagram carrying plen payload
@@ -174,16 +139,6 @@ func ParseUDP(buf []byte) (UDP, error) {
 	}, nil
 }
 
-// DecodeUDP is ParseUDP with the payload copied out of buf.
-func DecodeUDP(buf []byte) (*UDP, error) {
-	u, err := ParseUDP(buf)
-	if err != nil {
-		return nil, err
-	}
-	u.Payload = append([]byte(nil), u.Payload...)
-	return &u, nil
-}
-
 // ARPOp distinguishes ARP requests from replies.
 type ARPOp uint16
 
@@ -207,9 +162,6 @@ type ARP struct {
 // ARPLen is the serialised ARP message length.
 const ARPLen = 2 + 8 + 4 + 8 + 4
 
-// Encode serialises the message.
-func (a *ARP) Encode() []byte { return a.Append(make([]byte, 0, ARPLen)) }
-
 // Append appends the serialised message to b.
 func (a *ARP) Append(b []byte) []byte {
 	b = binary.BigEndian.AppendUint16(b, uint16(a.Op))
@@ -231,13 +183,4 @@ func ParseARP(buf []byte) (ARP, error) {
 		TargetMAC: MAC(binary.BigEndian.Uint64(buf[14:22])),
 		TargetIP:  IP(binary.BigEndian.Uint32(buf[22:26])),
 	}, nil
-}
-
-// DecodeARP is ParseARP returning a pointer.
-func DecodeARP(buf []byte) (*ARP, error) {
-	a, err := ParseARP(buf)
-	if err != nil {
-		return nil, err
-	}
-	return &a, nil
 }

@@ -308,10 +308,6 @@ func Generate(cfg Config, targets []Target) (*Plan, error) {
 	return p, nil
 }
 
-// Config returns the config the plan was generated from (with defaults
-// applied).
-func (p *Plan) Config() Config { return p.cfg }
-
 // Events returns a copy of the full schedule in deterministic order.
 func (p *Plan) Events() []Event {
 	out := make([]Event, len(p.events))

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"repro/internal/clock"
 	"repro/internal/stats"
 	"repro/internal/token"
 )
@@ -225,5 +224,4 @@ func TestEventsWithinHorizon(t *testing.T) {
 			t.Fatalf("event %v starts before time zero", ev)
 		}
 	}
-	var _ clock.Cycles = p.Config().Horizon
 }

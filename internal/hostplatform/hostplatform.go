@@ -57,9 +57,6 @@ const FPGARetailUSD = 50_000
 // packing natural.
 const FPGADRAMChannels = 4
 
-// FPGADRAMGiB is the DRAM on each FPGA card (64 GiB across 4 channels).
-const FPGADRAMGiB = 64
-
 // Utilization describes FPGA LUT occupancy for a given packing, matching
 // the percentages reported in Section III-A5.
 type Utilization struct {
@@ -119,15 +116,6 @@ func (d *Deployment) Add(t InstanceType, n int) {
 
 // Count reports how many instances of the named type are deployed.
 func (d *Deployment) Count(name string) int { return d.counts[name] }
-
-// Instances reports the total instance count.
-func (d *Deployment) Instances() int {
-	total := 0
-	for _, n := range d.counts {
-		total += n
-	}
-	return total
-}
 
 // FPGAs reports the total FPGA count.
 func (d *Deployment) FPGAs() int {

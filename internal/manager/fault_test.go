@@ -10,12 +10,10 @@ import (
 	"repro/internal/switchmodel"
 )
 
-func faultedRack(t *testing.T, n int) (*Cluster, clock.Cycles) {
-	t.Helper()
-	const horizon = 100 * 6400 // 640k cycles at the default link latency
-	topo := rackOf(n)
-	// Aggressive rates so a short run sees every fault kind.
-	fcfg := &faults.Config{
+// aggressiveFaults has rates high enough that a short run sees every fault
+// kind.
+func aggressiveFaults(horizon clock.Cycles) faults.Config {
+	return faults.Config{
 		Scenario:    "test-aggressive",
 		Seed:        99,
 		Horizon:     horizon,
@@ -26,7 +24,14 @@ func faultedRack(t *testing.T, n int) (*Cluster, clock.Cycles) {
 		NodeFreeze:  faults.Burst{MeanEvery: 200_000, MeanDuration: 10_000},
 		CorruptMask: faults.DefaultCorruptMask,
 	}
-	c, err := Deploy(topo, DeployConfig{Seed: 7, FaultConfig: fcfg})
+}
+
+func faultedRack(t *testing.T, n int) (*Cluster, clock.Cycles) {
+	t.Helper()
+	const horizon = 100 * 6400 // 640k cycles at the default link latency
+	topo := rackOf(n)
+	fcfg := aggressiveFaults(horizon)
+	c, err := Deploy(topo, DeployConfig{Seed: 7, FaultConfig: &fcfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +123,7 @@ func TestFaultDeterminism(t *testing.T) {
 	// Different seed: the schedule must actually differ (faults are not
 	// being ignored).
 	topo := rackOf(4)
-	fcfg := c1.Faults.Config()
+	fcfg := aggressiveFaults(horizon)
 	fcfg.Seed = 100
 	c4, err := Deploy(topo, DeployConfig{Seed: 7, FaultConfig: &fcfg})
 	if err != nil {

@@ -7,7 +7,6 @@
 package manager
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 
@@ -123,9 +122,6 @@ func (s ClusterSpec) Topology() (NodeSpec, DeployConfig, error) {
 	}
 	return s.Root, cfg, nil
 }
-
-// Encode serialises the spec (the payload format of assign frames).
-func (s ClusterSpec) Encode() ([]byte, error) { return json.Marshal(s) }
 
 // validate rejects a workload Apply could not install: an unknown kind, a
 // frame that cannot hold an Ethernet header or exceeds the maximum frame

@@ -154,12 +154,6 @@ func New(cfg Config, mem Memory) *NIC {
 	return &NIC{cfg: cfg, mem: mem, rateK: 1, rateP: 1, rateBurst: 16}
 }
 
-// Stats returns a snapshot of the NIC counters.
-func (n *NIC) Stats() Stats { return n.stats }
-
-// MAC returns the NIC's address.
-func (n *NIC) MAC() ethernet.MAC { return n.cfg.MAC }
-
 // SetRateLimit sets the token bucket to k tokens every p cycles (effective
 // bandwidth k/p of the unlimited rate). Panics on p == 0.
 func (n *NIC) SetRateLimit(k, p uint32) {
@@ -179,50 +173,7 @@ func (n *NIC) SetRateLimit(k, p uint32) {
 	}
 }
 
-// SetRateLimitGbps configures the limiter for a target bandwidth on a link
-// of the given raw bandwidth (both in Gbit/s), reducing k/p to lowest
-// terms. This is how the Figure 6 experiment models standard Ethernet
-// rates on the 200 Gbit/s link.
-func (n *NIC) SetRateLimitGbps(target, link float64) {
-	if target >= link {
-		n.SetRateLimit(1, 1)
-		return
-	}
-	// Find a small rational approximation k/p = target/link.
-	const maxDen = 400
-	bestK, bestP := uint32(1), uint32(maxDen)
-	bestErr := 1e18
-	want := target / link
-	for p := 1; p <= maxDen; p++ {
-		k := int(want*float64(p) + 0.5)
-		if k < 1 {
-			continue
-		}
-		err := abs(float64(k)/float64(p) - want)
-		if err < bestErr {
-			bestErr = err
-			bestK, bestP = uint32(k), uint32(p)
-			if err == 0 {
-				break
-			}
-		}
-	}
-	n.SetRateLimit(bestK, bestP)
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
 // --- MMIO (controller) ---
-
-// CountsOf unpacks the RegCounts value.
-func CountsOf(v uint64) (sendReqFree, recvReqFree, sendComp, recvComp int) {
-	return int(v & 0xff), int(v >> 8 & 0xff), int(v >> 16 & 0xff), int(v >> 24 & 0xff)
-}
 
 // MMIOLoad services a CPU read of a NIC register at the given offset.
 func (n *NIC) MMIOLoad(offset uint64) uint64 {

@@ -308,7 +308,7 @@ func TestLoopbackTwoNICs(t *testing.T) {
 	if gotLen == 0 {
 		t.Fatal("no packet received")
 	}
-	got, err := ethernet.DecodeFrame(memB.mem[0x4000 : 0x4000+gotLen])
+	got, err := ethernet.ParseFrame(memB.mem[0x4000 : 0x4000+gotLen])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +358,7 @@ func TestLoopbackProperty(t *testing.T) {
 		if int(gotLen) != (len(buf)+7)/8*8 {
 			return false
 		}
-		got, err := ethernet.DecodeFrame(memB.mem[0x4000 : 0x4000+gotLen])
+		got, err := ethernet.ParseFrame(memB.mem[0x4000 : 0x4000+gotLen])
 		if err != nil {
 			return false
 		}

@@ -64,9 +64,6 @@ type Gauge struct {
 // Set stores v.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
-// Add adjusts the gauge by delta (which may be negative).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
@@ -94,43 +91,6 @@ func (h *Histogram) Observe(v uint64) {
 	h.count.Add(1)
 	h.sum.Add(v)
 	h.buckets[bits.Len64(v)].Add(1)
-}
-
-// Count returns the number of observations recorded.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() uint64 { return h.sum.Load() }
-
-// Mean returns the mean observation, or 0 for an empty histogram.
-func (h *Histogram) Mean() float64 {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return float64(h.sum.Load()) / float64(n)
-}
-
-// Quantile returns an upper bound for the q-quantile (0 <= q <= 1) from
-// the bucket boundaries: the upper edge of the bucket containing the
-// q-th observation. Resolution is a factor of two.
-func (h *Histogram) Quantile(q float64) uint64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	target := uint64(q * float64(total))
-	if target >= total {
-		target = total - 1
-	}
-	var seen uint64
-	for b := 0; b < histBuckets; b++ {
-		seen += h.buckets[b].Load()
-		if seen > target {
-			return bucketUpperBound(b)
-		}
-	}
-	return bucketUpperBound(histBuckets - 1)
 }
 
 // bucketUpperBound returns the exclusive upper edge of bucket b: bucket 0
@@ -185,9 +145,6 @@ func NewRegistry(name string) *Registry {
 		histograms: make(map[string]*Histogram),
 	}
 }
-
-// Name returns the registry name.
-func (r *Registry) Name() string { return r.name }
 
 // Counter returns the named counter, creating it on first use. It panics
 // if the name is already registered as a different instrument kind.

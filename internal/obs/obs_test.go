@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -85,26 +86,20 @@ func TestSnapshotWhileWriting(t *testing.T) {
 // TestHistogramBuckets pins the power-of-two bucketing: observation v
 // lands in the bucket whose upper bound is the next power of two.
 func TestHistogramBuckets(t *testing.T) {
-	var h Histogram
+	reg := NewRegistry("buckets")
+	h := reg.Histogram("h")
 	h.Observe(0) // bucket 0, bound 0
 	h.Observe(1) // bucket 1, bound 2
 	h.Observe(2) // bucket 2, bound 4
 	h.Observe(3) // bucket 2, bound 4
 	h.Observe(4) // bucket 3, bound 8
-	if got := h.Count(); got != 5 {
-		t.Fatalf("count = %d", got)
+	got := reg.Snapshot().Histograms["h"]
+	want := HistogramSnapshot{Count: 5, Sum: 10, Buckets: []BucketCount{{0, 1}, {2, 1}, {4, 2}, {8, 1}}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("snapshot = %+v, want %+v", got, want)
 	}
-	if got := h.Sum(); got != 10 {
-		t.Fatalf("sum = %d", got)
-	}
-	if got := h.Quantile(0.5); got != 4 {
-		t.Errorf("p50 bound = %d, want 4", got)
-	}
-	if got := h.Quantile(1.0); got != 8 {
-		t.Errorf("p100 bound = %d, want 8", got)
-	}
-	if got := h.Mean(); got != 2 {
-		t.Errorf("mean = %v, want 2", got)
+	if m := got.Mean(); m != 2 {
+		t.Errorf("mean = %v, want 2", m)
 	}
 }
 

@@ -19,24 +19,15 @@ type Bus interface {
 	Store(addr uint64, size int, value uint64) (latency clock.Cycles)
 }
 
-// Timing holds the core's fixed per-instruction costs (beyond memory
-// latency), modeling the Rocket in-order single-issue pipeline.
-type Timing struct {
-	// Base is the cost of a simple ALU instruction.
-	Base clock.Cycles
-	// BranchTaken is the extra cost of a taken branch or jump (pipeline
-	// redirect).
-	BranchTaken clock.Cycles
-	// Mul is the extra cost of a multiply.
-	Mul clock.Cycles
-	// Div is the extra cost of a divide/remainder.
-	Div clock.Cycles
-}
-
-// DefaultTiming matches a Rocket-class in-order pipeline.
-func DefaultTiming() Timing {
-	return Timing{Base: 1, BranchTaken: 2, Mul: 3, Div: 20}
-}
+// The core's fixed per-instruction costs (beyond memory latency), matching
+// a Rocket-class in-order single-issue pipeline. Every instruction costs at
+// least costBase, so a step that executes anything takes at least a cycle.
+const (
+	costBase        clock.Cycles = 1  // a simple ALU instruction
+	costBranchTaken clock.Cycles = 2  // extra for a taken branch or jump (pipeline redirect)
+	costMul         clock.Cycles = 3  // extra for a multiply
+	costDiv         clock.Cycles = 20 // extra for a divide/remainder
+)
 
 // Stats counts retired instructions by class.
 type Stats struct {
@@ -73,9 +64,8 @@ type CPU struct {
 	// becomes pending.
 	WaitingForInterrupt bool
 
-	bus    Bus
-	timing Timing
-	stats  Stats
+	bus   Bus
+	stats Stats
 
 	// Predecode fast path (derived state, never snapshotted).
 	decodeOn bool
@@ -100,7 +90,7 @@ type CPU struct {
 // fast path is on by default; SetDecodeCache(false) restores the plain
 // fetch-and-crack path.
 func New(bus Bus, hartID uint64, entry uint64) *CPU {
-	c := &CPU{PC: entry, HartID: hartID, bus: bus, timing: DefaultTiming(), decodeOn: true, sbOn: true}
+	c := &CPU{PC: entry, HartID: hartID, bus: bus, decodeOn: true, sbOn: true}
 	c.fastBus, _ = bus.(FetchFaster)
 	if sp, ok := bus.(FetchSpanner); ok {
 		if lb := sp.ILineBytes(); lb >= 4 && lb&(lb-1) == 0 {
@@ -113,13 +103,6 @@ func New(bus Bus, hartID uint64, entry uint64) *CPU {
 
 // Stats returns a snapshot of the instruction counters.
 func (c *CPU) Stats() Stats { return c.stats }
-
-// SetTiming overrides the pipeline timing model. Built superblocks embed
-// span costs derived from the old timing, so they are dropped.
-func (c *CPU) SetTiming(t Timing) {
-	c.timing = t
-	c.killBlocksAll()
-}
 
 // SetExternalInterrupt drives the machine external interrupt pending bit
 // (wired from the NIC and block device interrupt lines).
@@ -150,7 +133,7 @@ func (c *CPU) trap(cause uint64, epc uint64) clock.Cycles {
 		// No handler installed: treat as fatal, like a bare-metal harness
 		// spinning in the weeds.
 		c.Halted = true
-		return c.timing.Base
+		return costBase
 	}
 	c.MEPC = epc
 	c.MCause = cause
@@ -162,7 +145,7 @@ func (c *CPU) trap(cause uint64, epc uint64) clock.Cycles {
 	}
 	c.MStatus &^= MStatusMIE
 	c.PC = c.MTVec
-	return c.timing.Base + c.timing.BranchTaken
+	return costBase + costBranchTaken
 }
 
 // Step executes one instruction (or takes one interrupt), returning the
@@ -225,7 +208,7 @@ func crackImm(op, word uint32) uint64 {
 // drift from the slow one. The caller has fetched the word (fetchLat is
 // that fetch's stall) and cracked op/rd/rs1/rs2/f3/f7/imm (crackImm).
 func (c *CPU) exec1(word, op, rd, rs1, rs2, f3, f7 uint32, imm uint64, fetchLat clock.Cycles) clock.Cycles {
-	cost := c.timing.Base + fetchLat
+	cost := costBase + fetchLat
 	nextPC := c.PC + 4
 
 	r1 := c.X[rs1]
@@ -241,11 +224,11 @@ func (c *CPU) exec1(word, op, rd, rs1, rs2, f3, f7 uint32, imm uint64, fetchLat 
 	case opJAL:
 		wb, writeback = nextPC, true
 		nextPC = c.PC + imm
-		cost += c.timing.BranchTaken
+		cost += costBranchTaken
 	case opJALR:
 		wb, writeback = nextPC, true
 		nextPC = (r1 + imm) &^ 1
-		cost += c.timing.BranchTaken
+		cost += costBranchTaken
 	case opBranch:
 		c.stats.Branches++
 		taken := false
@@ -267,7 +250,7 @@ func (c *CPU) exec1(word, op, rd, rs1, rs2, f3, f7 uint32, imm uint64, fetchLat 
 		}
 		if taken {
 			nextPC = c.PC + imm
-			cost += c.timing.BranchTaken
+			cost += costBranchTaken
 		}
 	case opLoad:
 		c.stats.Loads++
@@ -444,7 +427,7 @@ func (c *CPU) exec1(word, op, rd, rs1, rs2, f3, f7 uint32, imm uint64, fetchLat 
 			}
 			c.MStatus |= MStatusMPIE
 			nextPC = c.MEPC
-			cost += c.timing.BranchTaken
+			cost += costBranchTaken
 		case f3 >= 1 && f3 <= 3: // CSRRW/CSRRS/CSRRC
 			csr := sysImm
 			old := c.readCSR(csr)
@@ -484,19 +467,19 @@ func (c *CPU) illegal(word uint32) clock.Cycles {
 func (c *CPU) mulDiv(f3 uint32, r1, r2 uint64, cost *clock.Cycles) uint64 {
 	switch f3 {
 	case 0:
-		*cost += c.timing.Mul
+		*cost += costMul
 		return r1 * r2
 	case 1: // MULH
-		*cost += c.timing.Mul
+		*cost += costMul
 		return mulh(int64(r1), int64(r2))
 	case 2: // MULHSU
-		*cost += c.timing.Mul
+		*cost += costMul
 		return mulhsu(int64(r1), r2)
 	case 3: // MULHU
-		*cost += c.timing.Mul
+		*cost += costMul
 		return mulhu(r1, r2)
 	case 4: // DIV
-		*cost += c.timing.Div
+		*cost += costDiv
 		if r2 == 0 {
 			return ^uint64(0)
 		}
@@ -505,13 +488,13 @@ func (c *CPU) mulDiv(f3 uint32, r1, r2 uint64, cost *clock.Cycles) uint64 {
 		}
 		return uint64(int64(r1) / int64(r2))
 	case 5: // DIVU
-		*cost += c.timing.Div
+		*cost += costDiv
 		if r2 == 0 {
 			return ^uint64(0)
 		}
 		return r1 / r2
 	case 6: // REM
-		*cost += c.timing.Div
+		*cost += costDiv
 		if r2 == 0 {
 			return r1
 		}
@@ -520,7 +503,7 @@ func (c *CPU) mulDiv(f3 uint32, r1, r2 uint64, cost *clock.Cycles) uint64 {
 		}
 		return uint64(int64(r1) % int64(r2))
 	default: // REMU
-		*cost += c.timing.Div
+		*cost += costDiv
 		if r2 == 0 {
 			return r1
 		}
@@ -532,10 +515,10 @@ func (c *CPU) mulDiv32(f3 uint32, r1, r2 uint64, cost *clock.Cycles) uint64 {
 	a, b := int32(r1), int32(r2)
 	switch f3 {
 	case 0: // MULW
-		*cost += c.timing.Mul
+		*cost += costMul
 		return sext(uint64(uint32(a*b)), 32)
 	case 4: // DIVW
-		*cost += c.timing.Div
+		*cost += costDiv
 		if b == 0 {
 			return ^uint64(0)
 		}
@@ -544,13 +527,13 @@ func (c *CPU) mulDiv32(f3 uint32, r1, r2 uint64, cost *clock.Cycles) uint64 {
 		}
 		return sext(uint64(uint32(a/b)), 32)
 	case 5: // DIVUW
-		*cost += c.timing.Div
+		*cost += costDiv
 		if uint32(b) == 0 {
 			return ^uint64(0)
 		}
 		return sext(uint64(uint32(r1)/uint32(r2)), 32)
 	case 6: // REMW
-		*cost += c.timing.Div
+		*cost += costDiv
 		if b == 0 {
 			return sext(uint64(uint32(a)), 32)
 		}
@@ -559,7 +542,7 @@ func (c *CPU) mulDiv32(f3 uint32, r1, r2 uint64, cost *clock.Cycles) uint64 {
 		}
 		return sext(uint64(uint32(a%b)), 32)
 	case 7: // REMUW
-		*cost += c.timing.Div
+		*cost += costDiv
 		if uint32(b) == 0 {
 			return sext(uint64(uint32(r1)), 32)
 		}

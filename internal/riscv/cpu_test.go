@@ -436,8 +436,7 @@ func TestTimingCosts(t *testing.T) {
 	for i := 0; i < 100 && !cpu.Halted; i++ {
 		total += cpu.Step()
 	}
-	tm := DefaultTiming()
-	want := 4*tm.Base + tm.BranchTaken
+	want := 4*costBase + costBranchTaken
 	if total != want {
 		t.Errorf("total cycles = %d, want %d", total, want)
 	}

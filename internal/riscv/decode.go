@@ -60,9 +60,6 @@ func (c *CPU) SetDecodeCache(on bool) {
 	}
 }
 
-// DecodeCacheEnabled reports whether the predecode fast path is active.
-func (c *CPU) DecodeCacheEnabled() bool { return c.decodeOn }
-
 // InvalidateDecode drops any predecoded entries covering [addr, addr+n).
 // Because an entry for pc P lives only at index (P>>2)&decMask, clearing
 // the index of every word in the range is exact and complete; entries for

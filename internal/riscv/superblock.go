@@ -39,7 +39,7 @@ type sbEntry struct {
 	pc   uint64
 	imm  uint64
 	word uint32
-	// spanCost is the total post-clamp cost of the fetch span starting
+	// spanCost is the total cost of the fetch span starting
 	// here (valid when spanLen > 0); see buildBlock.
 	spanCost uint16
 	op       uint8
@@ -72,9 +72,6 @@ func (c *CPU) SetSuperblocks(on bool) {
 		c.sbLo, c.sbHi = 0, 0
 	}
 }
-
-// SuperblocksEnabled reports whether the superblock fast path is active.
-func (c *CPU) SuperblocksEnabled() bool { return c.sbOn }
 
 // SuperblockInstret reports how many instructions retired through block
 // dispatch (observability only; excluded from Stats and snapshots).
@@ -169,9 +166,9 @@ func (c *CPU) buildBlock(b *superblock, pc uint64) *superblock {
 // span-pure instructions within one I-line; the dispatcher replays all of
 // a span's fetches in one FetchSpan call and executes its instructions
 // with no per-instruction exit checks (none can fire; see StepBlock).
-// spanCost accumulates each instruction's post-clamp cost, which for pure
-// ops is fully determined at build time: Base (+ Mul/Div for multiplies
-// and divides) plus a zero fetch stall, clamped to at least 1.
+// spanCost accumulates each instruction's cost, which for pure ops is fully
+// determined at build time: costBase (+ costMul/costDiv for multiplies and
+// divides) plus a zero fetch stall.
 func (c *CPU) formSpans(entries []sbEntry) {
 	mask := c.spanMask
 	for i := len(entries) - 1; i >= 0; i-- {
@@ -179,28 +176,22 @@ func (c *CPU) formSpans(entries []sbEntry) {
 		if !spanPure(e.op, e.f3, e.f7) {
 			continue
 		}
-		cost := c.timing.Base
+		cost := costBase
 		if e.f7 == 1 {
 			switch uint32(e.op) {
 			case opReg:
 				if e.f3 < 4 {
-					cost += c.timing.Mul
+					cost += costMul
 				} else {
-					cost += c.timing.Div
+					cost += costDiv
 				}
 			case opReg32:
 				if e.f3 == 0 {
-					cost += c.timing.Mul
+					cost += costMul
 				} else {
-					cost += c.timing.Div
+					cost += costDiv
 				}
 			}
-		}
-		if cost <= 0 {
-			cost = 1
-		}
-		if cost > 0xff {
-			continue // exotic timing; keep the per-instruction path exact
 		}
 		e.spanLen, e.spanCost = 1, uint16(cost)
 		if i+1 < len(entries) {
@@ -315,9 +306,6 @@ func (c *CPU) StepBlock(budget clock.Cycles) clock.Cycles {
 					se := &entries[j]
 					cost = c.exec1(se.word, uint32(se.op), uint32(se.rd), uint32(se.rs1), uint32(se.rs2),
 						uint32(se.f3), uint32(se.f7), se.imm, 0)
-					if cost <= 0 {
-						cost = 1
-					}
 					used += cost
 				}
 				retired += uint64(end - ei)
@@ -361,18 +349,12 @@ func (c *CPU) StepBlock(budget clock.Cycles) clock.Cycles {
 						c.Cycle = now
 					}
 					cost := c.exec1(word, op, rd, rs1, rs2, f3, f7, imm, fetchLat)
-					if cost <= 0 {
-						cost = 1
-					}
 					retired++
 					return used + cost
 				}
 			}
 			cost := c.exec1(e.word, uint32(e.op), uint32(e.rd), uint32(e.rs1), uint32(e.rs2),
 				uint32(e.f3), uint32(e.f7), e.imm, fetchLat)
-			if cost <= 0 {
-				cost = 1
-			}
 			used += cost
 			retired++
 			if winStop != nil && *winStop {

@@ -82,12 +82,6 @@ type Config struct {
 	NICConfig nic.Config
 }
 
-// QuadCore returns the standard quad-core blade configuration used in the
-// paper's cluster experiments.
-func QuadCore(name string, mac ethernet.MAC) Config {
-	return Config{Name: name, Cores: 4, MAC: mac}
-}
-
 // SoC is the assembled server blade.
 type SoC struct {
 	cfg  Config
@@ -123,8 +117,6 @@ type SoC struct {
 	winStart   clock.Cycles
 	winBrokeAt clock.Cycles
 	active     []*core
-
-	metrics *socMetrics
 }
 
 type mmioSlot struct {
@@ -214,25 +206,16 @@ func (s *SoC) RegisterDevice(base uint64, dev Device) error {
 	return nil
 }
 
-// NIC exposes the blade's NIC (for manager-side rate-limit configuration).
-func (s *SoC) NIC() *nic.NIC { return s.nic }
-
 // DMA returns a coherent DMA port into the blade's memory system (timing
 // through the shared L2, data against DRAM). Accelerators attached via
 // RegisterDevice use it to move operands, like RoCC units sharing the L2.
 func (s *SoC) DMA() nic.Memory { return &socDMA{s: s} }
-
-// BlockDev exposes the blade's block device (for disk provisioning).
-func (s *SoC) BlockDev() *blockdev.Device { return s.bdev }
 
 // DRAM exposes the memory model (for test setup and result extraction).
 func (s *SoC) DRAM() *dram.Model { return s.dram }
 
 // Core returns hart i's CPU state.
 func (s *SoC) Core(i int) *riscv.CPU { return s.cores[i].cpu }
-
-// Console returns everything written to the UART.
-func (s *SoC) Console() string { return string(s.console) }
 
 // Halted reports whether the blade has powered off (all harts halted or
 // the power-off device written).
@@ -269,9 +252,6 @@ func (s *SoC) TickBatch(n int, in, out []*token.Batch) {
 		s.computeWindow(n, in[0], out[0])
 	default:
 		s.tickCycles(n, in[0], out[0])
-	}
-	if s.metrics != nil {
-		s.publishMetrics()
 	}
 }
 
@@ -315,11 +295,7 @@ func (s *SoC) tickCycleRange(from, n int, in, out *token.Batch) {
 			}
 			c.cpu.Cycle = now
 			c.bus.now = now
-			cost := c.cpu.Step()
-			if cost <= 0 {
-				cost = 1
-			}
-			c.busyUntil = now + cost
+			c.busyUntil = now + c.cpu.Step()
 		}
 	}
 	s.cycle += clock.Cycles(n)
@@ -447,11 +423,7 @@ func (s *SoC) computeWindow(n int, in, out *token.Batch) {
 			c.bus.now = now
 			used := c.cpu.StepBlock(last + 1 - now)
 			if used == 0 {
-				cost := c.cpu.Step()
-				if cost <= 0 {
-					cost = 1
-				}
-				used = cost
+				used = c.cpu.Step()
 			}
 			now += used
 			if s.winBroke {
@@ -471,11 +443,7 @@ func (s *SoC) computeWindow(n int, in, out *token.Batch) {
 				}
 				c.cpu.Cycle = now
 				c.bus.now = now
-				cost := c.cpu.Step()
-				if cost <= 0 {
-					cost = 1
-				}
-				c.busyUntil = now + cost
+				c.busyUntil = now + c.cpu.Step()
 			}
 			if s.winBroke {
 				break
@@ -569,25 +537,6 @@ func (s *SoC) SetSuperblocks(on bool) {
 	for _, c := range s.cores {
 		c.cpu.SetSuperblocks(on)
 	}
-}
-
-// SkippedCycles reports how many target cycles the quiescent fast path
-// has skipped so far (observability only; excluded from snapshots).
-func (s *SoC) SkippedCycles() uint64 { return s.skipped }
-
-// PartialIdleCycles reports how many WFI hart-cycles the compute-only
-// window parked arithmetically instead of burning one at a time
-// (observability only; excluded from snapshots).
-func (s *SoC) PartialIdleCycles() uint64 { return s.partIdle }
-
-// SuperblockInstret sums instructions retired through superblock dispatch
-// across all harts (observability only).
-func (s *SoC) SuperblockInstret() uint64 {
-	var total uint64
-	for _, c := range s.cores {
-		total += c.cpu.SuperblockInstret()
-	}
-	return total
 }
 
 // InstretTotal sums retired instructions across all harts.
@@ -694,12 +643,6 @@ func (b *coreBus) lineIndex(off uint64) uint64 {
 	}
 	return off / b.ilineBytes
 }
-
-// L1I exposes the instruction cache for stats.
-func (b *coreBus) L1I() *cache.Cache { return b.l1i }
-
-// L1D exposes the data cache for stats.
-func (b *coreBus) L1D() *cache.Cache { return b.l1d }
 
 // Fetch implements riscv.Bus.
 func (b *coreBus) Fetch(addr uint64) (uint32, clock.Cycles) {

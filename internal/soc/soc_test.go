@@ -89,7 +89,7 @@ func TestQuadCoreHartsAllRun(t *testing.T) {
 	a.Label("spin")
 	a.J("spin")
 
-	s := mustSoC(t, QuadCore("n0", 0x1), a)
+	s := mustSoC(t, Config{Name: "n0", Cores: 4, MAC: 0x1}, a)
 	tickUntilHalted(t, s, 3_000_000)
 	for hart := uint64(0); hart < 4; hart++ {
 		if got := s.DRAM().Read64(0x1000 + 8*hart); got != hart+1 {
@@ -239,7 +239,7 @@ func TestBareMetalNetworkRoundTrip(t *testing.T) {
 	}
 	rx := make([]byte, gotLen)
 	receiver.DRAM().ReadBytes(0x4000, rx)
-	got, err := ethernet.DecodeFrame(rx)
+	got, err := ethernet.ParseFrame(rx)
 	if err != nil {
 		t.Fatal(err)
 	}

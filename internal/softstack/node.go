@@ -179,9 +179,6 @@ func (n *Node) Clock() clock.Clock { return n.clk }
 // Costs returns the node's kernel cost model.
 func (n *Node) Costs() Costs { return n.costs }
 
-// Now returns the node's current cycle (end of the last processed event).
-func (n *Node) Now() clock.Cycles { return n.cycle }
-
 // Stats returns a snapshot of the counters.
 func (n *Node) Stats() Stats { return n.stats }
 

@@ -94,10 +94,6 @@ func (th *Thread) Submit(now clock.Cycles, job Job) {
 	th.node.sched.wake(now, th)
 }
 
-// QueueLen reports the number of jobs waiting on the thread (including the
-// one in flight).
-func (th *Thread) QueueLen() int { return len(th.jobs) }
-
 // wake places a thread with pending work onto a core's run queue.
 func (s *scheduler) wake(now clock.Cycles, th *Thread) {
 	core := th.pinned

@@ -74,12 +74,6 @@ func (s *Sample) Mean() float64 {
 	return sum / float64(len(s.values))
 }
 
-// Min returns the smallest observation.
-func (s *Sample) Min() float64 { return s.Percentile(0) }
-
-// Max returns the largest observation.
-func (s *Sample) Max() float64 { return s.Percentile(100) }
-
 // TimeSeries accumulates a value (e.g. bytes) into fixed-width buckets of
 // simulated time, for bandwidth-over-time plots.
 type TimeSeries struct {

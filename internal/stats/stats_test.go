@@ -31,8 +31,8 @@ func TestPercentiles(t *testing.T) {
 	if got := s.Mean(); math.Abs(got-50.5) > 1e-9 {
 		t.Errorf("Mean = %g", got)
 	}
-	if s.Min() != 1 || s.Max() != 100 {
-		t.Errorf("Min/Max = %g/%g", s.Min(), s.Max())
+	if s.Percentile(0) != 1 || s.Percentile(100) != 100 {
+		t.Errorf("Min/Max = %g/%g", s.Percentile(0), s.Percentile(100))
 	}
 }
 
@@ -61,7 +61,7 @@ func TestAddAfterPercentileResorts(t *testing.T) {
 	s.Add(10)
 	_ = s.Median()
 	s.Add(0)
-	if got := s.Min(); got != 0 {
+	if got := s.Percentile(0); got != 0 {
 		t.Errorf("Min after re-add = %g", got)
 	}
 }
@@ -86,7 +86,7 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 			a, b = b, a
 		}
 		va, vb := s.Percentile(a), s.Percentile(b)
-		return va <= vb && va >= s.Min() && vb <= s.Max()
+		return va <= vb && va >= s.Percentile(0) && vb <= s.Percentile(100)
 	}
 	if err := quick.Check(check, nil); err != nil {
 		t.Error(err)

@@ -98,7 +98,7 @@ func TestDeliveryProperty(t *testing.T) {
 				for _, s := range b.Slots {
 					cur = append(cur, s.Tok.Data)
 					if s.Tok.Last {
-						fr, err := ethernet.DecodeFlits(cur)
+						fr, err := ethernet.ParseFrame(ethernet.FromFlits(cur))
 						cur = nil
 						if err != nil {
 							return false

@@ -132,12 +132,6 @@ func (r *MACTableRouter) Set(mac ethernet.MAC, port int) {
 	r.flood = nil
 }
 
-// Lookup reports the port for a MAC, if present.
-func (r *MACTableRouter) Lookup(mac ethernet.MAC) (int, bool) {
-	p, ok := r.table[mac]
-	return p, ok
-}
-
 // Route implements Router.
 func (r *MACTableRouter) Route(sw *Switch, pkt *Packet) []int {
 	dst := pkt.Dst()
@@ -361,10 +355,6 @@ func (s *Switch) Name() string { return s.cfg.Name }
 // NumPorts implements fame.Endpoint.
 func (s *Switch) NumPorts() int { return s.cfg.Ports }
 
-// Router returns the switch's router, for manager-side MAC table
-// population.
-func (s *Switch) Router() Router { return s.router }
-
 // MACTable returns the router as a *MACTableRouter if that is what is
 // installed, for the common case.
 func (s *Switch) MACTable() *MACTableRouter {
@@ -419,11 +409,6 @@ func (s *Switch) publishStats() {
 	}
 	s.pubCycle.Store(int64(s.cycle))
 }
-
-// Cycle returns the switch's target cycle as of the most recently
-// completed TickBatch. Like Stats, it is safe concurrently with a
-// parallel run.
-func (s *Switch) Cycle() clock.Cycles { return clock.Cycles(s.pubCycle.Load()) }
 
 // SetProbe installs a per-released-flit callback for bandwidth
 // measurement.

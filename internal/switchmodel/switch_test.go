@@ -222,7 +222,7 @@ func TestTieBreakIsDeterministic(t *testing.T) {
 		if len(pkts) != 2 {
 			t.Fatalf("got %d packets", len(pkts))
 		}
-		fr, err := ethernet.DecodeFlits(pkts[0])
+		fr, err := ethernet.ParseFrame(ethernet.FromFlits(pkts[0]))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -90,17 +90,14 @@ type Bridge struct {
 	nextSend uint64 // sequence number for the next batch we send
 	nextRecv uint64 // sequence number we expect from the peer next
 
-	// Wire-level byte accounting, fed by the counting shims installed
-	// around the connection in setConn — the totals are what actually
+	// Wire-level byte accounting, fed by the counting shim installed
+	// around the connection in setConn — the total is what actually
 	// crossed the wire (frames, handshakes, partial writes), not a
-	// recomputation. Atomic because the send side is counted from the
-	// writer goroutine. precodec tracks what the same traffic would have
-	// cost under the v2 fixed-width codec.
-	wireSent    atomic.Uint64
-	wireRecv    atomic.Uint64
-	sentFlushed uint64 // wireSent already forwarded to the obs counters
-	recvFlushed uint64
-	precodec    uint64
+	// recomputation. Atomic because it is counted from the writer
+	// goroutine. precodec tracks what the same traffic would have cost
+	// under the v2 fixed-width codec.
+	wireSent atomic.Uint64
+	precodec uint64
 
 	// Persistent writer goroutine: one per bridge, started lazily on the
 	// first submit and living across exchanges, so the steady-state send
@@ -121,16 +118,12 @@ type Bridge struct {
 	sendSeq       uint64
 	sendReady     bool
 	sendSubmitted bool
-
-	// metrics, when non-nil, exports the error ledger and wire volume to
-	// the observability layer (see metrics.go).
-	metrics *bridgeMetrics
 }
 
-// countingWriter and countingReader are the wire-truth shims installed
-// between the bufio layer and the connection: every byte that actually
-// crosses (including torn partial writes) is counted, so the byte metrics
-// no longer recompute frame sizes.
+// countingWriter is the wire-truth shim installed between the bufio layer
+// and the connection: every byte that actually crosses (including torn
+// partial writes) is counted, so the byte total does not recompute frame
+// sizes.
 type countingWriter struct {
 	w io.Writer
 	n *atomic.Uint64
@@ -142,27 +135,11 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-type countingReader struct {
-	r io.Reader
-	n *atomic.Uint64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n.Add(uint64(n))
-	return n, err
-}
-
-// NewBridge wraps a connection with the default (blocking) configuration.
-// Each side of the distributed simulation creates one Bridge over its end
-// of the connection and Connects it where the remote half of the topology
-// would attach.
-func NewBridge(name string, conn io.ReadWriter) *Bridge {
-	return NewBridgeConfig(name, conn, BridgeConfig{})
-}
-
-// NewBridgeConfig wraps a connection with an explicit read timeout and
-// topology hash.
+// NewBridgeConfig wraps a connection with a read timeout and topology
+// hash (the zero BridgeConfig blocks and checks only the step). Each side
+// of the distributed simulation creates one Bridge over its end of the
+// connection and Connects it where the remote half of the topology would
+// attach.
 func NewBridgeConfig(name string, conn io.ReadWriter, cfg BridgeConfig) *Bridge {
 	b := &Bridge{name: name, cfg: cfg}
 	b.setConn(conn)
@@ -174,7 +151,7 @@ func (b *Bridge) setConn(conn io.ReadWriter) {
 	b.conn = conn
 	b.connMu.Unlock()
 	b.w = bufio.NewWriter(&countingWriter{w: conn, n: &b.wireSent})
-	b.r = bufio.NewReader(&countingReader{r: conn, n: &b.wireRecv})
+	b.r = bufio.NewReader(conn)
 }
 
 // currentConn reads the connection pointer under the lock; callers that
@@ -194,41 +171,15 @@ func (b *Bridge) Err() error { return b.err }
 // the caller the last target cycle the peer confirmed.
 func (b *Bridge) Received() uint64 { return b.nextRecv }
 
-// Step reports the negotiated batch step in target cycles (0 before the
-// handshake). Received()*Step() is the last target cycle the peer
-// confirmed.
-func (b *Bridge) Step() int { return b.step }
-
-// WireBytesSent and WireBytesRecv report the exact byte totals that
-// crossed the connection in each direction (frames and handshakes
-// included), accumulated across Resets. Safe to read after the run
-// completes; the bench uses them without needing a registry.
+// WireBytesSent reports the exact byte total written to the connection
+// (frames and handshakes included), accumulated across Resets. Safe to
+// read after the run completes.
 func (b *Bridge) WireBytesSent() uint64 { return b.wireSent.Load() }
-func (b *Bridge) WireBytesRecv() uint64 { return b.wireRecv.Load() }
 
 // PrecodecBytes reports what the bridge's sent traffic would have cost
 // under the v2 fixed-width codec — the denominator-free baseline for the
 // codec's compression ratio.
 func (b *Bridge) PrecodecBytes() uint64 { return b.precodec }
-
-// flushWireMetrics forwards the counting shims' deltas to the obs
-// counters. Called from the scheduler goroutine after every handshake and
-// exchange, so the exported byte totals track the wire truth even under
-// torn-write traffic.
-func (b *Bridge) flushWireMetrics() {
-	m := b.metrics
-	if m == nil {
-		return
-	}
-	if s := b.wireSent.Load(); s > b.sentFlushed {
-		m.bytesSent.Add(s - b.sentFlushed)
-		b.sentFlushed = s
-	}
-	if r := b.wireRecv.Load(); r > b.recvFlushed {
-		m.bytesRecv.Add(r - b.recvFlushed)
-		b.recvFlushed = r
-	}
-}
 
 // writerLoop is the persistent writer goroutine's body: write each frame,
 // flush, reply. On failure it closes the connection so a reader blocked
@@ -290,9 +241,6 @@ func (b *Bridge) encodeFrame(seq uint64, in *token.Batch) {
 	b.sendSeq = seq
 	b.sendReady = true
 	b.precodec += frameWireBytes(len(in.Slots))
-	if m := b.metrics; m != nil {
-		m.precodecBytes.Add(frameWireBytes(len(in.Slots)))
-	}
 }
 
 // Reset revives a bridge (possibly errored or closed) onto a fresh
@@ -357,9 +305,6 @@ func (b *Bridge) NumPorts() int { return 1 }
 func (b *Bridge) fail(err error) {
 	if b.err == nil {
 		b.err = fmt.Errorf("transport: bridge %q: %w", b.name, err)
-		if m := b.metrics; m != nil {
-			m.errors.Inc()
-		}
 	}
 }
 
@@ -450,10 +395,6 @@ func (b *Bridge) handshake(step int) error {
 		return fmt.Errorf("handshake: topology hash %#x, local %#x (the two halves describe different targets)", ph, b.cfg.TopologyHash)
 	}
 	b.precodec += helloSize
-	if m := b.metrics; m != nil {
-		m.precodecBytes.Add(helloSize)
-	}
-	b.flushWireMetrics()
 	if resume := binary.BigEndian.Uint64(peer[24:32]); resume != b.nextSend {
 		return fmt.Errorf("handshake: peer resumes at batch %d, local next batch is %d (the two sides restored different checkpoints)", resume, b.nextSend)
 	}
@@ -505,17 +446,12 @@ func (b *Bridge) exchange(n int, in, out *token.Batch) error {
 	}
 
 	b.armReadDeadline()
-	var stallStart time.Time
-	if b.metrics != nil {
-		stallStart = time.Now()
-	}
 	readErr := b.readExpected(out)
 	if readErr != nil {
 		b.closeConn() // unblock the writer if it is stuck mid-write
 	}
 	writeErr := <-b.writerDone
 	b.sendSubmitted = false
-	b.flushWireMetrics()
 	// When both sides fail, one of them closed the connection to unblock
 	// the other: a closed-pipe error is then the secondary symptom, not
 	// the cause, so report the genuine failure.
@@ -537,11 +473,6 @@ func (b *Bridge) exchange(n int, in, out *token.Batch) error {
 	b.sendReady = false
 	b.nextSend = cur + 1
 	b.nextRecv++
-	if m := b.metrics; m != nil {
-		m.batchesSent.Inc()
-		m.batchesRecv.Inc()
-		m.stallNanos.Observe(uint64(time.Since(stallStart)))
-	}
 	return nil
 }
 
@@ -554,9 +485,6 @@ func (b *Bridge) readExpected(out *token.Batch) error {
 		return err
 	}
 	if seq != b.nextRecv {
-		if m := b.metrics; m != nil {
-			m.seqGaps.Inc()
-		}
 		return fmt.Errorf("sequence gap: got batch %d, expected %d", seq, b.nextRecv)
 	}
 	return readBatchV3(b.r, out)

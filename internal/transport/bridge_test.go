@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/token"
 )
 
@@ -64,7 +63,7 @@ func TestBridgePeerClosesMidBatch(t *testing.T) {
 		c2.Write([]byte{0, 16})
 		c2.Close()
 	}()
-	br := NewBridge("wedge", c1)
+	br := NewBridgeConfig("wedge", c1, BridgeConfig{})
 	out := tickOnce(br, 16, 1)
 	err := br.Err()
 	if err == nil {
@@ -129,7 +128,7 @@ func TestBridgeShortWrite(t *testing.T) {
 		peerHello(c2, 16, 0, 0)
 		io.Copy(io.Discard, c2) // consume whatever arrives until the fault
 	}()
-	br := NewBridge("short", &failAfterConn{Conn: c1, limit: helloSize + 4})
+	br := NewBridgeConfig("short", &failAfterConn{Conn: c1, limit: helloSize + 4}, BridgeConfig{})
 	tickOnce(br, 16, 7)
 	err := br.Err()
 	if err == nil {
@@ -171,8 +170,8 @@ func TestBridgeTopologyHashMismatch(t *testing.T) {
 
 // TestBridgeDeadPeerTimesOut: the peer handshakes then goes silent with
 // the connection open. With a read deadline the bridge must give up in
-// bounded time instead of blocking forever, name itself in the latched
-// error, and count that error exactly once.
+// bounded time instead of blocking forever and name itself in the latched
+// error.
 func TestBridgeDeadPeerTimesOut(t *testing.T) {
 	c1, c2 := net.Pipe()
 	go func() {
@@ -181,8 +180,6 @@ func TestBridgeDeadPeerTimesOut(t *testing.T) {
 		// ... and then nothing: the peer is hung, not dead.
 	}()
 	br := NewBridgeConfig("patient", c1, BridgeConfig{ReadTimeout: 50 * time.Millisecond})
-	reg := obs.NewRegistry("deadpeer")
-	br.EnableMetrics(reg)
 	start := time.Now()
 	tickOnce(br, 16, 1)
 	elapsed := time.Since(start)
@@ -192,10 +189,6 @@ func TestBridgeDeadPeerTimesOut(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), `bridge "patient"`) || !strings.Contains(err.Error(), "recv batch 0") {
 		t.Errorf("error not descriptive: %q", err)
-	}
-	tickOnce(br, 16, 2)
-	if got := reg.Snapshot().Counters[obs.Label("transport_errors_total", "bridge", "patient")]; got != 1 {
-		t.Errorf("transport_errors_total = %d, want 1", got)
 	}
 	if elapsed > 2*time.Second {
 		t.Errorf("gave up after %v; the read deadline should bound this well under 2s", elapsed)
@@ -240,7 +233,7 @@ func TestBridgeResumeMismatch(t *testing.T) {
 // TestBridgeSequenceMismatch: after one good exchange the peer sends a
 // frame whose sequence number is not the expected 1 — a replay of batch 0
 // or a skip to batch 2. Nothing resends or discards frames, so either
-// must latch an error naming both numbers and count one sequence gap.
+// must latch an error naming both numbers.
 func TestBridgeSequenceMismatch(t *testing.T) {
 	for _, bad := range []uint64{0, 2} {
 		t.Run(fmt.Sprint("seq", bad), func(t *testing.T) {
@@ -264,9 +257,7 @@ func TestBridgeSequenceMismatch(t *testing.T) {
 					}
 				}
 			}()
-			br := NewBridge("seq", c1)
-			reg := obs.NewRegistry("seq")
-			br.EnableMetrics(reg)
+			br := NewBridgeConfig("seq", c1, BridgeConfig{})
 			tickOnce(br, n, 1)
 			if err := br.Err(); err != nil {
 				t.Fatalf("good exchange failed: %v", err)
@@ -281,13 +272,6 @@ func TestBridgeSequenceMismatch(t *testing.T) {
 			}
 			if br.Received() != 1 {
 				t.Errorf("Received() = %d, want 1", br.Received())
-			}
-			s := reg.Snapshot()
-			if got := s.Counters[obs.Label("transport_seq_gaps_total", "bridge", "seq")]; got != 1 {
-				t.Errorf("transport_seq_gaps_total = %d, want 1", got)
-			}
-			if got := s.Counters[obs.Label("transport_errors_total", "bridge", "seq")]; got != 1 {
-				t.Errorf("transport_errors_total = %d, want 1", got)
 			}
 		})
 	}

@@ -21,7 +21,7 @@ func TestCloseUnblocksBlockedExchange(t *testing.T) {
 		peerHello(c2, 8, 0, 0)
 		io.Copy(io.Discard, c2) // swallow the bridge's frame, send nothing
 	}()
-	br := NewBridge("blocked", c1)
+	br := NewBridgeConfig("blocked", c1, BridgeConfig{})
 
 	done := make(chan struct{})
 	go func() {
@@ -53,7 +53,7 @@ func TestCloseUnblocksBlockedExchange(t *testing.T) {
 func TestTickBatchAfterClose(t *testing.T) {
 	client, server := net.Pipe()
 	defer server.Close()
-	br := NewBridge("closed", client)
+	br := NewBridgeConfig("closed", client, BridgeConfig{})
 	br.Close()
 	in := []*token.Batch{token.NewBatch(4)}
 	out := []*token.Batch{token.NewBatch(4)}
@@ -78,7 +78,7 @@ func TestTickBatchAfterClose(t *testing.T) {
 func TestResetRevivesClosedBridge(t *testing.T) {
 	a1, b1 := net.Pipe()
 	defer b1.Close()
-	br := NewBridge("revive", a1)
+	br := NewBridgeConfig("revive", a1, BridgeConfig{})
 	br.Close()
 	a2, b2 := net.Pipe()
 	defer a2.Close()
@@ -88,7 +88,7 @@ func TestResetRevivesClosedBridge(t *testing.T) {
 		t.Fatalf("revived bridge still errored: %v", br.Err())
 	}
 	// The revived bridge exchanges again.
-	peer := NewBridge("peer", b2)
+	peer := NewBridgeConfig("peer", b2, BridgeConfig{})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

@@ -11,7 +11,7 @@ import (
 
 // Wire codec v3: run-length-encoded batch frames.
 //
-// The v2 codec (transport.go, kept as the compatibility oracle) spends 13
+// The v2 codec (now only a test oracle, v2_test.go) spent 13
 // bytes per occupied slot — a 4-byte absolute offset, 8 data bytes and a
 // flag byte — plus a fixed 16-byte header per frame, and issues one
 // buffered Write per slot. Both common cases waste most of that: an idle
@@ -44,6 +44,16 @@ import (
 // maxBatchCycles bounds the decoded N as a sanity check against corrupt
 // streams; it matches the v2 codec's implicit uint32 offset ceiling.
 const maxBatchCycles = 1 << 32
+
+// maxSlots bounds decoded batch occupancy as a sanity check against
+// corrupt streams.
+const maxSlots = 1 << 24
+
+// frameWireBytes is the on-wire size one sequenced batch frame had under
+// the v2 codec: 8-byte sequence header, 8-byte batch header, 13 bytes per
+// occupied slot. The bridge prices its precodec (baseline) accounting with
+// it; it is not what crosses the wire.
+func frameWireBytes(slots int) uint64 { return 8 + 8 + 13*uint64(slots) }
 
 // appendFrame appends the complete v3 encoding of one sequenced batch
 // frame to dst and returns the extended slice. It performs no I/O and no

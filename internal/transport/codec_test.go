@@ -70,7 +70,7 @@ func TestCodecV3RoundTrip(t *testing.T) {
 			return false
 		}
 		oracle := token.NewBatch(1)
-		if err := ReadBatch(bytes.NewReader(encode(b)), oracle); err != nil {
+		if err := readBatch(bytes.NewReader(encode(b)), oracle); err != nil {
 			t.Logf("v2 oracle decode: %v", err)
 			return false
 		}
@@ -195,7 +195,7 @@ func FuzzReadBatchV3(f *testing.F) {
 		// Cross-check against the v2 oracle: encode the accepted batch
 		// with the v2 codec and decode it; semantics must match.
 		oracle := token.NewBatch(1)
-		if err := ReadBatch(bytes.NewReader(encode(got)), oracle); err != nil {
+		if err := readBatch(bytes.NewReader(encode(got)), oracle); err != nil {
 			t.Fatalf("v2 oracle rejected an accepted batch: %v", err)
 		}
 		if !reflect.DeepEqual(oracle, got) {

@@ -20,7 +20,7 @@ func TestBridgeSteadyStateZeroAlloc(t *testing.T) {
 	c1, c2 := net.Pipe()
 	const n = 64
 
-	peer := NewBridge("peer", c2)
+	peer := NewBridgeConfig("peer", c2, BridgeConfig{})
 	peerIn := []*token.Batch{token.NewBatch(n)}
 	peerOut := []*token.Batch{token.NewBatch(n)}
 	stop := make(chan struct{})
@@ -40,7 +40,7 @@ func TestBridgeSteadyStateZeroAlloc(t *testing.T) {
 		}
 	}()
 
-	br := NewBridge("local", c1)
+	br := NewBridgeConfig("local", c1, BridgeConfig{})
 	in := []*token.Batch{token.NewBatch(n)}
 	out := []*token.Batch{token.NewBatch(n)}
 	tick := func() {

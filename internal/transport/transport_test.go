@@ -17,6 +17,8 @@ import (
 	"repro/internal/token"
 )
 
+// TestCodecRoundTrip guards the v2 oracle (v2_test.go) that the v3 codec
+// tests compare against.
 func TestCodecRoundTrip(t *testing.T) {
 	check := func(pattern uint16, n uint8) bool {
 		size := int(n)%60 + 4
@@ -27,50 +29,17 @@ func TestCodecRoundTrip(t *testing.T) {
 			}
 		}
 		var buf bytes.Buffer
-		if err := WriteBatch(&buf, b); err != nil {
+		if err := writeBatch(&buf, b); err != nil {
 			return false
 		}
 		got := token.NewBatch(1)
-		if err := ReadBatch(&buf, got); err != nil {
+		if err := readBatch(&buf, got); err != nil {
 			return false
 		}
 		return reflect.DeepEqual(b, got)
 	}
 	if err := quick.Check(check, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestCodecRejectsCorruptHeader(t *testing.T) {
-	// slots > n is impossible for a well-formed batch.
-	buf := []byte{0, 0, 0, 4, 0, 0, 0, 9}
-	if err := ReadBatch(bytes.NewReader(buf), token.NewBatch(1)); err == nil {
-		t.Error("corrupt header accepted")
-	}
-	// Truncated stream.
-	var w bytes.Buffer
-	b := token.NewBatch(8)
-	b.Put(3, token.Token{Data: 1, Valid: true})
-	if err := WriteBatch(&w, b); err != nil {
-		t.Fatal(err)
-	}
-	trunc := w.Bytes()[:w.Len()-2]
-	if err := ReadBatch(bytes.NewReader(trunc), token.NewBatch(1)); err == nil {
-		t.Error("truncated stream accepted")
-	}
-}
-
-func TestCodecRejectsBadOffset(t *testing.T) {
-	var w bytes.Buffer
-	b := token.NewBatch(8)
-	b.Put(3, token.Token{Data: 1, Valid: true})
-	if err := WriteBatch(&w, b); err != nil {
-		t.Fatal(err)
-	}
-	raw := w.Bytes()
-	raw[8+3] = 99 // offset byte beyond n
-	if err := ReadBatch(bytes.NewReader(raw), token.NewBatch(1)); err == nil {
-		t.Error("out-of-range offset accepted")
 	}
 }
 
@@ -133,7 +102,7 @@ func TestDistributedEquivalence(t *testing.T) {
 			sw := switchmodel.New(switchmodel.Config{Name: "tor", Ports: 2, SwitchingLatency: 10})
 			sw.MACTable().Set(0x1, 0)
 			sw.MACTable().Set(0x2, 1)
-			br := NewBridge("bridge2", c2)
+			br := NewBridgeConfig("bridge2", c2, BridgeConfig{})
 			r := fame.NewRunner()
 			for _, e := range []fame.Endpoint{b, sw, br} {
 				r.Add(e)
@@ -153,7 +122,7 @@ func TestDistributedEquivalence(t *testing.T) {
 
 		// Host 1: node A + bridge half.
 		a := mkA()
-		br := NewBridge("bridge1", c1)
+		br := NewBridgeConfig("bridge1", c1, BridgeConfig{})
 		r := fame.NewRunner()
 		r.Add(a)
 		r.Add(br)
@@ -193,7 +162,7 @@ func TestBridgeStepMismatch(t *testing.T) {
 		defer close(done)
 		// Peer side runs with a 32-cycle step; local side uses 16. The
 		// handshake must reject the pairing on both ends.
-		peer := NewBridge("peer", c2)
+		peer := NewBridgeConfig("peer", c2, BridgeConfig{})
 		in := []*token.Batch{token.NewBatch(32)}
 		out := []*token.Batch{token.NewBatch(32)}
 		peer.TickBatch(32, in, out)
@@ -201,7 +170,7 @@ func TestBridgeStepMismatch(t *testing.T) {
 			t.Error("peer did not detect step mismatch")
 		}
 	}()
-	br := NewBridge("br", c1)
+	br := NewBridgeConfig("br", c1, BridgeConfig{})
 	in := []*token.Batch{token.NewBatch(16)}
 	out := []*token.Batch{token.NewBatch(16)}
 	br.TickBatch(16, in, out)
@@ -244,7 +213,7 @@ func TestBridgeOverRealTCP(t *testing.T) {
 		defer conn.Close()
 		// Host 2: node B behind the bridge.
 		b := softstack.NewNode(softstack.Config{Name: "b", MAC: 0x2, IP: 0x0a000002, StaticARP: arp})
-		br := NewBridge("bridge2", conn)
+		br := NewBridgeConfig("bridge2", conn, BridgeConfig{})
 		r := fame.NewRunner()
 		r.Add(b)
 		r.Add(br)
@@ -266,7 +235,7 @@ func TestBridgeOverRealTCP(t *testing.T) {
 	// Host 1: node A behind the other bridge half. Total path latency is
 	// 2*linkLat each way (A->bridge + bridge->B).
 	a := softstack.NewNode(softstack.Config{Name: "a", MAC: 0x1, IP: 0x0a000001, StaticARP: arp})
-	br := NewBridge("bridge1", conn)
+	br := NewBridgeConfig("bridge1", conn, BridgeConfig{})
 	r := fame.NewRunner()
 	r.Add(a)
 	r.Add(br)

@@ -71,15 +71,15 @@ echo "== snapshot, restore-payload, frame, token-batch, control, switch-window a
 # parsers, the bridge's v3 batch decoder, the shard control protocol and
 # the switch's window split: the Reader must never panic on malformed
 # streams, a checkpoint whose section payload is corrupt but correctly
-# framed must restore or error without a panic, the in-place frame views
-# must agree with the copying decoders, the batch decoder (with the
-# per-frame sequence check, the bridge's only defence against a malformed
-# peer) must reject or round-trip every input, every spec an assign frame
-# carries must be built or refused by the topology builder without a
-# panic, a switch fed one ingress stream in any window split must emit
-# the same tokens, stats and checkpoint bytes, and token runs written with
-# Batch.PutRun and frames reassembled with AppendFrame must match their
-# one-token-at-a-time definitions (FuzzBatchRuns).
+# framed must restore or error without a panic, the frame parsers must
+# never panic and an accepted frame must re-encode to its bytes, the batch
+# decoder (with the per-frame sequence check, the bridge's only defence
+# against a malformed peer) must reject or round-trip every input, every
+# spec an assign frame carries must be built or refused by the topology
+# builder without a panic, a switch fed one ingress stream in any window
+# split must emit the same tokens, stats and checkpoint bytes, and token
+# runs written with Batch.PutRun and frames reassembled with AppendFrame
+# must match their one-token-at-a-time definitions (FuzzBatchRuns).
 go test ./internal/snapshot -run '^$' -fuzz FuzzReader -fuzztime 5s >/dev/null
 go test ./internal/manager -run '^$' -fuzz FuzzRestorePayload -fuzztime 3s >/dev/null
 go test ./internal/ethernet -run '^$' -fuzz FuzzParseFrame -fuzztime 3s >/dev/null
