@@ -18,9 +18,7 @@ type passthru struct {
 func (r *passthru) Name() string  { return r.name }
 func (r *passthru) NumPorts() int { return 2 }
 func (r *passthru) TickBatch(n int, in, out []*token.Batch) {
-	for _, s := range in[0].Slots {
-		out[1].Put(int(s.Offset), s.Tok)
-	}
+	in[0].Each(out[1].Put)
 }
 
 // eagerRelay additionally implements EagerStarter and checks the
@@ -42,8 +40,8 @@ func (e *eagerRelay) StartBatch(n int, in []*token.Batch) {
 	defer e.mu.Unlock()
 	e.starts++
 	e.lastIn0 = in[0]
-	for _, s := range in[0].Slots {
-		e.startSum += s.Tok.Data
+	for _, d := range in[0].Data {
+		e.startSum += d
 	}
 }
 

@@ -75,9 +75,9 @@ func (s *Sink) NumPorts() int { return 1 }
 
 // TickBatch implements Endpoint.
 func (s *Sink) TickBatch(n int, in, out []*token.Batch) {
-	for _, slot := range in[0].Slots {
-		s.Received = append(s.Received, Arrival{Cycle: s.cycle + int64(slot.Offset), Tok: slot.Tok})
-	}
+	in[0].Each(func(offset int, tok token.Token) {
+		s.Received = append(s.Received, Arrival{Cycle: s.cycle + int64(offset), Tok: tok})
+	})
 	s.cycle += int64(n)
 }
 
@@ -99,10 +99,6 @@ func (w *Wire) NumPorts() int { return 2 }
 
 // TickBatch implements Endpoint.
 func (w *Wire) TickBatch(n int, in, out []*token.Batch) {
-	for _, slot := range in[0].Slots {
-		out[1].Put(int(slot.Offset), slot.Tok)
-	}
-	for _, slot := range in[1].Slots {
-		out[0].Put(int(slot.Offset), slot.Tok)
-	}
+	in[0].Each(out[1].Put)
+	in[1].Each(out[0].Put)
 }

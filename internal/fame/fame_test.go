@@ -145,10 +145,8 @@ type echo struct {
 func (e *echo) Name() string  { return e.name }
 func (e *echo) NumPorts() int { return 1 }
 func (e *echo) TickBatch(n int, in, out []*token.Batch) {
-	for _, s := range in[0].Slots {
-		out[0].Put(int(s.Offset), s.Tok)
-		e.seen++
-	}
+	in[0].Each(out[0].Put)
+	e.seen += in[0].Occupied()
 	e.cycle += int64(n)
 }
 
@@ -267,10 +265,7 @@ type loopDriver struct {
 func (d *loopDriver) Name() string  { return "loopDriver" }
 func (d *loopDriver) NumPorts() int { return 1 }
 func (d *loopDriver) TickBatch(n int, in, out []*token.Batch) {
-	for _, s := range in[0].Slots {
-		d.gotCycle = d.cycle + int64(s.Offset)
-		_ = s
-	}
+	in[0].Each(func(offset int, _ token.Token) { d.gotCycle = d.cycle + int64(offset) })
 	if d.sendAt >= d.cycle && d.sendAt < d.cycle+int64(n) {
 		out[0].Put(int(d.sendAt-d.cycle), token.Token{Data: 99, Valid: true, Last: true})
 	}

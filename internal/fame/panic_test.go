@@ -31,10 +31,10 @@ func (r *relay) TickBatch(n int, in, out []*token.Batch) {
 		panic(fmt.Sprintf("deliberate fault at cycle %d", r.panicAt))
 	}
 	for p := 0; p < 2; p++ {
-		for _, s := range in[p].Slots {
-			r.hash = r.hash*1099511628211 ^ uint64(r.cycle+int64(s.Offset)) ^ s.Tok.Data ^ uint64(p)<<56
-			out[1-p].Put(int(s.Offset), s.Tok)
-		}
+		in[p].Each(func(offset int, tok token.Token) {
+			r.hash = r.hash*1099511628211 ^ uint64(r.cycle+int64(offset)) ^ tok.Data ^ uint64(p)<<56
+			out[1-p].Put(offset, tok)
+		})
 	}
 	r.cycle += int64(n)
 }

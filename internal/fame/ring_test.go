@@ -33,7 +33,7 @@ func TestBatchRingFIFO(t *testing.T) {
 			ref = ref[1:]
 			if got != want {
 				t.Fatalf("phase %d: pop = batch %d, want %d",
-					phase, got.Slots[0].Tok.Data, want.Slots[0].Tok.Data)
+					phase, got.Data[0], want.Data[0])
 			}
 		}
 		if r.len() != len(ref) {

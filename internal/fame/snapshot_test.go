@@ -24,10 +24,10 @@ func (p *pulse) Name() string  { return p.name }
 func (p *pulse) NumPorts() int { return 1 }
 
 func (p *pulse) TickBatch(n int, in, out []*token.Batch) {
-	for _, s := range in[0].Slots {
-		cyc := p.cycle + int64(s.Offset)
-		p.hash = p.hash*1099511628211 ^ uint64(cyc) ^ s.Tok.Data
-	}
+	in[0].Each(func(offset int, tok token.Token) {
+		cyc := p.cycle + int64(offset)
+		p.hash = p.hash*1099511628211 ^ uint64(cyc) ^ tok.Data
+	})
 	for i := 0; i < n; i++ {
 		if (p.cycle+int64(i))%p.period == 0 {
 			out[0].Put(i, token.Token{Data: uint64(p.cycle + int64(i)), Valid: true, Last: true})

@@ -106,7 +106,7 @@ func TestSPSCRingConcurrent(t *testing.T) {
 				runtime.Gosched()
 				got, ok = q.pop()
 			}
-			if got != batches[i] || got.Slots[0].Tok.Data != uint64(i) {
+			if got != batches[i] || got.Data[0] != uint64(i) {
 				done <- fmt.Errorf("FIFO order broken at element %d", i)
 				return
 			}

@@ -181,7 +181,7 @@ func (r *Runner) work(p *plan, base clock.Cycles, rounds int, heartbeat bool, ab
 				}
 				for q := mem.lo; q < mem.hi; q++ {
 					if p.out[q].connected() {
-						p.toks[mi] += uint64(len(p.outs[q].Slots))
+						p.toks[mi] += uint64(p.outs[q].Occupied())
 					}
 				}
 			}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -43,18 +44,18 @@ func (rc *recorder) fold(dir, ep string, port int, start clock.Cycles, b *token.
 	rc.mu.Unlock()
 	put(uint64(start))
 	put(uint64(b.N))
-	for _, s := range b.Slots {
-		put(uint64(s.Offset))
-		put(s.Tok.Data)
+	b.Each(func(offset int, tok token.Token) {
+		put(uint64(offset))
+		put(tok.Data)
 		var flags uint64
-		if s.Tok.Valid {
+		if tok.Valid {
 			flags |= 1
 		}
-		if s.Tok.Last {
+		if tok.Last {
 			flags |= 2
 		}
 		put(flags)
-	}
+	})
 	sum := h.Sum64()
 	rc.mu.Lock()
 	rc.sums[key] = sum
@@ -256,5 +257,40 @@ func TestDeployDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(streams[0], streams[1]) {
 		t.Fatal("two identical deployments checkpoint to different bytes")
+	}
+}
+
+// TestCheckpointAllocBytes bounds what one warm Cluster.Checkpoint of an
+// 8-node rack allocates. The snapshot writer reuses its section buffer
+// across checkpoints, so a checkpoint loop allocates a small fraction of
+// the bytes it writes rather than regrowing that buffer from empty.
+func TestCheckpointAllocBytes(t *testing.T) {
+	c, err := Deploy(goldenTree(t, []int{8}), DeployConfig{LinkLatency: 512, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	startRing(c)
+	if err := c.RunFor(8192); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	checkpoint := func() {
+		buf.Reset()
+		if err := c.Checkpoint(&buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkpoint()
+	const reps = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range reps {
+		checkpoint()
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / reps
+	t.Logf("%d B allocated per checkpoint of %d B", per, buf.Len())
+	if per > uint64(buf.Len())/2 {
+		t.Errorf("one checkpoint allocates %d B, want at most half its %d B", per, buf.Len())
 	}
 }

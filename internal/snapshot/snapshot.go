@@ -111,7 +111,7 @@ type Snapshotter interface {
 // from Close) once at the end.
 type Writer struct {
 	dst      io.Writer
-	buf      bytes.Buffer // current section payload
+	buf      *bytes.Buffer // current section payload, from sectionBufs
 	name     string
 	open     bool
 	closed   bool
@@ -131,8 +131,20 @@ func NewWriter(dst io.Writer, h Header) (*Writer, error) {
 	if _, err := dst.Write(hdr[:]); err != nil {
 		return nil, fmt.Errorf("snapshot: write header: %w", err)
 	}
+	select {
+	case w.buf = <-sectionBufs:
+	default:
+		w.buf = new(bytes.Buffer)
+	}
 	return w, nil
 }
+
+// sectionBufs holds the section buffers of closed Writers, so a process
+// that checkpoints repeatedly grows one to its largest section once
+// instead of from empty on every checkpoint. It keeps a few rather than
+// one so Writers open at once on different goroutines each find one; a
+// small cap bounds the memory it pins.
+var sectionBufs = make(chan *bytes.Buffer, 4)
 
 // Err returns the first error latched by a primitive write.
 func (w *Writer) Err() error { return w.err }
@@ -146,6 +158,10 @@ func (w *Writer) setErr(err error) {
 // Section flushes the previous section (if any) and starts a new one.
 func (w *Writer) Section(name string) {
 	if w.err != nil {
+		return
+	}
+	if w.closed {
+		w.setErr(errors.New("snapshot: section after Close"))
 		return
 	}
 	if len(name) == 0 || len(name) > maxNameLen {
@@ -186,7 +202,8 @@ func (w *Writer) flushSection() {
 	w.sections++
 }
 
-// Close flushes the final section and writes the end-of-snapshot trailer.
+// Close flushes the final section, writes the end-of-snapshot trailer and
+// hands the section buffer on to the next Writer.
 func (w *Writer) Close() error {
 	if w.closed {
 		return w.err
@@ -198,6 +215,12 @@ func (w *Writer) Close() error {
 		}
 	}
 	w.closed = true
+	w.buf.Reset()
+	select {
+	case sectionBufs <- w.buf:
+	default:
+	}
+	w.buf = nil
 	return w.err
 }
 

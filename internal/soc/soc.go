@@ -256,7 +256,7 @@ func (s *SoC) TickBatch(n int, in, out []*token.Batch) {
 }
 
 // tickCycles is the general per-cycle path. The inbound batch is walked
-// with a slot cursor (offsets are strictly increasing) instead of
+// with a run cursor (offsets are strictly increasing) instead of
 // expanding it to a dense slice, so an idle window allocates nothing.
 func (s *SoC) tickCycles(n int, in, out *token.Batch) {
 	s.tickCycleRange(0, n, in, out)
@@ -267,17 +267,36 @@ func (s *SoC) tickCycles(n int, in, out *token.Batch) {
 // cycles [0, from) themselves (the quiescent prefix of a tripped compute
 // window).
 func (s *SoC) tickCycleRange(from, n int, in, out *token.Batch) {
-	slots := in.Slots
-	si := 0
-	for si < len(slots) && int(slots[si].Offset) < from {
-		si++
+	// The run cursor is inline: calling in.At every cycle cost the
+	// per-cycle blades up to a quarter of their rate. ri is the next run,
+	// pos the index of its first flit in Data and at its first offset (n
+	// once the runs are used up).
+	runs, data := in.Runs, in.Data
+	ri, pos := 0, 0
+	for ri < len(runs) && int(runs[ri].Off+runs[ri].Len) <= from {
+		pos += int(runs[ri].Len)
+		ri++
+	}
+	at := n
+	if ri < len(runs) {
+		at = int(runs[ri].Off)
 	}
 	for i := from; i < n; i++ {
 		now := s.cycle + clock.Cycles(i)
 		tok := token.Empty
-		if si < len(slots) && int(slots[si].Offset) == i {
-			tok = slots[si].Tok
-			si++
+		if i >= at {
+			r := runs[ri]
+			d := i - int(r.Off)
+			tok = token.Token{Data: data[pos+d], Valid: true}
+			if d == int(r.Len)-1 {
+				tok.Last = r.Last
+				pos += int(r.Len)
+				if ri++; ri < len(runs) {
+					at = int(runs[ri].Off)
+				} else {
+					at = n
+				}
+			}
 		}
 		outTok := s.nic.Tick(now, tok)
 		if outTok.Valid {

@@ -46,16 +46,16 @@ func (t *tap) TickBatch(n int, in, out []*token.Batch) {
 	}
 	put(uint64(t.idx))
 	put(uint64(start))
-	put(uint64(len(out[0].Slots)))
-	for _, s := range out[0].Slots {
-		put(uint64(s.Offset))
-		put(s.Tok.Data)
-		if s.Tok.Last {
+	put(uint64(out[0].Occupied()))
+	out[0].Each(func(offset int, tok token.Token) {
+		put(uint64(offset))
+		put(tok.Data)
+		if tok.Last {
 			put(1)
 		} else {
 			put(0)
 		}
-	}
+	})
 }
 
 // goldenRack is a 4-node rack on 0.5 us links: a window is far shorter
@@ -220,16 +220,16 @@ var goldenScenarios = []struct {
 		// Deterministic bit flips and lost Last marks on received flits
 		// drive every parser through its truncated and malformed cases.
 		mangle := func(idx int, start clock.Cycles, in *token.Batch) {
-			for i := range in.Slots {
-				s := &in.Slots[i]
-				x := (uint64(start) + uint64(s.Offset)) * 0x9e3779b97f4a7c15 >> 40
+			in.Mutate(func(offset int, tok token.Token) token.Token {
+				x := (uint64(start) + uint64(offset)) * 0x9e3779b97f4a7c15 >> 40
 				switch {
 				case x%37 == 0:
-					s.Tok.Data ^= 1 << (x % 64)
+					tok.Data ^= 1 << (x % 64)
 				case x%97 == 0:
-					s.Tok.Last = !s.Tok.Last
+					tok.Last = !tok.Last
 				}
-			}
+				return tok
+			})
 		}
 		for _, tp := range g.taps {
 			tp.mangle = mangle

@@ -194,15 +194,15 @@ func (n *Node) TickBatch(nCycles int, in, out []*token.Batch) {
 	start := n.cycle
 	end := start + clock.Cycles(nCycles)
 
-	// 1. Ingress: reassemble frames from occupied tokens, one frame per
-	// AppendFrame.
-	for slots := in[0].Slots; len(slots) > 0; {
-		var k int
-		n.rxFlits, k = token.AppendFrame(n.rxFlits, slots)
-		lastSlot := slots[k-1]
-		slots = slots[k:]
-		if lastSlot.Tok.Last {
-			arrival := start + clock.Cycles(lastSlot.Offset)
+	// 1. Ingress: reassemble frames from occupied tokens, one copy per
+	// run.
+	pos := 0
+	for _, r := range in[0].Runs {
+		next := pos + int(r.Len)
+		n.rxFlits = append(n.rxFlits, in[0].Data[pos:next]...)
+		pos = next
+		if r.Last {
+			arrival := start + clock.Cycles(r.Off+r.Len-1)
 			n.stats.FramesRecv++
 			n.stats.BytesRecv += uint64(len(n.rxFlits) * ethernet.FlitSize)
 			n.rxBuf = ethernet.AppendFlitBytes(n.rxBuf[:0], n.rxFlits)

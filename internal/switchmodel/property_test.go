@@ -95,13 +95,15 @@ func TestDeliveryProperty(t *testing.T) {
 		for p := 0; p < 4; p++ {
 			var cur []uint64
 			collect := func(b *token.Batch) bool {
-				for _, s := range b.Slots {
-					cur = append(cur, s.Tok.Data)
-					if s.Tok.Last {
+				ok := true
+				b.Each(func(_ int, tok token.Token) {
+					cur = append(cur, tok.Data)
+					if tok.Last && ok {
 						fr, err := ethernet.ParseFrame(ethernet.FromFlits(cur))
 						cur = nil
 						if err != nil {
-							return false
+							ok = false
+							return
 						}
 						pay := byte(0)
 						if len(fr.Payload) > 0 {
@@ -109,8 +111,8 @@ func TestDeliveryProperty(t *testing.T) {
 						}
 						got[p] = append(got[p], rx{src: fr.Src, pay: pay, len: len(fr.Payload)})
 					}
-				}
-				return true
+				})
+				return ok
 			}
 			if !collect(out[p]) || !collect(more[p]) {
 				return false

@@ -105,14 +105,14 @@ func (rs *refSwitch) route(pkt *refPacket) []int {
 
 func (rs *refSwitch) tickBatch(n int, in, out []*token.Batch) {
 	for p := 0; p < rs.cfg.Ports; p++ {
-		for _, slot := range in[p].Slots {
-			rs.in[p] = append(rs.in[p], slot.Tok.Data)
+		in[p].Each(func(offset int, tok token.Token) {
+			rs.in[p] = append(rs.in[p], tok.Data)
 			rs.stats.FlitsIn++
-			if slot.Tok.Last {
+			if tok.Last {
 				pkt := &refPacket{
 					flits:   rs.in[p],
 					inPort:  p,
-					release: rs.cycle + clock.Cycles(slot.Offset) + rs.cfg.SwitchingLatency,
+					release: rs.cycle + clock.Cycles(offset) + rs.cfg.SwitchingLatency,
 					seq:     rs.seq,
 				}
 				rs.seq++
@@ -120,7 +120,7 @@ func (rs *refSwitch) tickBatch(n int, in, out []*token.Batch) {
 				rs.stats.PacketsIn++
 				heap.Push(&rs.queue, pkt)
 			}
-		}
+		})
 	}
 	for rs.queue.Len() > 0 {
 		pkt := heap.Pop(&rs.queue).(*refPacket)
@@ -305,21 +305,16 @@ func TestSwitchStreamEquivalenceFuzz(t *testing.T) {
 					}
 					streams[p] = streams[p][took:]
 					inA[p] = b
-					inB[p] = &token.Batch{N: b.N, Slots: slices.Clone(b.Slots)}
+					inB[p] = &token.Batch{N: b.N, Runs: slices.Clone(b.Runs), Data: slices.Clone(b.Data)}
 					outA[p] = token.NewBatch(n)
 					outB[p] = token.NewBatch(n)
 				}
 				sw.TickBatch(n, inA, outA)
 				rs.tickBatch(n, inB, outB)
 				for p := 0; p < ports; p++ {
-					a, b := outA[p].Slots, outB[p].Slots
-					if len(a) != len(b) {
-						t.Fatalf("round %d port %d: %d tokens vs reference %d", round, p, len(a), len(b))
-					}
-					for i := range a {
-						if a[i] != b[i] {
-							t.Fatalf("round %d port %d slot %d: %+v vs reference %+v", round, p, i, a[i], b[i])
-						}
+					a, b := outA[p], outB[p]
+					if !slices.Equal(a.Runs, b.Runs) || !slices.Equal(a.Data, b.Data) {
+						t.Fatalf("round %d port %d: runs %v data %x vs reference %v %x", round, p, a.Runs, a.Data, b.Runs, b.Data)
 					}
 				}
 				if got, want := sw.Stats(), rs.stats; got != want {

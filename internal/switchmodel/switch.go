@@ -433,7 +433,7 @@ func (s *Switch) TickBatch(n int, in, out []*token.Batch) {
 		idle := true
 		for p := 0; p < s.cfg.Ports; p++ {
 			o := &s.out[p]
-			if len(in[p].Slots) != 0 || o.tx != nil || o.queue.len() != 0 {
+			if !in[p].IsEmpty() || o.tx != nil || o.queue.len() != 0 {
 				idle = false
 				break
 			}
@@ -448,27 +448,27 @@ func (s *Switch) TickBatch(n int, in, out []*token.Batch) {
 		}
 	}
 
-	// Phase 1: ingress. Buffer valid tokens into packets, one frame per
-	// AppendFrame; timestamp each completed packet with its last token's
-	// arrival cycle plus the minimum switching latency, and push it into
-	// the global queue.
+	// Phase 1: ingress. Buffer valid tokens into packets, one copy per
+	// run; timestamp each completed packet with its last token's arrival
+	// cycle plus the minimum switching latency, and push it into the
+	// global queue.
 	for p := 0; p < s.cfg.Ports; p++ {
 		ip := &s.in[p]
-		slots := in[p].Slots
-		s.stats.FlitsIn += uint64(len(slots))
-		for len(slots) > 0 {
+		b := in[p]
+		s.stats.FlitsIn += uint64(len(b.Data))
+		pos := 0
+		for _, r := range b.Runs {
 			if ip.cur == nil {
 				ip.cur = s.newPacket()
 			}
-			var k int
-			ip.cur.Flits, k = token.AppendFrame(ip.cur.Flits, slots)
-			lastSlot := slots[k-1]
-			slots = slots[k:]
-			if lastSlot.Tok.Last {
+			end := pos + int(r.Len)
+			ip.cur.Flits = append(ip.cur.Flits, b.Data[pos:end]...)
+			pos = end
+			if r.Last {
 				pkt := ip.cur
 				ip.cur = nil
 				pkt.InPort = p
-				pkt.Release = s.cycle + clock.Cycles(lastSlot.Offset) + s.cfg.SwitchingLatency
+				pkt.Release = s.cycle + clock.Cycles(r.Off+r.Len-1) + s.cfg.SwitchingLatency
 				s.stats.PacketsIn++
 				s.queue.Push(pkt.Release, uint64(p), pkt)
 			}

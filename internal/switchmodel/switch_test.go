@@ -54,14 +54,14 @@ func collectPackets(batches []*token.Batch, startCycle int64) (pkts [][]uint64, 
 	var cur []uint64
 	cycle := startCycle
 	for _, b := range batches {
-		for _, s := range b.Slots {
-			cur = append(cur, s.Tok.Data)
-			if s.Tok.Last {
+		b.Each(func(offset int, tok token.Token) {
+			cur = append(cur, tok.Data)
+			if tok.Last {
 				pkts = append(pkts, cur)
-				lastCycles = append(lastCycles, cycle+int64(s.Offset))
+				lastCycles = append(lastCycles, cycle+int64(offset))
 				cur = nil
 			}
-		}
+		})
 		cycle += int64(b.N)
 	}
 	return pkts, lastCycles
@@ -323,9 +323,9 @@ func TestProbeCountsFlits(t *testing.T) {
 					}
 				}
 				for p, b := range tick(sw, tc.n, map[int]*token.Batch{0: in}) {
-					for _, s := range b.Slots {
-						slots = append(slots, hit{clock.Cycles(start) + clock.Cycles(s.Offset), p})
-					}
+					b.Each(func(offset int, _ token.Token) {
+						slots = append(slots, hit{clock.Cycles(start) + clock.Cycles(offset), p})
+					})
 				}
 			}
 			if len(slots) != len(flits) || slots[0] != (hit{release, 1}) || slots[len(slots)-1] != (hit{tc.lastCycle, 1}) {

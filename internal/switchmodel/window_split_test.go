@@ -123,9 +123,9 @@ func (c splitCase) run(t *testing.T, windows []int) splitRun {
 		}
 		sw.TickBatch(n, in, out)
 		for p := range out {
-			for _, s := range out[p].Slots {
-				res.out[p] = append(res.out[p], timedToken{start + clock.Cycles(s.Offset), s.Tok})
-			}
+			out[p].Each(func(offset int, tok token.Token) {
+				res.out[p] = append(res.out[p], timedToken{start + clock.Cycles(offset), tok})
+			})
 		}
 		start = end
 	}

@@ -14,16 +14,16 @@
 // the transport layer can delimit packets without understanding the
 // link-layer protocol.
 //
-// Datapaths that move whole packets (switch egress, a NIC's TX queue) write
-// each packet segment with one Batch.PutRun and reassemble received frames
-// with AppendFrame, so the host pays per run of flits rather than per flit.
-// Batch.Put is for endpoints that decide one cycle at a time.
+// A Batch stores its occupied cycles as runs of consecutive flits over one
+// flat data slice. Datapaths that move whole packets (switch egress, a
+// NIC's TX queue) write each packet segment with one Batch.PutRun, and
+// receivers reassemble a frame by appending each run's slice of Data, so
+// the host pays per run of flits rather than per flit. Batch.Put is for
+// endpoints that decide one cycle at a time; At, Each, Filter and Mutate
+// keep the per-cycle view.
 package token
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // Token is one target cycle's worth of link data.
 type Token struct {
@@ -51,12 +51,13 @@ func (t Token) String() string {
 	return fmt.Sprintf("[%016x  ]", t.Data)
 }
 
-// Slot pairs a token with its cycle offset inside a Batch.
-type Slot struct {
-	// Offset is the cycle index within the batch, in [0, Batch.N).
-	Offset int32
-	// Tok is the token occupying that cycle.
-	Tok Token
+// Run is a stretch of occupied cycles inside a Batch: Len flits at the
+// consecutive offsets Off, Off+1, ..., whose payloads are the next Len
+// words of Batch.Data. Only the final flit of a run can be Last.
+type Run struct {
+	Off  int32
+	Len  int32
+	Last bool
 }
 
 // Batch is a link-latency-sized group of tokens covering N consecutive
@@ -72,8 +73,13 @@ type Slot struct {
 type Batch struct {
 	// N is the number of target cycles this batch covers.
 	N int
-	// Slots holds the occupied cycles in strictly increasing Offset order.
-	Slots []Slot
+	// Runs holds the occupied cycles in strictly increasing offset order.
+	// The layout is canonical: a run ends only at a gap or after a Last
+	// flit, so one frame segment is one run and equal batches have equal
+	// Runs and Data.
+	Runs []Run
+	// Data holds the payloads of every run, run after run.
+	Data []uint64
 }
 
 // NewBatch returns an empty batch covering n cycles.
@@ -89,7 +95,8 @@ func NewBatch(n int) *Batch {
 // paths.
 func (b *Batch) Reset(n int) {
 	b.N = n
-	b.Slots = b.Slots[:0]
+	b.Runs = b.Runs[:0]
+	b.Data = b.Data[:0]
 }
 
 // Put records tok at cycle offset within the batch. Offsets must be added
@@ -102,20 +109,18 @@ func (b *Batch) Put(offset int, tok Token) {
 	if offset < 0 || offset >= b.N {
 		panic(fmt.Sprintf("token: offset %d out of batch range [0,%d)", offset, b.N))
 	}
-	if !tok.Valid {
-		return
+	if tok.Valid {
+		b.PutRun(offset, []uint64{tok.Data}, tok.Last)
 	}
-	if n := len(b.Slots); n > 0 && int(b.Slots[n-1].Offset) >= offset {
-		panic(fmt.Sprintf("token: out-of-order Put at offset %d after %d", offset, b.Slots[n-1].Offset))
-	}
-	b.Slots = append(b.Slots, Slot{Offset: int32(offset), Tok: tok})
 }
 
 // PutRun records len(data) valid tokens at the consecutive offsets
 // offset, offset+1, ... and marks the final one Last when last is set. It
 // is len(data) Put calls in one: the run must fit in the window and start
-// after the previous slot, and PutRun panics like Put otherwise, but it
-// checks once per run and grows Slots once. An empty run records nothing.
+// after the previous flit, and PutRun panics like Put otherwise, but it
+// writes at most one run header and one copy of data. The previous run
+// grows instead when it ends right before offset and is not Last. An
+// empty run records nothing.
 func (b *Batch) PutRun(offset int, data []uint64, last bool) {
 	k := len(data)
 	if k == 0 {
@@ -124,91 +129,75 @@ func (b *Batch) PutRun(offset int, data []uint64, last bool) {
 	if offset < 0 || offset > b.N-k {
 		panic(fmt.Sprintf("token: run [%d,%d) out of batch range [0,%d)", offset, offset+k, b.N))
 	}
-	if n := len(b.Slots); n > 0 && int(b.Slots[n-1].Offset) >= offset {
-		panic(fmt.Sprintf("token: out-of-order PutRun at offset %d after %d", offset, b.Slots[n-1].Offset))
-	}
-	base := len(b.Slots)
-	b.Slots = slices.Grow(b.Slots, k)[:base+k]
-	run := b.Slots[base:]
-	for j, d := range data {
-		run[j] = Slot{Offset: int32(offset + j), Tok: Token{Data: d, Valid: true}}
-	}
-	run[k-1].Tok.Last = last
-}
-
-// AppendFrame appends to dst the data of slots up to and including the
-// first Last token (all of slots if none is Last) and returns the extended
-// slice and the number of slots consumed. Receivers call it once per frame:
-// a frame is complete when the last consumed slot is Last, and otherwise
-// continues in the next batch. dst grows by the frame's length, not the
-// window's.
-func AppendFrame(dst []uint64, slots []Slot) ([]uint64, int) {
-	k := len(slots)
-	for i := range slots {
-		if slots[i].Tok.Last {
-			k = i + 1
-			break
+	if n := len(b.Runs); n > 0 {
+		r := &b.Runs[n-1]
+		end := int(r.Off + r.Len)
+		if offset < end {
+			panic(fmt.Sprintf("token: out-of-order write at offset %d after %d", offset, end-1))
+		}
+		if offset == end && !r.Last {
+			r.Len += int32(k)
+			r.Last = last
+			b.Data = append(b.Data, data...)
+			return
 		}
 	}
-	base := len(dst)
-	dst = slices.Grow(dst, k)[:base+k]
-	for i, s := range slots[:k] {
-		dst[base+i] = s.Tok.Data
-	}
-	return dst, k
+	b.Runs = append(b.Runs, Run{Off: int32(offset), Len: int32(k), Last: last})
+	b.Data = append(b.Data, data...)
 }
 
 // At returns the token at the given cycle offset, which is the empty token
-// for unoccupied cycles. It runs a binary search; prefer iterating Slots
-// directly on hot paths.
+// for unoccupied cycles. It scans the runs; hot paths walk Runs and Data
+// directly.
 func (b *Batch) At(offset int) Token {
-	lo, hi := 0, len(b.Slots)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		switch {
-		case int(b.Slots[mid].Offset) == offset:
-			return b.Slots[mid].Tok
-		case int(b.Slots[mid].Offset) < offset:
-			lo = mid + 1
-		default:
-			hi = mid
+	pos := 0
+	for _, r := range b.Runs {
+		if d := offset - int(r.Off); d >= 0 && d < int(r.Len) {
+			return Token{Data: b.Data[pos+d], Valid: true, Last: r.Last && d == int(r.Len)-1}
 		}
+		pos += int(r.Len)
 	}
 	return Empty
 }
 
-// Occupied reports the number of valid tokens in the batch.
-func (b *Batch) Occupied() int { return len(b.Slots) }
-
-// IsEmpty reports whether the batch carries no valid tokens.
-func (b *Batch) IsEmpty() bool { return len(b.Slots) == 0 }
-
-// Filter removes, in place, every token for which keep returns false. It
-// preserves slot ordering and is the primitive fault injectors use to model
-// link flaps and packet loss without reallocating the batch.
-func (b *Batch) Filter(keep func(offset int, tok Token) bool) {
-	kept := b.Slots[:0]
-	for _, s := range b.Slots {
-		if keep(int(s.Offset), s.Tok) {
-			kept = append(kept, s)
+// Each calls fn on every valid token in offset order.
+func (b *Batch) Each(fn func(offset int, tok Token)) {
+	pos := 0
+	for _, r := range b.Runs {
+		for j := range int(r.Len) {
+			fn(int(r.Off)+j, Token{Data: b.Data[pos], Valid: true, Last: r.Last && j == int(r.Len)-1})
+			pos++
 		}
 	}
-	b.Slots = kept
+}
+
+// Occupied reports the number of valid tokens in the batch.
+func (b *Batch) Occupied() int { return len(b.Data) }
+
+// IsEmpty reports whether the batch carries no valid tokens.
+func (b *Batch) IsEmpty() bool { return len(b.Data) == 0 }
+
+// Filter removes, in place, every token for which keep returns false. It
+// preserves offset ordering and is the primitive fault injectors use to
+// model link flaps and packet loss without reallocating the batch data.
+func (b *Batch) Filter(keep func(offset int, tok Token) bool) {
+	b.Mutate(func(offset int, tok Token) Token {
+		tok.Valid = keep(offset, tok)
+		return tok
+	})
 }
 
 // Mutate applies fn to every valid token in place. A token returned with
 // Valid cleared is removed from the batch entirely (a dropped cycle), so fn
-// can both corrupt and discard. Offsets cannot be changed — per-cycle
-// ordering is an invariant of the batch.
+// can both corrupt and discard; a removed flit splits its run. Offsets
+// cannot be changed — per-cycle ordering is an invariant of the batch.
 func (b *Batch) Mutate(fn func(offset int, tok Token) Token) {
-	kept := b.Slots[:0]
-	for _, s := range b.Slots {
-		t := fn(int(s.Offset), s.Tok)
-		if !t.Valid {
-			continue
-		}
-		s.Tok = t
-		kept = append(kept, s)
-	}
-	b.Slots = kept
+	// The kept tokens are rewritten through Put: their data over the
+	// prefix of Data already read, their runs past the old ones (a split
+	// can add runs), moved to the front afterwards.
+	n := len(b.Runs)
+	kept := Batch{N: b.N, Runs: b.Runs[n:], Data: b.Data[:0]}
+	b.Each(func(offset int, tok Token) { kept.Put(offset, fn(offset, tok)) })
+	b.Runs = append(b.Runs[:0], kept.Runs...)
+	b.Data = kept.Data
 }

@@ -1,8 +1,12 @@
 package token
 
 import (
+	"bytes"
+	"encoding/hex"
 	"slices"
 	"testing"
+
+	"repro/internal/snapshot"
 )
 
 func TestEmptyTokenString(t *testing.T) {
@@ -156,17 +160,19 @@ func TestPutRun(t *testing.T) {
 		last   bool
 	}
 	cases := []struct {
-		name string
-		n    int
-		runs []run
-		want []Slot
+		name     string
+		n        int
+		runs     []run
+		wantRuns []Run
+		wantData []uint64
 	}{
-		{"empty run", 8, []run{{3, []uint64{1}, true}, {4, nil, true}}, []Slot{{3, tok(1, true)}}},
-		{"run ending at N-1", 8, []run{{5, []uint64{1, 2, 3}, true}},
-			[]Slot{{5, tok(1, false)}, {6, tok(2, false)}, {7, tok(3, true)}}},
-		{"last false", 8, []run{{0, []uint64{1, 2}, false}}, []Slot{{0, tok(1, false)}, {1, tok(2, false)}}},
-		{"adjacent runs", 8, []run{{1, []uint64{1}, false}, {2, []uint64{2, 3}, true}},
-			[]Slot{{1, tok(1, false)}, {2, tok(2, false)}, {3, tok(3, true)}}},
+		{"empty run", 8, []run{{3, []uint64{1}, true}, {4, nil, true}}, []Run{{3, 1, true}}, []uint64{1}},
+		{"run ending at N-1", 8, []run{{5, []uint64{1, 2, 3}, true}}, []Run{{5, 3, true}}, []uint64{1, 2, 3}},
+		{"last false", 8, []run{{0, []uint64{1, 2}, false}}, []Run{{0, 2, false}}, []uint64{1, 2}},
+		// A contiguous run continues a non-Last one: one frame segment,
+		// one run.
+		{"adjacent runs", 8, []run{{1, []uint64{1}, false}, {2, []uint64{2, 3}, true}}, []Run{{1, 3, true}}, []uint64{1, 2, 3}},
+		{"adjacent after Last", 8, []run{{1, []uint64{1}, true}, {2, []uint64{2}, true}}, []Run{{1, 1, true}, {2, 1, true}}, []uint64{1, 2}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -174,112 +180,313 @@ func TestPutRun(t *testing.T) {
 			for _, r := range tc.runs {
 				b.PutRun(r.offset, r.data, r.last)
 			}
-			if !slices.Equal(b.Slots, tc.want) {
-				t.Errorf("Slots = %v, want %v", b.Slots, tc.want)
+			if !slices.Equal(b.Runs, tc.wantRuns) || !slices.Equal(b.Data, tc.wantData) {
+				t.Errorf("Runs %v Data %v, want %v %v", b.Runs, b.Data, tc.wantRuns, tc.wantData)
 			}
 		})
 	}
 }
 
-func TestAppendFrame(t *testing.T) {
+// frames reassembles frames from batches the way the switch and NIC
+// ingress paths do: each run's data is appended to the open frame, and a
+// Last run closes it. It returns the complete frames and the open tail.
+func frames(batches ...*Batch) (done [][]uint64, cur []uint64) {
+	for _, b := range batches {
+		pos := 0
+		for _, r := range b.Runs {
+			cur = append(cur, b.Data[pos:pos+int(r.Len)]...)
+			pos += int(r.Len)
+			if r.Last {
+				done, cur = append(done, cur), nil
+			}
+		}
+	}
+	return done, cur
+}
+
+// TestFrameRuns pins what the ingress paths rely on: a frame's flits in
+// one batch are the runs up to and including the first Last one.
+func TestFrameRuns(t *testing.T) {
+	stops := NewBatch(8)
+	stops.Put(0, tok(1, false))
+	stops.Put(1, tok(2, true))
+	stops.Put(2, tok(3, true))
+	noLast := NewBatch(8)
+	noLast.Put(0, tok(1, false))
+	noLast.Put(4, tok(2, false))
+	// The second half of a frame whose first half came in the previous
+	// batch.
+	first, second := NewBatch(4), NewBatch(4)
+	first.PutRun(2, []uint64{1, 2}, false)
+	second.Put(0, tok(3, true))
+	second.Put(1, tok(9, false))
 	cases := []struct {
-		name  string
-		dst   []uint64
-		slots []Slot
-		want  []uint64
-		wantK int
+		name     string
+		batches  []*Batch
+		wantDone [][]uint64
+		wantCur  []uint64
 	}{
-		{"empty slots", []uint64{7}, nil, []uint64{7}, 0},
-		{"stops at first Last", nil, []Slot{{0, tok(1, false)}, {1, tok(2, true)}, {2, tok(3, true)}},
-			[]uint64{1, 2}, 2},
-		{"no Last in slots", nil, []Slot{{0, tok(1, false)}, {4, tok(2, false)}}, []uint64{1, 2}, 2},
-		// The second half of a frame whose first half came in the
-		// previous batch: dst already holds it.
-		{"frame split across two calls", []uint64{1, 2}, []Slot{{0, tok(3, true)}, {1, tok(9, false)}},
-			[]uint64{1, 2, 3}, 1},
+		{"empty slots", []*Batch{NewBatch(4)}, nil, nil},
+		{"stops at first Last", []*Batch{stops}, [][]uint64{{1, 2}, {3}}, nil},
+		{"no Last in slots", []*Batch{noLast}, nil, []uint64{1, 2}},
+		{"frame split across two calls", []*Batch{first, second}, [][]uint64{{1, 2, 3}}, []uint64{9}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got, k := AppendFrame(tc.dst, tc.slots)
-			if k != tc.wantK || !slices.Equal(got, tc.want) {
-				t.Errorf("AppendFrame = %v, %d; want %v, %d", got, k, tc.want, tc.wantK)
+			done, cur := frames(tc.batches...)
+			if !slices.EqualFunc(done, tc.wantDone, slices.Equal) || !slices.Equal(cur, tc.wantCur) {
+				t.Errorf("frames %v + tail %v, want %v + %v", done, cur, tc.wantDone, tc.wantCur)
 			}
 		})
 	}
 }
 
-// FuzzBatchRuns checks the run API against its per-token definition:
-// runs written with PutRun give the same Slots as the equivalent Put
-// loop, and AppendFrame reassembles any slot sequence, cut into batches
-// anywhere, into the frames a per-slot loop would.
+// goldenBatches are the batches whose checkpoint bytes TestBatchSaveGolden
+// pins (the transport codec pins their wire bytes the same way).
+func goldenBatches() []*Batch {
+	flits := func(base uint64, k int) []uint64 {
+		out := make([]uint64, k)
+		for j := range out {
+			out[j] = base + uint64(j)*0x0101010101010101
+		}
+		return out
+	}
+	sparse := NewBatch(64)
+	sparse.Put(3, tok(0xa1, false))
+	sparse.Put(17, tok(0xb2b2b2b2b2b2b2b2, true))
+	sparse.Put(40, tok(0xc3, false))
+	sparse.Put(63, tok(0xd4d4000000000000, true))
+	frame := NewBatch(64)
+	frame.PutRun(7, flits(0xf00d000000000000, 25), true)
+	backToBack := NewBatch(64)
+	backToBack.PutRun(2, flits(0x1000000000000001, 25), true)
+	backToBack.PutRun(27, flits(0x2000000000000002, 25), true)
+	singles := NewBatch(16)
+	for i := range 3 {
+		singles.PutRun(4+i, []uint64{0xe0 + uint64(i)}, true)
+	}
+	cut := NewBatch(32)
+	cut.PutRun(20, flits(0x3000000000000003, 12), false)
+	return []*Batch{NewBatch(512), sparse, frame, backToBack, singles, cut}
+}
+
+// TestBatchSaveGolden pins Batch.Save bytes — the token section of every
+// checkpoint — for an idle batch, a sparse one, one 25-flit frame, two
+// frames back to back, three one-flit frames on consecutive cycles and a
+// frame cut by the window end, and restores each to an equal batch.
+func TestBatchSaveGolden(t *testing.T) {
+	want := []string{
+		"46534e5001000000000000000000000000000000000000000000000000000000a50174038004009607187a5a",
+		"46534e5001000000000000000000000000000000000000000000000000000000a501742a400403a1000000000000000111b2b2b2b2b2b2b2b20328c3" +
+			"00000000000000013f000000000000d4d403ea45a1b65a",
+		"46534e5001000000000000000000000000000000000000000000000000000000a50174fc014019070000000000000df001080101010101010ef10109" +
+			"0202020202020ff2010a03030303030310f3010b04040404040411f4010c05050505050512f5010d06060606060613f6010e07070707070714f7010f" +
+			"08080808080815f8011009090909090916f901110a0a0a0a0a0a17fa01120b0b0b0b0b0b18fb01130c0c0c0c0c0c19fc01140d0d0d0d0d0d1afd0115" +
+			"0e0e0e0e0e0e1bfe01160f0f0f0f0f0f1cff01171010101010101d0001181111111111111e0101191212121212121f02011a1313131313132003011b" +
+			"1414141414142104011c1515151515152205011d1616161616162306011e1717171717172407011f181818181818250803e4e00a675a",
+		"46534e5001000000000000000000000000000000000000000000000000000000a50174f6034032020100000000000010010302010101010101110104" +
+			"03020202020202120105040303030303031301060504040404040414010706050505050505150108070606060606061601090807070707070717010a" +
+			"0908080808080818010b0a09090909090919010c0b0a0a0a0a0a0a1a010d0c0b0b0b0b0b0b1b010e0d0c0c0c0c0c0c1c010f0e0d0d0d0d0d0d1d0110" +
+			"0f0e0e0e0e0e0e1e0111100f0f0f0f0f0f1f011211101010101010200113121111111111112101141312121212121222011514131313131313230116" +
+			"1514141414141424011716151515151515250118171616161616162601191817171717171727011a1918181818181828031b0200000000000020011c" +
+			"0301010101010121011d0402020202020222011e0503030303030323011f060404040404042401200705050505050525012108060606060606260122" +
+			"090707070707072701230a0808080808082801240b0909090909092901250c0a0a0a0a0a0a2a01260d0b0b0b0b0b0b2b01270e0c0c0c0c0c0c2c0128" +
+			"0f0d0d0d0d0d0d2d0129100e0e0e0e0e0e2e012a110f0f0f0f0f0f2f012b1210101010101030012c1311111111111131012d1412121212121232012e" +
+			"1513131313131333012f161414141414143401301715151515151535013118161616161616360132191717171717173701331a181818181818380386" +
+			"5cc8075a",
+		"46534e5001000000000000000000000000000000000000000000000000000000a5017420100304e0000000000000000305e1000000000000000306e2" +
+			"00000000000000037caf15c45a",
+		"46534e5001000000000000000000000000000000000000000000000000000000a501747a200c14030000000000003001150401010101010131011605" +
+			"02020202020232011706030303030303330118070404040404043401190805050505050535011a0906060606060636011b0a07070707070737011c0b" +
+			"08080808080838011d0c09090909090939011e0d0a0a0a0a0a0a3a011f0e0b0b0b0b0b0b3b01368174315a",
+	}
+	for i, b := range goldenBatches() {
+		var buf bytes.Buffer
+		w, err := snapshot.NewWriter(&buf, snapshot.Header{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Section("t")
+		if err := b.Save(w); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(buf.Bytes()); got != want[i] {
+			t.Errorf("batch %d: Save bytes\n%s\nwant\n%s", i, got, want[i])
+		}
+		r, _, err := snapshot.NewReader(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Next(); err != nil {
+			t.Fatal(err)
+		}
+		var got Batch
+		if err := got.Restore(r); err != nil {
+			t.Fatalf("batch %d: restore: %v", i, err)
+		}
+		if got.N != b.N || !slices.Equal(got.Runs, b.Runs) || !slices.Equal(got.Data, b.Data) {
+			t.Errorf("batch %d: restored %+v, saved %+v", i, got, *b)
+		}
+	}
+}
+
+// checkCanonical fails unless b's runs are in the canonical layout: in
+// range and increasing, no zero-length run, no non-Last run directly
+// followed by a contiguous one, and exactly as many data words as flits.
+func checkCanonical(t *testing.T, b *Batch) {
+	t.Helper()
+	flits, end := 0, -1
+	for i, r := range b.Runs {
+		if r.Len <= 0 || int(r.Off) < end || int(r.Off+r.Len) > b.N {
+			t.Fatalf("run %d %+v out of order, empty or past the window %d: %v", i, r, b.N, b.Runs)
+		}
+		if i > 0 && int(r.Off) == end && !b.Runs[i-1].Last {
+			t.Fatalf("run %d %+v continues non-Last run %+v: %v", i, r, b.Runs[i-1], b.Runs)
+		}
+		end = int(r.Off + r.Len)
+		flits += int(r.Len)
+	}
+	if flits != len(b.Data) {
+		t.Fatalf("runs hold %d flits, Data %d words", flits, len(b.Data))
+	}
+}
+
+// FuzzBatchRuns checks the run layout against a dense []Token oracle:
+// any sequence of Put, PutRun, Filter and Mutate gives the batch the
+// oracle's At, Each and Occupied, keeps its runs canonical, and
+// checkpoints and restores to an equal batch.
 func FuzzBatchRuns(f *testing.F) {
-	f.Add([]byte{16, 0, 7, 2, 4, 0, 0})
+	f.Add([]byte{16, 1, 0, 7, 1, 2, 4, 0, 0, 2, 3, 3, 5})
 	f.Add([]byte{0, 0, 3})
+	f.Add([]byte{40, 1, 0, 9, 1, 0, 5, 0, 0, 1, 0, 1, 0, 1, 1, 3, 3, 1, 0, 8, 2, 2})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) == 0 {
 			return
 		}
 		n := 1 + int(ops[0])
-		runs, loop := NewBatch(n), NewBatch(n)
+		b, dense := NewBatch(n), make([]Token, n)
 		off, data := 0, uint64(0)
-		for rest := ops[1:]; len(rest) >= 2 && off <= n; rest = rest[2:] {
-			off += int(rest[0] % 8)
-			k := max(0, min(int(rest[1]>>1)%16, n-off))
-			last := rest[1]&1 != 0
-			flits := make([]uint64, k)
-			for j := range flits {
-				data++
-				flits[j] = data
+		for rest := ops[1:]; len(rest) >= 3; rest = rest[3:] {
+			op, arg, arg2 := rest[0]%4, int(rest[1]), rest[2]
+			switch op {
+			case 0, 1: // Put or PutRun after a gap of arg%8 cycles
+				off += arg % 8
+				k := min(int(arg2>>1)%16, n-off)
+				if op == 0 {
+					k = min(1, n-off)
+				}
+				if k <= 0 {
+					continue
+				}
+				last := arg2&1 != 0
+				run := make([]uint64, k)
+				for j := range run {
+					data++
+					run[j] = data
+					dense[off+j] = tok(data, last && j == k-1)
+				}
+				if op == 0 {
+					b.Put(off, dense[off])
+				} else {
+					b.PutRun(off, run, last)
+				}
+				off += k
+			case 2: // Filter out every offset ≡ arg2 modulo 1+arg%5
+				m := 1 + arg%5
+				keep := func(o int, _ Token) bool { return o%m != int(arg2)%m }
+				b.Filter(keep)
+				for o := range dense {
+					if dense[o].Valid && !keep(o, dense[o]) {
+						dense[o] = Empty
+					}
+				}
+			default: // Mutate: corrupt, drop, or flip Last, by offset
+				fn := func(o int, t Token) Token {
+					switch (o + arg) % 4 {
+					case 0:
+						t.Data ^= uint64(arg2)
+					case 1:
+						t.Last = !t.Last
+					case 2:
+						if arg2&1 != 0 {
+							t.Valid = false
+						}
+					}
+					return t
+				}
+				b.Mutate(fn)
+				for o := range dense {
+					if dense[o].Valid {
+						if dense[o] = fn(o, dense[o]); !dense[o].Valid {
+							dense[o] = Empty
+						}
+					}
+				}
 			}
-			runs.PutRun(off, flits, last)
-			for j, d := range flits {
-				loop.Put(off+j, tok(d, last && j == k-1))
-			}
-			off += k
-		}
-		if !slices.Equal(runs.Slots, loop.Slots) {
-			t.Fatalf("PutRun slots %v, Put loop slots %v", runs.Slots, loop.Slots)
 		}
 
-		// One slot per input byte: its value as data, its low bit as Last.
-		slots := make([]Slot, len(ops))
-		for i, b := range ops {
-			slots[i] = Slot{Offset: int32(i), Tok: tok(uint64(b), b&1 != 0)}
-		}
-		var want [][]uint64
-		var cur []uint64
-		for _, s := range slots {
-			cur = append(cur, s.Tok.Data)
-			if s.Tok.Last {
-				want, cur = append(want, cur), nil
+		checkCanonical(t, b)
+		var each, want []Token
+		for o, d := range dense {
+			if got := b.At(o); got != d {
+				t.Fatalf("At(%d) = %v, oracle %v", o, got, d)
+			}
+			if d.Valid {
+				want = append(want, d)
 			}
 		}
-		wantTail := cur
+		b.Each(func(o int, t Token) { each = append(each, t) })
+		if !slices.Equal(each, want) {
+			t.Fatalf("Each %v, oracle %v", each, want)
+		}
+		if b.Occupied() != len(want) || b.IsEmpty() != (len(want) == 0) {
+			t.Fatalf("Occupied %d IsEmpty %v, oracle holds %d", b.Occupied(), b.IsEmpty(), len(want))
+		}
 
-		var got [][]uint64
-		cur = nil
-		chunk := 1 + int(ops[0]%7)
-		for lo := 0; lo < len(slots); lo += chunk {
-			batch := slots[lo:min(lo+chunk, len(slots))]
-			for len(batch) > 0 {
-				var k int
-				cur, k = AppendFrame(cur, batch)
-				if k == 0 {
-					t.Fatal("AppendFrame consumed no slot of a non-empty batch")
-				}
-				if batch[k-1].Tok.Last {
-					got, cur = append(got, cur), nil
-				}
-				batch = batch[k:]
-			}
+		var buf bytes.Buffer
+		w, _ := snapshot.NewWriter(&buf, snapshot.Header{})
+		w.Section("t")
+		if err := b.Save(w); err != nil {
+			t.Fatal(err)
 		}
-		if len(got) != len(want) || !slices.Equal(cur, wantTail) {
-			t.Fatalf("AppendFrame frames %v + tail %v, per-slot loop %v + tail %v", got, cur, want, wantTail)
+		w.Close()
+		r, _, _ := snapshot.NewReader(&buf)
+		r.Next()
+		var got Batch
+		if err := got.Restore(r); err != nil {
+			t.Fatal(err)
 		}
-		for i := range want {
-			if !slices.Equal(got[i], want[i]) {
-				t.Fatalf("frame %d: AppendFrame %v, per-slot loop %v", i, got[i], want[i])
-			}
+		if got.N != b.N || !slices.Equal(got.Runs, b.Runs) || !slices.Equal(got.Data, b.Data) {
+			t.Fatalf("restored %+v, saved %+v", got, *b)
 		}
 	})
+}
+
+// BenchmarkBatchFrames is the token layer's share of a streaming link:
+// one 512-cycle window of 25-flit frames every 50 cycles (the last one
+// cut by the window end) written with PutRun, then reassembled run by
+// run as the switch and NIC ingress paths do.
+func BenchmarkBatchFrames(b *testing.B) {
+	data := make([]uint64, 25)
+	batch := NewBatch(512)
+	var frame []uint64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		batch.Reset(512)
+		for off := 0; off < 512; off += 50 {
+			k := min(25, 512-off)
+			batch.PutRun(off, data[:k], k == 25)
+		}
+		pos := 0
+		for _, r := range batch.Runs {
+			frame = append(frame, batch.Data[pos:pos+int(r.Len)]...)
+			pos += int(r.Len)
+			if r.Last {
+				frame = frame[:0]
+			}
+		}
+	}
 }

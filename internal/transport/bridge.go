@@ -240,7 +240,7 @@ func (b *Bridge) encodeFrame(seq uint64, in *token.Batch) {
 	b.sendBuf = appendFrame(b.sendBuf[:0], seq, in)
 	b.sendSeq = seq
 	b.sendReady = true
-	b.precodec += frameWireBytes(len(in.Slots))
+	b.precodec += frameWireBytes(in.Occupied())
 }
 
 // Reset revives a bridge (possibly errored or closed) onto a fresh

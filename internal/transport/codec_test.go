@@ -3,9 +3,11 @@ package transport
 import (
 	"bufio"
 	"bytes"
+	"encoding/hex"
 	"io"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -78,6 +80,73 @@ func TestCodecV3RoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(check, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// goldenBatches are an idle batch, a sparse one, one 25-flit frame, two
+// frames back to back, three one-flit frames on consecutive cycles and a
+// frame cut by the window end (token's TestBatchSaveGolden pins the same
+// batches' checkpoint bytes).
+func goldenBatches() []*token.Batch {
+	flits := func(base uint64, k int) []uint64 {
+		out := make([]uint64, k)
+		for j := range out {
+			out[j] = base + uint64(j)*0x0101010101010101
+		}
+		return out
+	}
+	tok := func(data uint64, last bool) token.Token { return token.Token{Data: data, Valid: true, Last: last} }
+	sparse := token.NewBatch(64)
+	sparse.Put(3, tok(0xa1, false))
+	sparse.Put(17, tok(0xb2b2b2b2b2b2b2b2, true))
+	sparse.Put(40, tok(0xc3, false))
+	sparse.Put(63, tok(0xd4d4000000000000, true))
+	frame := token.NewBatch(64)
+	frame.PutRun(7, flits(0xf00d000000000000, 25), true)
+	backToBack := token.NewBatch(64)
+	backToBack.PutRun(2, flits(0x1000000000000001, 25), true)
+	backToBack.PutRun(27, flits(0x2000000000000002, 25), true)
+	singles := token.NewBatch(16)
+	for i := range 3 {
+		singles.PutRun(4+i, []uint64{0xe0 + uint64(i)}, true)
+	}
+	cut := token.NewBatch(32)
+	cut.PutRun(20, flits(0x3000000000000003, 12), false)
+	return []*token.Batch{token.NewBatch(512), sparse, frame, backToBack, singles, cut}
+}
+
+// TestCodecV3Golden pins the v3 wire bytes of goldenBatches (the i-th
+// sent as sequence number 7+i): each encodes byte-identically and decodes
+// back to an equal batch. The three one-flit frames travel as one Last
+// wire run.
+func TestCodecV3Golden(t *testing.T) {
+	want := []string{
+		"07800400",
+		"084004030200000000000000a10d03b2b2b2b2b2b2b2b2160200000000000000c31603d4d4000000000000",
+		"0940020730f00d000000000000f10e010101010101f20f020202020202f310030303030303f411040404040404f512050505050505f6130606060606" +
+			"06f714070707070707f815080808080808f916090909090909fa170a0a0a0a0a0afb180b0b0b0b0b0bfc190c0c0c0c0c0cfd1a0d0d0d0d0d0dfe1b0e" +
+			"0e0e0e0e0eff1c0f0f0f0f0f0f001d101010101010011e111111111111021f1212121212120320131313131313042114141414141405221515151515" +
+			"150623161616161616072417171717171700030825181818181818",
+		"0a4004023010000000000000011101010101010102120202020202020313030303030303041404040404040405150505050505050616060606060606" +
+			"0717070707070707081808080808080809190909090909090a1a0a0a0a0a0a0a0b1b0b0b0b0b0b0b0c1c0c0c0c0c0c0c0d1d0d0d0d0d0d0d0e1e0e0e" +
+			"0e0e0e0e0f1f0f0f0f0f0f0f102010101010101011211111111111111222121212121212132313131313131314241414141414141525151515151515" +
+			"162616161616161617271717171717171800032818181818181819003020000000000000022101010101010103220202020202020423030303030303" +
+			"052404040404040406250505050505050726060606060606082707070707070709280808080808080a290909090909090b2a0a0a0a0a0a0a0c2b0b0b" +
+			"0b0b0b0b0d2c0c0c0c0c0c0c0e2d0d0d0d0d0d0d0f2e0e0e0e0e0e0e102f0f0f0f0f0f0f113010101010101012311111111111111332121212121212" +
+			"14331313131313131534141414141414163515151515151517361616161616161837171717171717190003381818181818181a",
+		"0b1001040700000000000000e000000000000000e100000000000000e2",
+		"0c2001141830000000000000033101010101010104320202020202020533030303030303063404040404040407350505050505050836060606060606" +
+			"09370707070707070a380808080808080b390909090909090c3a0a0a0a0a0a0a0d3b0b0b0b0b0b0b0e",
+	}
+	for i, b := range goldenBatches() {
+		raw := encodeV3(uint64(7+i), b)
+		if got := hex.EncodeToString(raw); got != want[i] {
+			t.Errorf("batch %d: wire bytes\n%s\nwant\n%s", i, got, want[i])
+		}
+		seq, got, err := decodeV3(raw)
+		if err != nil || seq != uint64(7+i) || got.N != b.N || !slices.Equal(got.Runs, b.Runs) || !slices.Equal(got.Data, b.Data) {
+			t.Errorf("batch %d: decoded seq %d %+v (err %v), sent %+v", i, seq, got, err, *b)
+		}
 	}
 }
 

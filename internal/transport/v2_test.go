@@ -18,27 +18,28 @@ import (
 func writeBatch(w io.Writer, b *token.Batch) error {
 	var hdr [8]byte
 	binary.BigEndian.PutUint32(hdr[0:4], uint32(b.N))
-	binary.BigEndian.PutUint32(hdr[4:8], uint32(len(b.Slots)))
+	binary.BigEndian.PutUint32(hdr[4:8], uint32(b.Occupied()))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return fmt.Errorf("transport: write header: %w", err)
 	}
 	var rec [13]byte
-	for _, s := range b.Slots {
-		binary.BigEndian.PutUint32(rec[0:4], uint32(s.Offset))
-		binary.BigEndian.PutUint64(rec[4:12], s.Tok.Data)
+	var err error
+	b.Each(func(offset int, tok token.Token) {
+		binary.BigEndian.PutUint32(rec[0:4], uint32(offset))
+		binary.BigEndian.PutUint64(rec[4:12], tok.Data)
 		var flags byte
-		if s.Tok.Valid {
+		if tok.Valid {
 			flags |= 1
 		}
-		if s.Tok.Last {
+		if tok.Last {
 			flags |= 2
 		}
 		rec[12] = flags
-		if _, err := w.Write(rec[:]); err != nil {
-			return fmt.Errorf("transport: write slot: %w", err)
+		if _, werr := w.Write(rec[:]); werr != nil && err == nil {
+			err = fmt.Errorf("transport: write slot: %w", werr)
 		}
-	}
-	return nil
+	})
+	return err
 }
 
 // readBatch decodes a batch from r into dst (which is Reset first).
@@ -49,7 +50,7 @@ func readBatch(r io.Reader, dst *token.Batch) error {
 	}
 	n := int(binary.BigEndian.Uint32(hdr[0:4]))
 	count := int(binary.BigEndian.Uint32(hdr[4:8]))
-	if n <= 0 || count < 0 || count > maxSlots || count > n {
+	if n <= 0 || count < 0 || count > maxFlits || count > n {
 		return fmt.Errorf("transport: corrupt batch header (n=%d, slots=%d)", n, count)
 	}
 	dst.Reset(n)
