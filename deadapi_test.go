@@ -2,10 +2,11 @@ package repro
 
 // The dead-API gate: every exported package-level name and every exported
 // method of a non-main package in this module must be referenced by some
-// non-test file of the module (bench/, cmd/ and examples/ included). A name
-// only tests reach is deleted, un-exported, or moved to an export_test.go;
-// the few deliberate exceptions are listed with a reason in
-// testdata/deadapi.allow.
+// non-test file of the module (bench/, cmd/ and examples/ included), and
+// every exported field of an exported struct type there must be written by
+// one. A name only tests reach is deleted, un-exported, or moved to an
+// export_test.go; a field no caller sets becomes a constant; the few
+// deliberate exceptions are listed with a reason in testdata/deadapi.allow.
 
 import (
 	"bufio"
@@ -45,7 +46,7 @@ func TestNoTestOnlyExportedAPI(t *testing.T) {
 			}
 		}
 		if !ok {
-			t.Errorf("%s is exported but no non-test file references it: delete it, un-export it, or move it to an export_test.go", name)
+			t.Errorf("%s is exported but no non-test file references it (a name) or writes it (a field): delete it, un-export it, make it a constant, or move it to an export_test.go", name)
 		}
 	}
 	for _, pat := range allow {
@@ -62,7 +63,7 @@ func TestDeadAPIFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"lib.Unused", "lib.hidden.Exported"}
+	want := []string{"lib.Knobs.Never", "lib.Knobs.TestOnly", "lib.Unused", "lib.hidden.Exported"}
 	if !slices.Equal(dead, want) {
 		t.Fatalf("dead API = %q, want %q", dead, want)
 	}
@@ -103,10 +104,15 @@ type listedPkg struct {
 
 // deadAPI type-checks every non-test package of the module rooted at dir
 // and returns, sorted, the exported names no non-test file references, as
-// "pkg.Name" or "pkg.Type.Method". Uses of a generic function or method
-// resolve to its origin; a method whose type implements an interface that
-// has a method of that name (an interface declared in the module or in any
-// package it imports) counts as used.
+// "pkg.Name" or "pkg.Type.Method", and the exported fields of exported
+// struct types no non-test file writes, as "pkg.Type.Field". Uses of a
+// generic function, method or field resolve to its origin; a method whose
+// type implements an interface that has a method of that name (an interface
+// declared in the module or in any package it imports) counts as used. A
+// field is written by a composite-literal element, by being the target of
+// an assignment or ++/-- (also through index and paren expressions), by
+// being the operand of &, or by being the addressable receiver of a
+// pointer method; decoding JSON into it is not a write.
 func deadAPI(dir string) ([]string, error) {
 	cmd := exec.Command("go", "list", "-deps", "-json", "./...")
 	cmd.Dir = dir
@@ -141,6 +147,7 @@ func deadAPI(dir string) ([]string, error) {
 		return std.Import(p)
 	})
 	used := make(map[types.Object]bool)
+	written := make(map[*types.Var]bool)
 	ifaces := make(map[*types.Interface]bool)
 	var libs []*types.Package
 	for _, p := range mod {
@@ -153,8 +160,9 @@ func deadAPI(dir string) ([]string, error) {
 			files = append(files, f)
 		}
 		info := &types.Info{
-			Uses:  make(map[*ast.Ident]types.Object),
-			Types: make(map[ast.Expr]types.TypeAndValue),
+			Uses:       make(map[*ast.Ident]types.Object),
+			Types:      make(map[ast.Expr]types.TypeAndValue),
+			Selections: make(map[*ast.SelectorExpr]*types.Selection),
 		}
 		pkg, err := (&types.Config{Importer: imp}).Check(p.ImportPath, fset, files, info)
 		if err != nil {
@@ -174,6 +182,9 @@ func deadAPI(dir string) ([]string, error) {
 			if it, ok := tv.Type.Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
 				ifaces[it] = true
 			}
+		}
+		for _, f := range files {
+			markWrites(f, info, written)
 		}
 	}
 	seen := make(map[*types.Package]bool)
@@ -240,10 +251,85 @@ func deadAPI(dir string) ([]string, error) {
 					dead = append(dead, pkg.Name()+"."+name+"."+m.Name())
 				}
 			}
+			st, ok := n.Underlying().(*types.Struct)
+			if !ok || !tn.Exported() {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() && !written[f] {
+					dead = append(dead, pkg.Name()+"."+name+"."+f.Name())
+				}
+			}
 		}
 	}
 	slices.Sort(dead)
 	return dead, nil
+}
+
+// markWrites records in written every struct field that file writes.
+func markWrites(file *ast.File, info *types.Info, written map[*types.Var]bool) {
+	// mark records the field e selects, looking through parens and index
+	// expressions, if it selects one.
+	mark := func(e ast.Expr) {
+		for {
+			switch x := e.(type) {
+			case *ast.ParenExpr:
+				e = x.X
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.SelectorExpr:
+				if sel := info.Selections[x]; sel != nil && sel.Kind() == types.FieldVal {
+					written[sel.Obj().(*types.Var).Origin()] = true
+				}
+				return
+			default:
+				return
+			}
+		}
+	}
+	ast.Inspect(file, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.CompositeLit:
+			t := info.Types[x].Type
+			if p, ok := t.(*types.Pointer); ok {
+				t = p.Elem()
+			}
+			st, ok := t.Underlying().(*types.Struct)
+			if !ok {
+				break
+			}
+			for i, elt := range x.Elts {
+				if kv, ok := elt.(*ast.KeyValueExpr); ok {
+					written[info.Uses[kv.Key.(*ast.Ident)].(*types.Var).Origin()] = true
+				} else {
+					written[st.Field(i).Origin()] = true
+				}
+			}
+		case *ast.AssignStmt:
+			for _, lhs := range x.Lhs {
+				mark(lhs)
+			}
+		case *ast.IncDecStmt:
+			mark(x.X)
+		case *ast.UnaryExpr:
+			if x.Op == token.AND {
+				mark(x.X)
+			}
+		case *ast.SelectorExpr:
+			sel := info.Selections[x]
+			if sel == nil || sel.Kind() != types.MethodVal {
+				break
+			}
+			recv := sel.Obj().Type().(*types.Signature).Recv()
+			if _, ptr := recv.Type().(*types.Pointer); !ptr {
+				break
+			}
+			if _, ptr := info.Types[x.X].Type.Underlying().(*types.Pointer); !ptr {
+				mark(x.X)
+			}
+		}
+		return true
+	})
 }
 
 type importerFunc func(path string) (*types.Package, error)

@@ -131,8 +131,8 @@ type MutilateConfig struct {
 	// Connections is the number of distinct client connections (each maps
 	// to a source port, and therefore to a server worker thread).
 	Connections int
-	// Start and Duration bound the measurement window, in cycles.
-	Start    clock.Cycles
+	// Duration bounds the request stream, in cycles: requests are sent
+	// from cycle 0 up to Duration.
 	Duration clock.Cycles
 	// Seed drives the generator's deterministic arrival process.
 	Seed uint64
@@ -168,7 +168,7 @@ func NewMutilate(n *softstack.Node, cfg MutilateConfig) *Mutilate {
 	for c := 0; c < cfg.Connections; c++ {
 		n.HandleUDP(basePort+uint16(c), m.onResponse)
 	}
-	m.scheduleNext(cfg.Start)
+	m.scheduleNext(0)
 	return m
 }
 
@@ -204,7 +204,7 @@ func (m *Mutilate) expInterval() clock.Cycles {
 func ln(x float64) float64 { return mathLog(x) }
 
 func (m *Mutilate) scheduleNext(at clock.Cycles) {
-	if at >= m.cfg.Start+m.cfg.Duration {
+	if at >= m.cfg.Duration {
 		return
 	}
 	m.node.At(at, func(now clock.Cycles) {

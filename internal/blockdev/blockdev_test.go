@@ -162,42 +162,3 @@ func TestProvisioning(t *testing.T) {
 		t.Error("unwritten sector not zero")
 	}
 }
-
-func TestTechnologyOrdering(t *testing.T) {
-	// 3D XPoint < SSD < Disk for a single-sector access, and the ordering
-	// must also hold end-to-end through the controller.
-	disk := configFor(TechDisk)
-	ssd := configFor(TechSSD)
-	xp := configFor(TechXPoint)
-	if !(xp.accessLatency(1) < ssd.accessLatency(1) && ssd.accessLatency(1) < disk.accessLatency(1)) {
-		t.Errorf("latency ordering wrong: xp=%d ssd=%d disk=%d",
-			xp.accessLatency(1), ssd.accessLatency(1), disk.accessLatency(1))
-	}
-	mem := newFakeMem()
-	tSSD := doTransfer(t, New(ssd, mem), mem, 0x1000, 0, 1, 0)
-	tXP := doTransfer(t, New(xp, mem), mem, 0x1000, 0, 1, 0)
-	if tXP >= tSSD {
-		t.Errorf("3D XPoint transfer (%d) not faster than SSD (%d)", tXP, tSSD)
-	}
-}
-
-func TestTechnologyBandwidth(t *testing.T) {
-	// For large streaming transfers the per-sector term dominates: disk
-	// streams ~200 MB/s, SSD ~2 GB/s (10x fewer cycles per sector).
-	disk := configFor(TechDisk)
-	ssd := configFor(TechSSD)
-	const sectors = 4096
-	dCycles := disk.accessLatency(sectors) - disk.FixedLatency
-	sCycles := ssd.accessLatency(sectors) - ssd.FixedLatency
-	ratio := float64(dCycles) / float64(sCycles)
-	if ratio < 8 || ratio > 12 {
-		t.Errorf("disk/ssd streaming ratio = %.1f, want ~10", ratio)
-	}
-}
-
-func TestUnknownTechnologyDefaults(t *testing.T) {
-	cfg := configFor(Technology("quantum"))
-	if cfg != DefaultConfig() {
-		t.Error("unknown technology should fall back to the default config")
-	}
-}

@@ -115,20 +115,6 @@ func TestCleanEvictionSkipsWriteback(t *testing.T) {
 	}
 }
 
-func TestFlush(t *testing.T) {
-	c, mem := newTestCache()
-	c.Access(0, 0x000, true)
-	c.Access(0, 0x40, false)
-	mem.accesses = nil
-	c.Flush(0)
-	if len(mem.accesses) != 1 || !mem.accesses[0].write {
-		t.Errorf("flush accesses = %+v, want one writeback", mem.accesses)
-	}
-	if c.Contains(0x000) || c.Contains(0x40) {
-		t.Error("lines resident after flush")
-	}
-}
-
 func TestStacked(t *testing.T) {
 	// L1 -> L2 -> mem: an L1 miss that hits L2 must cost less than one
 	// that misses both.

@@ -1,7 +1,5 @@
 package cache
 
-import "repro/internal/clock"
-
 // Probes and helpers that only this package's tests use.
 
 // Config returns the cache's configuration.
@@ -20,23 +18,4 @@ func (c *Cache) Contains(addr uint64) bool {
 		}
 	}
 	return false
-}
-
-// Flush writes back every dirty line and invalidates the cache, returning
-// the completion cycle. Used by DMA-coherency-free devices in tests.
-func (c *Cache) Flush(now clock.Cycles) clock.Cycles {
-	t := now
-	for set := range c.sets {
-		for i := range c.sets[set] {
-			ln := &c.sets[set][i]
-			if ln.valid && ln.dirty {
-				addr := (ln.tag*c.nsets + uint64(set)) * uint64(c.cfg.LineBytes)
-				t = c.parent.AccessLine(t, addr, true)
-				c.stats.Writebacks++
-			}
-			*ln = line{}
-		}
-	}
-	c.gen++
-	return t
 }

@@ -7,25 +7,11 @@ import (
 	"time"
 )
 
-func TestCyclesIn(t *testing.T) {
-	c := New(DefaultTargetClock)
-	if got := c.CyclesIn(time.Microsecond); got != 3200 {
-		t.Errorf("CyclesIn(1us) = %d, want 3200", got)
-	}
-	if got := c.CyclesIn(2 * time.Microsecond); got != 6400 {
-		t.Errorf("CyclesIn(2us) = %d, want 6400 (the paper's 2us link latency)", got)
-	}
-	if got := c.CyclesIn(time.Second); got != 3_200_000_000 {
-		t.Errorf("CyclesIn(1s) = %d", got)
-	}
-}
-
 func TestDurationRoundTrip(t *testing.T) {
 	c := New(1 * GHz)
 	check := func(n uint32) bool {
-		cyc := Cycles(n)
-		// at 1 GHz, 1 cycle == 1 ns exactly, so the round trip is lossless
-		return c.CyclesIn(c.Duration(cyc)) == cyc
+		// at 1 GHz, 1 cycle == 1 ns exactly, so the conversion is lossless
+		return c.Duration(Cycles(n)) == time.Duration(n)
 	}
 	if err := quick.Check(check, nil); err != nil {
 		t.Error(err)

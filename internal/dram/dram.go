@@ -198,23 +198,6 @@ func (m *Model) Access(now clock.Cycles, addr uint64, write bool) clock.Cycles {
 	return done
 }
 
-// IdleAt reports whether the controller is provably idle at cycle now: the
-// shared bus is free and every bank has finished its last transfer. While
-// idle, no controller state evolves on its own (readyAt/busFreeAt are
-// timestamps, open rows are static), so cycles can be skipped without
-// changing any observable or checkpointed state.
-func (m *Model) IdleAt(now clock.Cycles) bool {
-	if m.busFreeAt > now {
-		return false
-	}
-	for i := range m.banks {
-		if m.banks[i].readyAt > now {
-			return false
-		}
-	}
-	return true
-}
-
 // --- functional backing store ---
 
 func (m *Model) chunk(addr uint64) []byte {

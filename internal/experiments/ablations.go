@@ -65,7 +65,7 @@ func AblationNewQ(sc Scale) (AblationNewQResult, error) {
 	}
 	mk := func() pfa.AccessPattern { return pfa.NewGenomePattern(pages, accesses, 11) }
 
-	swRes, err := fig11Run(pfa.SoftwarePaging, int(pages)/2, mk())
+	swRes, err := fig11Run(pfa.SoftwarePaging, int(pages)/2, mk(), pfa.PagingCosts{})
 	if err != nil {
 		return AblationNewQResult{}, err
 	}
@@ -78,7 +78,7 @@ func AblationNewQ(sc Scale) (AblationNewQResult, error) {
 			// software path's metadata management.
 			costs.MetaPerPageBatched = costs.MetaPerPage
 		}
-		res, err := fig11RunWithCosts(pfa.PFAMode, int(pages)/2, mk(), costs)
+		res, err := fig11Run(pfa.PFAMode, int(pages)/2, mk(), costs)
 		if err != nil {
 			return AblationNewQResult{}, err
 		}

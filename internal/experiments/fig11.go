@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/clock"
-	"repro/internal/ethernet"
 	"repro/internal/fame"
 	"repro/internal/pfa"
 	"repro/internal/softstack"
@@ -78,11 +77,11 @@ func Fig11(sc Scale) (Fig11Result, error) {
 	for _, wl := range workloads {
 		for _, frac := range fractions {
 			local := int(float64(pages) * frac)
-			sw, err := fig11Run(pfa.SoftwarePaging, local, wl.mk())
+			sw, err := fig11Run(pfa.SoftwarePaging, local, wl.mk(), pfa.PagingCosts{})
 			if err != nil {
 				return Fig11Result{}, fmt.Errorf("fig11 %s sw: %w", wl.name, err)
 			}
-			hw, err := fig11Run(pfa.PFAMode, local, wl.mk())
+			hw, err := fig11Run(pfa.PFAMode, local, wl.mk(), pfa.PagingCosts{})
 			if err != nil {
 				return Fig11Result{}, fmt.Errorf("fig11 %s pfa: %w", wl.name, err)
 			}
@@ -103,7 +102,9 @@ func Fig11(sc Scale) (Fig11Result, error) {
 	return out, nil
 }
 
-func fig11Run(mode pfa.Mode, localPages int, pattern pfa.AccessPattern) (pfa.Result, error) {
+// fig11Run runs one application blade against a memory blade under the
+// given paging mode; zero costs take pfa's defaults.
+func fig11Run(mode pfa.Mode, localPages int, pattern pfa.AccessPattern, costs pfa.PagingCosts) (pfa.Result, error) {
 	appNode := softstack.NewNode(softstack.Config{Name: "app", MAC: 0x1, IP: 0x0a000001, Seed: 1})
 	bladeNode := softstack.NewNode(softstack.Config{Name: "blade", MAC: 0x2, IP: 0x0a000002, Seed: 2})
 	pfa.NewBlade(bladeNode)
@@ -129,47 +130,6 @@ func fig11Run(mode pfa.Mode, localPages int, pattern pfa.AccessPattern) (pfa.Res
 		LocalPages:       localPages,
 		Pattern:          pattern,
 		ComputePerAccess: clock.Cycles(6400), // 2 us of compute per page touch
-	}, 0)
-	for !app.Done() && r.Cycle() < 200_000_000_000 {
-		if err := r.Run(linkLat * 64); err != nil {
-			return pfa.Result{}, err
-		}
-	}
-	if !app.Done() {
-		return pfa.Result{}, fmt.Errorf("application did not complete")
-	}
-	return app.Result(), nil
-}
-
-var _ = ethernet.MAC(0)
-
-// fig11RunWithCosts is fig11Run with an explicit paging-cost model, used
-// by the newQ ablation.
-func fig11RunWithCosts(mode pfa.Mode, localPages int, pattern pfa.AccessPattern, costs pfa.PagingCosts) (pfa.Result, error) {
-	appNode := softstack.NewNode(softstack.Config{Name: "app", MAC: 0x1, IP: 0x0a000001, Seed: 1})
-	bladeNode := softstack.NewNode(softstack.Config{Name: "blade", MAC: 0x2, IP: 0x0a000002, Seed: 2})
-	pfa.NewBlade(bladeNode)
-
-	sw := switchmodel.New(switchmodel.Config{Name: "tor", Ports: 2})
-	sw.MACTable().Set(0x1, 0)
-	sw.MACTable().Set(0x2, 1)
-	r := fame.NewRunner()
-	r.Add(appNode)
-	r.Add(bladeNode)
-	r.Add(sw)
-	const linkLat = 6400
-	if err := r.Connect(appNode, 0, sw, 0, linkLat); err != nil {
-		return pfa.Result{}, err
-	}
-	if err := r.Connect(bladeNode, 0, sw, 1, linkLat); err != nil {
-		return pfa.Result{}, err
-	}
-	app := pfa.NewApp(appNode, pfa.AppConfig{
-		Mode:             mode,
-		Blade:            0x2,
-		LocalPages:       localPages,
-		Pattern:          pattern,
-		ComputePerAccess: clock.Cycles(6400),
 		Costs:            costs,
 	}, 0)
 	for !app.Done() && r.Cycle() < 200_000_000_000 {

@@ -201,7 +201,6 @@ func (b *builder) node(v *NodeSpec) *softstack.Node {
 		IP:    id.IP,
 		Cores: id.Cores,
 		Freq:  b.cfg.Freq,
-		Costs: b.cfg.Costs,
 		Seed:  id.Seed,
 	})
 	id.Node = n

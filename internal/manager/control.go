@@ -77,7 +77,6 @@ type AssignMsg struct {
 	TokenAddr    string       `json:"tokenAddr"`
 	Restore      bool         `json:"restore,omitempty"`
 	RestoreCycle uint64       `json:"restoreCycle,omitempty"`
-	Retain       int          `json:"retain,omitempty"` // checkpoint generations to keep
 	// StallAt/StallMs are the chaos hook for the stall watchdog test: at
 	// target cycle StallAt the shard stops advancing for StallMs of wall
 	// time while its heartbeats keep flowing — alive but stuck.

@@ -76,8 +76,6 @@ type CoordinatorConfig struct {
 	// Horizon is the target cycle to run to (a multiple of the link
 	// latency).
 	Horizon uint64
-	// Retain bounds checkpoint generations kept per store (default 4).
-	Retain int
 	// MaxRecoveries bounds how many failures the run will heal before
 	// giving up (default 3).
 	MaxRecoveries int
@@ -323,13 +321,13 @@ func RunDistributed(cfg CoordinatorConfig) (*DistReport, error) {
 	c.weights = unitWeights(root, cfg.Spec.CutLevel)
 	c.unitStores = make(map[int]*snapshot.Store, units)
 	for i := 0; i < units; i++ {
-		st, err := snapshot.NewStore(filepath.Join(cfg.BaseDir, "units", UnitName(i)), cfg.Retain)
+		st, err := snapshot.NewStore(filepath.Join(cfg.BaseDir, "units", UnitName(i)), 0)
 		if err != nil {
 			return nil, err
 		}
 		c.unitStores[i] = st
 	}
-	c.rootStore, err = snapshot.NewStore(filepath.Join(cfg.BaseDir, UnitName(RootUnit)), cfg.Retain)
+	c.rootStore, err = snapshot.NewStore(filepath.Join(cfg.BaseDir, UnitName(RootUnit)), 0)
 	if err != nil {
 		return nil, err
 	}
@@ -800,7 +798,6 @@ func (c *coordinator) runEpoch(assignments map[string][]int) (*DistReport, *epoc
 			TokenAddr:    c.tokenLn.Addr().String(),
 			Restore:      c.restore,
 			RestoreCycle: c.restoreCycle,
-			Retain:       c.cfg.Retain,
 		}
 		for _, u := range p.units {
 			m.Units = append(m.Units, UnitAssign{Unit: u, StoreDir: c.unitStores[u].Dir()})

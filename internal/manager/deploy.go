@@ -35,8 +35,6 @@ type DeployConfig struct {
 	DisableStaticARP bool
 	// Freq is the target clock (default 3.2 GHz).
 	Freq clock.Hz
-	// Costs overrides the modeled kernel constants (zero = defaults).
-	Costs softstack.Costs
 	// FaultScenario names a registered fault-injection scenario (see
 	// faults.Scenarios); empty means no injection. The schedule is derived
 	// deterministically from Seed.

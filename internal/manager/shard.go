@@ -197,13 +197,9 @@ func (s *shard) handleAssign(m AssignMsg) error {
 	if err != nil {
 		return err
 	}
-	retain := m.Retain
-	if retain <= 0 {
-		retain = 4
-	}
 	stores := make(map[int]*snapshot.Store, len(m.Units))
 	for _, u := range m.Units {
-		st, err := snapshot.NewStore(u.StoreDir, retain)
+		st, err := snapshot.NewStore(u.StoreDir, 0)
 		if err != nil {
 			return err
 		}

@@ -129,27 +129,6 @@ func TestRateLimiterBackpressures(t *testing.T) {
 	}
 }
 
-func TestSetRateLimitGbps(t *testing.T) {
-	mem := newFakeMem()
-	n := New(DefaultConfig(0xaa), mem)
-	cases := []struct {
-		gbps float64
-		k, p uint32
-	}{
-		{200, 1, 1},
-		{100, 1, 2},
-		{40, 1, 5},
-		{10, 1, 20},
-		{1, 1, 200},
-	}
-	for _, tc := range cases {
-		n.SetRateLimitGbps(tc.gbps, 200)
-		if n.rateK != tc.k || n.rateP != tc.p {
-			t.Errorf("%g Gbps: k/p = %d/%d, want %d/%d", tc.gbps, n.rateK, n.rateP, tc.k, tc.p)
-		}
-	}
-}
-
 func TestReceivePath(t *testing.T) {
 	mem := newFakeMem()
 	n := New(DefaultConfig(0xbb), mem)

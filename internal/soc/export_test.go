@@ -16,8 +16,9 @@ func (s *SoC) BlockDev() *blockdev.Device { return s.bdev }
 // Console returns everything written to the UART.
 func (s *SoC) Console() string { return string(s.console) }
 
-// SkippedCycles reports how many target cycles the quiescent fast path
-// has skipped so far (observability only; excluded from snapshots).
+// SkippedCycles reports how many target cycles compute-only windows have
+// advanced with no hart running (observability only; excluded from
+// snapshots).
 func (s *SoC) SkippedCycles() uint64 { return s.skipped }
 
 // PartialIdleCycles reports how many WFI hart-cycles the compute-only

@@ -73,13 +73,6 @@ type Config struct {
 	Cores int
 	// MAC is the NIC address assigned by the manager.
 	MAC ethernet.MAC
-	// DRAM, L1I, L1D, L2 override the default hierarchy when non-zero.
-	DRAM dram.Config
-	L1I  cache.Config
-	L1D  cache.Config
-	L2   cache.Config
-	// NICConfig overrides the default NIC parameters when non-zero.
-	NICConfig nic.Config
 }
 
 // SoC is the assembled server blade.
@@ -99,11 +92,11 @@ type SoC struct {
 	cycle   clock.Cycles
 	halted  bool
 
-	// noSkip disables the bulk quiescent-cycle fast path (default on).
+	// noSkip disables the compute-only window fast path (default on).
 	noSkip bool
-	// skipped counts target cycles advanced arithmetically while the blade
-	// was provably idle. Observability only — never snapshotted, so it
-	// cannot perturb StateHash.
+	// skipped counts target cycles advanced arithmetically while the
+	// devices were idle and no hart ran. Observability only — never
+	// snapshotted, so it cannot perturb StateHash.
 	skipped uint64
 	// partIdle counts hart-cycles the partial-idle park avoided burning on
 	// WFI harts while another hart kept the blade busy (observability only).
@@ -139,34 +132,17 @@ func New(cfg Config, program []byte) (*SoC, error) {
 		return nil, fmt.Errorf("soc: %d cores outside Table I's 1-4 range", cfg.Cores)
 	}
 	s := &SoC{cfg: cfg}
-	s.dram = dram.New(cfg.DRAM)
-
-	l2cfg := cfg.L2
-	if l2cfg.SizeBytes == 0 {
-		l2cfg = cache.DefaultL2()
-	}
-	s.l2 = cache.New(l2cfg, dramLevel{s.dram})
-
-	niccfg := cfg.NICConfig
-	if niccfg.MAC == 0 {
-		niccfg = nic.DefaultConfig(cfg.MAC)
-	}
-	s.nic = nic.New(niccfg, &socDMA{s: s})
+	s.dram = dram.New(dram.DefaultConfig())
+	s.l2 = cache.New(cache.DefaultL2(), dramLevel{s.dram})
+	s.nic = nic.New(nic.DefaultConfig(cfg.MAC), &socDMA{s: s})
 	s.bdev = blockdev.New(blockdev.DefaultConfig(), &socDMA{s: s})
 
+	l1i := cache.DefaultL1I()
 	for i := 0; i < cfg.Cores; i++ {
-		l1i := cfg.L1I
-		if l1i.SizeBytes == 0 {
-			l1i = cache.DefaultL1I()
-		}
-		l1d := cfg.L1D
-		if l1d.SizeBytes == 0 {
-			l1d = cache.DefaultL1D()
-		}
 		b := &coreBus{
 			s:          s,
 			l1i:        cache.New(l1i, s.l2),
-			l1d:        cache.New(l1d, s.l2),
+			l1d:        cache.New(cache.DefaultL1D(), s.l2),
 			ilineBytes: uint64(l1i.LineBytes),
 			ihitLat:    l1i.HitLatency,
 		}
@@ -237,20 +213,16 @@ func (s *SoC) Name() string { return s.cfg.Name }
 // NumPorts implements fame.Endpoint: the blade's single network port.
 func (s *SoC) NumPorts() int { return 1 }
 
-// TickBatch implements fame.Endpoint. Three paths, fastest proven
-// applicable wins: a fully quiescent blade advances the target clock
-// arithmetically (bulk quiescent-cycle skip); a blade whose devices are
-// idle but with runnable harts takes the compute-only window (superblock
-// dispatch, WFI harts parked arithmetically); otherwise it ticks one
-// cycle at a time: NIC token exchange, device retirement, then every
-// hart. All paths are bit-identical in every checkpointed observable.
+// TickBatch implements fame.Endpoint. Two paths: a blade whose devices
+// are idle takes the compute-only window (superblock dispatch, WFI harts
+// parked arithmetically, and a pure clock advance when no hart runs at
+// all); otherwise it ticks one cycle at a time: NIC token exchange,
+// device retirement, then every hart. Both paths are bit-identical in
+// every checkpointed observable.
 func (s *SoC) TickBatch(n int, in, out []*token.Batch) {
-	switch {
-	case s.canSkip(in[0]):
-		s.skipQuiescent(n)
-	case s.canComputeWindow(in[0]):
+	if s.canComputeWindow(in[0]) {
 		s.computeWindow(n, in[0], out[0])
-	default:
+	} else {
 		s.tickCycles(n, in[0], out[0])
 	}
 }
@@ -320,64 +292,12 @@ func (s *SoC) tickCycleRange(from, n int, in, out *token.Batch) {
 	s.cycle += clock.Cycles(n)
 }
 
-// canSkip reports whether a whole token window can be skipped without any
-// observable difference from per-cycle ticking. The conditions are
-// conservative: anything that evolves per cycle — a busy DMA tracker, an
-// in-flight NIC packet, a DRAM transfer still completing, a runnable hart
-// — disables the skip.
-func (s *SoC) canSkip(in *token.Batch) bool {
-	if s.noSkip || !in.IsEmpty() {
-		return false
-	}
-	if !s.nic.Quiescent() || !s.bdev.Quiescent() || !s.dram.IdleAt(s.cycle) {
-		return false
-	}
-	if s.halted {
-		// Powered off: harts are never ticked, interrupts are never looked
-		// at, so NIC/blockdev/DRAM idleness is the whole condition.
-		return true
-	}
-	if s.nic.IntrPending() || s.bdev.IntrPending() || s.devIntrPending() {
-		return false
-	}
-	for _, c := range s.cores {
-		if !c.cpu.Halted && !c.cpu.WaitingForInterrupt {
-			return false
-		}
-	}
-	return true
-}
-
-// skipQuiescent reproduces n per-cycle ticks of a quiescent blade in O(1):
-// the NIC replays its rate-limiter refills arithmetically, WFI harts land
-// on the same cycle/busy-time a per-cycle WFI spin would have produced,
-// and the external interrupt line (known deasserted) is applied once —
-// idempotent, hence identical to n applications. No output token is
-// produced, matching the per-cycle path on an idle blade.
-func (s *SoC) skipQuiescent(n int) {
-	last := s.cycle + clock.Cycles(n) - 1
-	s.nic.SkipIdle(s.cycle, n)
-	if !s.halted {
-		for _, c := range s.cores {
-			c.cpu.SetExternalInterrupt(false)
-			if c.cpu.Halted || c.busyUntil > last {
-				continue
-			}
-			c.cpu.Cycle = last
-			c.bus.now = last
-			c.busyUntil = last + 1
-		}
-	}
-	s.skipped += uint64(n)
-	s.cycle += clock.Cycles(n)
-}
-
 // canComputeWindow reports whether the window can run compute-only: no
 // inbound tokens, NIC and block device quiescent, no interrupt pending.
-// Unlike canSkip it does not require idle harts (they are what the window
-// runs) or an idle DRAM (DRAM timing state is a pure function the
-// per-cycle path never ticks; busy harts consult it through their caches
-// exactly as the slow path would).
+// It does not require idle harts (they are what the window runs) or an
+// idle DRAM (DRAM timing state is a pure function the per-cycle path never
+// ticks; busy harts consult it through their caches exactly as the slow
+// path would).
 func (s *SoC) canComputeWindow(in *token.Batch) bool {
 	if s.noSkip || !in.IsEmpty() {
 		return false
@@ -396,12 +316,14 @@ func (s *SoC) canComputeWindow(in *token.Batch) bool {
 // harts execute — through the superblock dispatcher when exactly one hart
 // is runnable (multiple runnable harts stay on per-cycle stepping so
 // cross-hart memory ordering is untouched), WFI harts are parked
-// arithmetically exactly like skipQuiescent, and the NIC's rate-limiter
-// refills are replayed in closed form. The first MMIO access (device
-// windows or the power-off latch; the stateless UART excluded) trips the
-// window: device state is caught up to the access cycle first, so the
-// access observes exactly what the per-cycle path would have shown it,
-// and the rest of the window falls back to per-cycle ticking.
+// arithmetically on the cycle and busy time a per-cycle WFI spin would
+// reach, and the NIC's rate-limiter refills are replayed in closed form;
+// with no runnable hart at all the window is a pure clock advance. The
+// first MMIO access (device windows or the power-off latch; the stateless
+// UART excluded) trips the window: device state is caught up to the
+// access cycle first, so the access observes exactly what the per-cycle
+// path would have shown it, and the rest of the window falls back to
+// per-cycle ticking.
 func (s *SoC) computeWindow(n int, in, out *token.Batch) {
 	base := s.cycle
 	last := base + clock.Cycles(n) - 1
@@ -426,7 +348,9 @@ func (s *SoC) computeWindow(n int, in, out *token.Batch) {
 	switch len(active) {
 	case 0:
 		// Devices idle and no hart will run (all WFI/halted, or powered
-		// off, with DRAM timing still draining): pure clock advance.
+		// off): pure clock advance, with no output token, exactly as the
+		// per-cycle path behaves on an idle blade.
+		s.skipped += uint64(n)
 	case 1:
 		c := active[0]
 		now := c.busyUntil
@@ -509,8 +433,8 @@ func (s *SoC) computeWindow(n int, in, out *token.Batch) {
 // access breaking it. NIC state is caught up first — the per-cycle path
 // runs nic.Tick for cycle t before any hart steps at t, so the access
 // must observe post-tick state. The block device needs no catch-up: its
-// quiescent Tick is stateless, which is the same fact skipQuiescent
-// already relies on.
+// quiescent Tick is stateless, which is the same fact an all-idle window
+// relies on.
 func (s *SoC) tripFastWindow(now clock.Cycles) {
 	if !s.winOn || s.winBroke {
 		return
@@ -531,7 +455,8 @@ func (s *SoC) devIntrPending() bool {
 
 // --- fast-path toggles (all default on) ---
 
-// SetQuiescentSkip toggles the bulk idle-cycle fast path.
+// SetQuiescentSkip toggles the compute-only window, whose all-idle case is
+// the bulk idle-cycle skip.
 func (s *SoC) SetQuiescentSkip(on bool) { s.noSkip = !on }
 
 // SetFetchMemo toggles every hart's fetch-line memo in the core bus.

@@ -24,7 +24,7 @@ import (
 )
 
 // Costs holds the modeled software-stack timing constants, in target
-// cycles at the node's clock. Zero values take defaults.
+// cycles at the node's clock.
 type Costs struct {
 	// KernelTX is the per-packet transmit cost through the kernel
 	// (syscall, skb alloc, protocol stack, driver, doorbell).
@@ -63,27 +63,5 @@ func DefaultCosts(freq clock.Hz) Costs {
 		SockWakeup:   c.CyclesInMicros(3.0),
 		Syscall:      c.CyclesInMicros(1.0),
 		SchedQuantum: c.CyclesInMicros(1000), // ~1 ms CFS-scale timeslice
-	}
-}
-
-func (c *Costs) applyDefaults(freq clock.Hz) {
-	d := DefaultCosts(freq)
-	if c.KernelTX == 0 {
-		c.KernelTX = d.KernelTX
-	}
-	if c.KernelRX == 0 {
-		c.KernelRX = d.KernelRX
-	}
-	if c.IRQLatency == 0 {
-		c.IRQLatency = d.IRQLatency
-	}
-	if c.SockWakeup == 0 {
-		c.SockWakeup = d.SockWakeup
-	}
-	if c.Syscall == 0 {
-		c.Syscall = d.Syscall
-	}
-	if c.SchedQuantum == 0 {
-		c.SchedQuantum = d.SchedQuantum
 	}
 }

@@ -20,8 +20,6 @@ type Config struct {
 	Cores int
 	// Freq is the target clock (default 3.2 GHz).
 	Freq clock.Hz
-	// Costs are the modeled kernel constants; zero fields take defaults.
-	Costs Costs
 	// Seed drives the node's deterministic scheduler randomness.
 	Seed uint64
 	// StaticARP, when non-nil, pre-populates the ARP table (the manager
@@ -144,11 +142,10 @@ func NewNode(cfg Config) *Node {
 	if cfg.Freq == 0 {
 		cfg.Freq = clock.DefaultTargetClock
 	}
-	cfg.Costs.applyDefaults(cfg.Freq)
 	n := &Node{
 		cfg:        cfg,
 		clk:        clock.New(cfg.Freq),
-		costs:      cfg.Costs,
+		costs:      DefaultCosts(cfg.Freq),
 		arp:        make(map[ethernet.IP]ethernet.MAC),
 		arpWaiting: make(map[ethernet.IP][]func(clock.Cycles, ethernet.MAC)),
 		udp:        make(map[uint16]UDPHandler),

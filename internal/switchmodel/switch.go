@@ -22,8 +22,8 @@
 //     and global time, and by bounding output buffer occupancy in bytes.
 //
 // The switching algorithm and the assumption of Ethernet as the link layer
-// are not fundamental: users can plug in their own Router to model new
-// switch designs.
+// are not fundamental: a new switch design replaces MACTableRouter, the
+// one routing step (Route) the datapath calls.
 //
 // At datacenter scale (the paper's 1024-node tree has ~1,100 switch ports)
 // the switch model is the scale-out hot path, so the steady-state round is
@@ -67,8 +67,6 @@ type Config struct {
 	// minus release timestamp) before it is dropped, modeling drop due to
 	// congestion. Zero disables staleness drops.
 	MaxReleaseDelay clock.Cycles
-	// Router chooses output ports; nil selects a MAC-table router.
-	Router Router
 }
 
 // DefaultSwitchingLatency is the paper's fixed port-to-port latency.
@@ -96,15 +94,6 @@ type Packet struct {
 // Dst returns the destination MAC parsed from the first flit.
 func (p *Packet) Dst() ethernet.MAC { return ethernet.DstFromFirstFlit(p.Flits[0]) }
 
-// Router decides which output ports a packet goes to.
-type Router interface {
-	// Route returns the output ports for the packet. Returning no ports
-	// drops the packet. The returned slice is only valid until the next
-	// Route or table-mutation call and must not be retained or mutated:
-	// routers are free to return a shared scratch or cached slice.
-	Route(sw *Switch, pkt *Packet) []int
-}
-
 // MACTableRouter routes by a static MAC address table populated by the
 // simulation manager, flooding broadcast and unknown-destination packets to
 // every port except the ingress port.
@@ -112,7 +101,7 @@ type MACTableRouter struct {
 	table map[ethernet.MAC]int
 	// unicast is the reusable single-port result slab: the known-MAC fast
 	// path returns unicast[:1] instead of allocating a fresh slice per
-	// packet (see Router.Route's aliasing contract).
+	// packet (see Route's aliasing contract).
 	unicast [1]int
 	// flood caches, per ingress port, the flood list "every port except
 	// the ingress port". Built lazily for the switch's port count and
@@ -132,7 +121,9 @@ func (r *MACTableRouter) Set(mac ethernet.MAC, port int) {
 	r.flood = nil
 }
 
-// Route implements Router.
+// Route returns the output ports for the packet; no ports drops it. The
+// returned slice is only valid until the next Route or Set call and must
+// not be retained or mutated: it is a shared scratch or cached slice.
 func (r *MACTableRouter) Route(sw *Switch, pkt *Packet) []int {
 	dst := pkt.Dst()
 	if dst != ethernet.Broadcast {
@@ -250,7 +241,7 @@ type inPort struct {
 // Switch is a software switch model implementing fame.Endpoint.
 type Switch struct {
 	cfg    Config
-	router Router
+	router *MACTableRouter
 	cycle  clock.Cycles
 
 	in  []inPort
@@ -269,8 +260,8 @@ type Switch struct {
 
 	// stats is owned by the ticking goroutine; readers go through the
 	// seqlock-published copy below, so Stats() and Cycle() are safe to
-	// call concurrently with an in-flight RunParallel (the runner runs
-	// each endpoint, this switch included, on its own goroutine).
+	// call concurrently with an in-flight RunParallel (the runner's worker
+	// pool may tick this switch on any of its worker goroutines).
 	stats Stats
 	// Seqlock publication: pubSeq is odd while the writer is mid-publish;
 	// readers retry until they see the same even value on both sides of
@@ -309,13 +300,9 @@ func New(cfg Config) *Switch {
 	if cfg.OutputBufferBytes == 0 {
 		cfg.OutputBufferBytes = DefaultOutputBufferBytes
 	}
-	router := cfg.Router
-	if router == nil {
-		router = NewMACTableRouter()
-	}
 	return &Switch{
 		cfg:    cfg,
-		router: router,
+		router: NewMACTableRouter(),
 		in:     make([]inPort, cfg.Ports),
 		out:    make([]outPort, cfg.Ports),
 	}
@@ -355,12 +342,8 @@ func (s *Switch) Name() string { return s.cfg.Name }
 // NumPorts implements fame.Endpoint.
 func (s *Switch) NumPorts() int { return s.cfg.Ports }
 
-// MACTable returns the router as a *MACTableRouter if that is what is
-// installed, for the common case.
-func (s *Switch) MACTable() *MACTableRouter {
-	r, _ := s.router.(*MACTableRouter)
-	return r
-}
+// MACTable returns the switch's routing table.
+func (s *Switch) MACTable() *MACTableRouter { return s.router }
 
 // Stats returns a snapshot of the switch counters as of the most recently
 // completed TickBatch. It reads the seqlock-published copy, so it is safe

@@ -77,9 +77,10 @@ echo "== snapshot, restore-payload, frame, token-batch, control, switch-window a
 # against a malformed peer) must reject or round-trip every input, every
 # spec an assign frame carries must be built or refused by the topology
 # builder without a panic, a switch fed one ingress stream in any window
-# split must emit the same tokens, stats and checkpoint bytes, and token
-# runs written with Batch.PutRun and frames reassembled with AppendFrame
-# must match their one-token-at-a-time definitions (FuzzBatchRuns).
+# split must emit the same tokens, stats and checkpoint bytes, and a token
+# batch built by any sequence of Put, PutRun, Filter and Mutate must match
+# a dense one-token-at-a-time oracle and checkpoint to an equal batch
+# (FuzzBatchRuns).
 go test ./internal/snapshot -run '^$' -fuzz FuzzReader -fuzztime 5s >/dev/null
 go test ./internal/manager -run '^$' -fuzz FuzzRestorePayload -fuzztime 3s >/dev/null
 go test ./internal/ethernet -run '^$' -fuzz FuzzParseFrame -fuzztime 3s >/dev/null

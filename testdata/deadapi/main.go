@@ -7,5 +7,5 @@ import (
 )
 
 func main() {
-	fmt.Println(lib.OnlyMain(), lib.Box[int]{}.Get())
+	fmt.Println(lib.OnlyMain(), lib.Box[int]{1}.Get(), lib.Tune(&lib.Knobs{Keyed: 1}))
 }
