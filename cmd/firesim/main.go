@@ -10,7 +10,7 @@
 //	firesim ping     -nodes 8 -latency-us 2 -count 10
 //	firesim memcached -threads 5 -qps 135000
 //	firesim figures  -exp fig5,fig9
-//	firesim top      -nodes 8 -format prometheus
+//	firesim top      -nodes 8 -slices 10
 //	firesim snap     verify -nodes 4 -cycles 65536 -extra 65536
 //	firesim run-dist -nodes 8 -procs 3 -verify
 //
@@ -89,7 +89,7 @@ commands:
   memcached  run a memcached+mutilate load test on a rack
   workload   run a reusable workload description on a deployed topology
   figures    regenerate the paper's tables and figures (-exp, -full, -list)
-  top        run an instrumented rack and watch live metrics
+  top        run a pinging rack and print its counters slice by slice
   snap       checkpoint/restore a cluster (save, restore, inspect, verify)
   run-dist   coordinate a self-healing multi-process run (spawns shards)
   shard      run one shard worker process (spawned by run-dist)`)

@@ -33,7 +33,6 @@ import (
 	"time"
 
 	"repro/internal/clock"
-	"repro/internal/obs"
 	"repro/internal/token"
 )
 
@@ -171,11 +170,13 @@ type Runner struct {
 	// boundary (fault injection).
 	injector Injector
 
-	// metricsReg and metrics carry the optional observability wiring (see
-	// metrics.go). metrics is nil unless EnableMetrics was called, and the
-	// hot loops guard every instrument behind that one nil check.
-	metricsReg *obs.Registry
-	metrics    *runnerMetrics
+	// poolAllocs counts batch-pool misses (fresh allocations in
+	// ringPair.take) and poolDrops recycled batches a full free ring
+	// refused. Both are tripwires for the ring sizing in parallel.go:
+	// allocations stay bounded by the circulating population and drops
+	// stay zero. Atomic because RunParallel's workers share the runner.
+	poolAllocs atomic.Uint64
+	poolDrops  atomic.Uint64
 
 	// workers, when non-zero, fixes how many workers RunParallel uses;
 	// zero means GOMAXPROCS (see SetWorkers in parallel.go).
@@ -346,9 +347,6 @@ func (r *Runner) build() error {
 		}
 	}
 	r.built = true
-	if r.metricsReg != nil {
-		r.initMetrics()
-	}
 	return nil
 }
 
@@ -378,7 +376,7 @@ func (r *Runner) run(cycles clock.Cycles) (time.Duration, error) {
 	}
 	var abort atomic.Bool
 	start := time.Now()
-	perr := r.work(r.single, r.cycle, rounds, true, &abort)
+	perr := r.work(r.single, r.cycle, rounds, &abort)
 	return r.finish(time.Since(start), rounds, perr)
 }
 
@@ -406,10 +404,6 @@ func (r *Runner) finish(wall time.Duration, rounds int, perr *EndpointPanicError
 		return wall, perr
 	}
 	r.cycle += clock.Cycles(rounds) * r.step
-	if m := r.metrics; m != nil {
-		m.runWall.Add(uint64(wall.Nanoseconds()))
-		m.cycleGauge.Set(int64(r.cycle))
-	}
 	return wall, nil
 }
 

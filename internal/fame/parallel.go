@@ -213,7 +213,7 @@ type ringPair struct {
 // Overflow is therefore a counted error, not a silent GC drop: hitting it
 // means a broken invariant and the run must not proceed on a leaking
 // pool.
-func (r *Runner) newRingPair(ch *channel, m *runnerMetrics) (*ringPair, error) {
+func (r *Runner) newRingPair(ch *channel) (*ringPair, error) {
 	depth := int(ch.latency / r.step)
 	rp := &ringPair{
 		data: newSPSCRing(depth + 1),
@@ -228,9 +228,7 @@ func (r *Runner) newRingPair(ch *channel, m *runnerMetrics) (*ringPair, error) {
 	}
 	for _, b := range ch.free {
 		if !rp.free.push(b) {
-			if m != nil {
-				m.poolDrops.Inc()
-			}
+			r.poolDrops.Add(1)
 			rp.drain()
 			return nil, fmt.Errorf("fame: free-pool ring overflow seeding link (%d recycled batches, cap %d)", len(ch.free), rp.free.cap())
 		}
@@ -240,15 +238,14 @@ func (r *Runner) newRingPair(ch *channel, m *runnerMetrics) (*ringPair, error) {
 }
 
 // take returns a batch for the producer to fill: recycled storage when the
-// consumer has returned some, a fresh allocation (counted) otherwise.
-func (rp *ringPair) take(n int, m *runnerMetrics) *token.Batch {
+// consumer has returned some, a fresh allocation (counted in allocs)
+// otherwise.
+func (rp *ringPair) take(n int, allocs *atomic.Uint64) *token.Batch {
 	if b, ok := rp.free.pop(); ok {
 		b.Reset(n)
 		return b
 	}
-	if m != nil {
-		m.poolAllocs.Inc()
-	}
+	allocs.Add(1)
 	return token.NewBatch(n)
 }
 
@@ -324,7 +321,7 @@ func (r *Runner) buildCrossRings(owner []int) ([]*ringPair, error) {
 			if ch == nil || owner[i] == owner[ch.cons] {
 				continue
 			}
-			rp, err := r.newRingPair(ch, r.metrics)
+			rp, err := r.newRingPair(ch)
 			if err != nil {
 				for _, built := range rings {
 					built.drain()
@@ -378,7 +375,7 @@ func (r *Runner) runParallel(cycles clock.Cycles) (time.Duration, error) {
 		wg.Add(1)
 		go func(w int, p *plan) {
 			defer wg.Done()
-			perrs[w] = r.work(p, r.cycle, rounds, w == owner[0], &abort)
+			perrs[w] = r.work(p, r.cycle, rounds, &abort)
 		}(w, p)
 	}
 	wg.Wait()

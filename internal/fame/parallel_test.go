@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/clock"
-	"repro/internal/obs"
 	"repro/internal/snapshot"
 	"repro/internal/token"
 )
@@ -273,62 +272,6 @@ func TestCheckpointMidParallelWorkers(t *testing.T) {
 	}
 }
 
-// TestMultiWorkerMetricsEquivalence forces the cross-worker ring path and
-// holds it to the same fame_* contract Run satisfies: exact
-// round/cycle/token counters, one tick observation per sampled round per
-// endpoint, and zero pool drops (the counted-error seeding satellite).
-func TestMultiWorkerMetricsEquivalence(t *testing.T) {
-	const latency = clock.Cycles(8)
-	const cycles = clock.Cycles(8 * 50)
-
-	seqReg := obs.NewRegistry("seq")
-	seq, _ := buildObsTopology(t, latency, 20)
-	seq.EnableMetrics(seqReg)
-	if err := seq.Run(cycles); err != nil {
-		t.Fatal(err)
-	}
-	ss := seqReg.Snapshot()
-
-	for _, workers := range []int{2, 3} {
-		parReg := obs.NewRegistry("par")
-		par, _ := buildObsTopology(t, latency, 20)
-		par.EnableMetrics(parReg)
-		if err := par.SetWorkers(workers); err != nil {
-			t.Fatal(err)
-		}
-		if err := par.RunParallel(cycles); err != nil {
-			t.Fatal(err)
-		}
-		ps := parReg.Snapshot()
-		if got, want := ps.Counters["fame_rounds_total"], uint64(cycles/latency); got != want {
-			t.Errorf("workers=%d: fame_rounds_total = %d, want %d", workers, got, want)
-		}
-		if got := ps.Counters["fame_cycles_total"]; got != uint64(cycles) {
-			t.Errorf("workers=%d: fame_cycles_total = %d, want %d", workers, got, cycles)
-		}
-		if got := ps.Gauges["fame_cycle"]; got != int64(cycles) {
-			t.Errorf("workers=%d: fame_cycle = %d, want %d", workers, got, cycles)
-		}
-		if got := ps.Counters["fame_pool_drops_total"]; got != 0 {
-			t.Errorf("workers=%d: fame_pool_drops_total = %d, want 0", workers, got)
-		}
-		if st, pt := ss.Counters["fame_tokens_total"], ps.Counters["fame_tokens_total"]; st != pt {
-			t.Errorf("workers=%d: fame_tokens_total = %d, want %d", workers, pt, st)
-		}
-		wantTicks := sampledRounds(uint64(cycles / latency))
-		for _, ep := range []string{"src", "wire", "sink"} {
-			name := obs.Label("fame_tick_nanos", "endpoint", ep)
-			if got := ps.Histograms[name].Count; got != wantTicks {
-				t.Errorf("workers=%d: %s count = %d, want %d", workers, name, got, wantTicks)
-			}
-			tname := obs.Label("fame_endpoint_tokens_total", "endpoint", ep)
-			if ss.Counters[tname] != ps.Counters[tname] {
-				t.Errorf("workers=%d: %s diverged: seq=%d par=%d", workers, tname, ss.Counters[tname], ps.Counters[tname])
-			}
-		}
-	}
-}
-
 // TestRandomTopologyWorkerEquivalence reuses the property-test generator
 // idea at a smaller scale: random stars, random worker counts, streams
 // must match the sequential scheduler bit for bit.
@@ -588,17 +531,18 @@ func TestCompilePlanSpans(t *testing.T) {
 		}
 		at := 0
 		for mi, mem := range p.members {
-			if mem.idx != eps[mi] {
-				t.Errorf("plan %d member %d is endpoint %d, want %d (registration order)", w, mi, mem.idx, eps[mi])
+			i := eps[mi]
+			if mem.ep != r.endpoints[i] {
+				t.Errorf("plan %d member %d is %s, want endpoint %d (registration order)", w, mi, mem.name, i)
 			}
 			if mem.lo != at {
 				t.Errorf("plan %d member %d span starts at %d, want %d (spans must tile)", w, mi, mem.lo, at)
 			}
-			if want := r.endpoints[mem.idx].NumPorts(); mem.hi-mem.lo != want {
+			if want := r.endpoints[i].NumPorts(); mem.hi-mem.lo != want {
 				t.Errorf("plan %d member %d span width %d, want %d ports", w, mi, mem.hi-mem.lo, want)
 			}
 			for q := mem.lo; q < mem.hi; q++ {
-				if ch := r.outCh[mem.idx][q-mem.lo]; ch != nil {
+				if ch := r.outCh[i][q-mem.lo]; ch != nil {
 					if cross := owner[ch.cons] != w; cross != (p.out[q].rp != nil) {
 						t.Errorf("plan %d member %d port %d: crosses workers %v, bound to ring %v", w, mi, q-mem.lo, cross, p.out[q].rp != nil)
 					}

@@ -163,7 +163,7 @@ func TestRingPairSizing(t *testing.T) {
 		t.Fatalf("channel seeded with %d batches, want depth %d", got, depth)
 	}
 
-	rp, err := r.newRingPair(ch, nil)
+	rp, err := r.newRingPair(ch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestRingPairSizing(t *testing.T) {
 
 	// Rebuild twice more: the circulating population stays fixed.
 	for i := 0; i < 2; i++ {
-		rp, err = r.newRingPair(ch, nil)
+		rp, err = r.newRingPair(ch)
 		if err != nil {
 			t.Fatalf("rebuild %d: %v", i, err)
 		}

@@ -3,7 +3,6 @@ package fame
 import (
 	"runtime/debug"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/clock"
 	"repro/internal/token"
@@ -16,7 +15,7 @@ import (
 // endpoint on the caller's goroutine; RunParallel executes one plan per
 // worker on its own goroutine (parallel.go). Both call work, so pop →
 // filter → tick → filter → push is written once and every worker count
-// produces the same token streams, injector windows and metrics.
+// produces the same token streams and injector windows.
 //
 // The layout is the scheduler-level analogue of the FAME-5 Multiplex
 // wrapper: however many endpoints a worker hosts, it walks one contiguous
@@ -32,10 +31,9 @@ type portBind struct {
 
 func (b portBind) connected() bool { return b.ch != nil || b.rp != nil }
 
-// member locates one endpoint in its worker's plan: its index in
-// Runner.endpoints (and the metrics arrays) and its port span.
+// member locates one endpoint in its worker's plan: the endpoint and its
+// port span.
 type member struct {
-	idx    int
 	ep     Endpoint
 	name   string
 	eager  EagerStarter // non-nil when ep wants the per-round prepass
@@ -51,7 +49,6 @@ type plan struct {
 	outs    []*token.Batch
 	scratch []*token.Batch // discard batch per unconnected output port
 	empty   *token.Batch   // read-only input for unconnected input ports
-	toks    []uint64       // per-member tokens awaiting a metrics flush
 }
 
 // compile builds the plan for endpoints eps (ascending indices). A channel
@@ -70,7 +67,6 @@ func (r *Runner) compile(eps []int) *plan {
 		outs:    make([]*token.Batch, ports),
 		scratch: make([]*token.Batch, ports),
 		empty:   token.NewBatch(n),
-		toks:    make([]uint64, len(eps)),
 	}
 	bind := func(ch *channel) portBind {
 		if ch != nil && ch.rp != nil {
@@ -83,7 +79,7 @@ func (r *Runner) compile(eps []int) *plan {
 		e := r.endpoints[i]
 		hi := lo + len(r.inCh[i])
 		eager, _ := e.(EagerStarter)
-		p.members[mi] = member{idx: i, ep: e, name: e.Name(), eager: eager, lo: lo, hi: hi}
+		p.members[mi] = member{ep: e, name: e.Name(), eager: eager, lo: lo, hi: hi}
 		if eager != nil {
 			p.eagers = append(p.eagers, mi)
 		}
@@ -111,12 +107,8 @@ func (r *Runner) compile(eps []int) *plan {
 // work recovers, raises abort so sibling workers blocked on a ring unwind,
 // and returns an error naming the member and its window. A worker that
 // sees abort raised returns nil.
-//
-// heartbeat selects the one worker that publishes round and cycle
-// progress; every worker publishes its own members' token counts.
-func (r *Runner) work(p *plan, base clock.Cycles, rounds int, heartbeat bool, abort *atomic.Bool) (perr *EndpointPanicError) {
+func (r *Runner) work(p *plan, base clock.Cycles, rounds int, abort *atomic.Bool) (perr *EndpointPanicError) {
 	n := int(r.step)
-	m := r.metrics
 	inj := r.injector
 	cur, round := -1, 0
 	defer func() {
@@ -129,7 +121,6 @@ func (r *Runner) work(p *plan, base clock.Cycles, rounds int, heartbeat bool, ab
 			perr = &EndpointPanicError{Endpoint: name, Cycle: base + clock.Cycles(round)*r.step, Value: v, Stack: debug.Stack()}
 		}
 	}()
-	var hbRounds uint64
 	for ; round < rounds; round++ {
 		if abort.Load() {
 			return nil
@@ -146,10 +137,6 @@ func (r *Runner) work(p *plan, base clock.Cycles, rounds int, heartbeat bool, ab
 			}
 			mem.eager.StartBatch(n, p.ins[mem.lo:mem.hi])
 		}
-		// Tick timing samples the same round indices on every worker; each
-		// tick pays its own two clock reads so ring waits never land in the
-		// histogram.
-		sampled := m != nil && round&tickSampleMask == 0
 		for mi := range p.members {
 			cur = mi
 			mem := &p.members[mi]
@@ -161,7 +148,7 @@ func (r *Runner) work(p *plan, base clock.Cycles, rounds int, heartbeat bool, ab
 				case b.ch != nil:
 					p.outs[q] = b.ch.take(n)
 				case b.rp != nil:
-					p.outs[q] = b.rp.take(n, m)
+					p.outs[q] = b.rp.take(n, &r.poolAllocs)
 				default:
 					p.scratch[q].Reset(n)
 					p.outs[q] = p.scratch[q]
@@ -170,21 +157,7 @@ func (r *Runner) work(p *plan, base clock.Cycles, rounds int, heartbeat bool, ab
 			if inj != nil && mem.eager == nil {
 				p.filterIn(inj, mem, start)
 			}
-			var t0 time.Time
-			if sampled {
-				t0 = time.Now()
-			}
 			mem.ep.TickBatch(n, p.ins[mem.lo:mem.hi], p.outs[mem.lo:mem.hi])
-			if m != nil {
-				if sampled {
-					m.tick[mem.idx].Observe(uint64(time.Since(t0).Nanoseconds()))
-				}
-				for q := mem.lo; q < mem.hi; q++ {
-					if p.out[q].connected() {
-						p.toks[mi] += uint64(p.outs[q].Occupied())
-					}
-				}
-			}
 			if inj != nil {
 				for q := mem.lo; q < mem.hi; q++ {
 					if p.out[q].connected() {
@@ -207,26 +180,12 @@ func (r *Runner) work(p *plan, base clock.Cycles, rounds int, heartbeat bool, ab
 				case b.rp != nil:
 					// Unreachable with the depth+3 free-ring sizing; the
 					// counter is a regression tripwire asserted zero by tests.
-					if !b.rp.free.push(p.ins[q]) && m != nil {
-						m.poolDrops.Inc()
+					if !b.rp.free.push(p.ins[q]) {
+						r.poolDrops.Add(1)
 					}
 				}
 			}
 		}
-		if m != nil {
-			// Counters batch locally and flush on sampled rounds (and at the
-			// end), so quiet rounds touch no shared memory while external
-			// readers still see progress at sample granularity.
-			if heartbeat {
-				hbRounds++
-			}
-			if sampled {
-				p.flush(m, &hbRounds, r.step, start+r.step)
-			}
-		}
-	}
-	if m != nil {
-		p.flush(m, &hbRounds, r.step, base+clock.Cycles(rounds)*r.step)
 	}
 	return nil
 }
@@ -257,28 +216,5 @@ func (p *plan) filterIn(inj Injector, mem *member, start clock.Cycles) {
 		if p.in[q].connected() {
 			inj.FilterInput(mem.name, q-mem.lo, start, p.ins[q])
 		}
-	}
-}
-
-// flush publishes the plan's batched token counts and, for the heartbeat
-// worker (hbRounds non-zero), its rounds and cycles and the gauge value
-// cycle.
-func (p *plan) flush(m *runnerMetrics, hbRounds *uint64, step, cycle clock.Cycles) {
-	var total uint64
-	for mi, t := range p.toks {
-		if t > 0 {
-			m.epTokens[p.members[mi].idx].Add(t)
-			total += t
-			p.toks[mi] = 0
-		}
-	}
-	if total > 0 {
-		m.tokens.Add(total)
-	}
-	if *hbRounds > 0 {
-		m.rounds.Add(*hbRounds)
-		m.cycles.Add(*hbRounds * uint64(step))
-		m.cycleGauge.Set(int64(cycle))
-		*hbRounds = 0
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/clock"
-	"repro/internal/ethernet"
 	"repro/internal/fame"
 	"repro/internal/softstack"
 	"repro/internal/switchmodel"
@@ -238,5 +237,3 @@ func TestGenomeDeterminism(t *testing.T) {
 		}
 	}
 }
-
-var _ = ethernet.MAC(0) // keep ethernet import for MAC literals above

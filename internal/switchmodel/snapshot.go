@@ -19,9 +19,9 @@ func (s *Switch) Restore(r *snapshot.Reader) error { return s.state(snapshot.Dec
 // assemblies, and per-egress queues including the in-flight transmission.
 // The pending queue is empty between rounds, so nothing in the stream
 // depends on how the host cut target time into windows. The router table,
-// probe, stall hook and metrics are wiring re-installed by Deploy.
-// Decoding rebuilds the ports from scratch, recomputes each egress port's
-// byte occupancy and republishes the concurrent-reader snapshots.
+// probe and stall hook are wiring re-installed by Deploy.
+// Decoding rebuilds the ports from scratch and recomputes each egress
+// port's byte occupancy.
 func (s *Switch) state(st *snapshot.State) error {
 	st.Begin("switchmodel.Switch", 2)
 	st.Shape("ports", s.cfg.Ports)
@@ -76,10 +76,6 @@ func (s *Switch) state(st *snapshot.State) error {
 	st.U64(&s.stats.DropsUnroutable)
 	st.U64(&s.stats.BytesSwitched)
 	st.U64(&s.stats.StallCycles)
-	if st.Decoding() {
-		// Republish for concurrent readers, exactly as TickBatch does.
-		s.publishStats()
-	}
 	return st.Err()
 }
 

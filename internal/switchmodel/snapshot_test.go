@@ -69,8 +69,8 @@ func TestSwitchRestoreRefusesVersion1(t *testing.T) {
 		w.Uvarint(0)  // egress queue: empty
 		w.Bool(false) // nothing in flight
 	}
-	for i := 0; i < numStatFields; i++ {
-		w.U64(0)
+	for i := 0; i < 9; i++ {
+		w.U64(0) // the nine Stats counters
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)

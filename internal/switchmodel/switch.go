@@ -31,17 +31,14 @@
 // free list (recycled when the last reference drops at egress or on drop),
 // the pending queue is the shared non-boxing 4-ary min-heap (minheap),
 // broadcast fan-out shares one refcounted packet across egress queues
-// instead of copying it per port, egress FIFOs are head-index rings whose
-// backing arrays are reused forever, and the published stats snapshot goes
-// through a seqlock instead of a fresh heap copy per round. A fully
-// quiescent round (no ingress tokens, nothing queued, nothing in flight)
-// short-circuits to an arithmetic cycle advance: O(ports), not O(ports×n).
+// instead of copying it per port, and egress FIFOs are head-index rings
+// whose backing arrays are reused forever. A fully quiescent round (no
+// ingress tokens, nothing queued, nothing in flight) short-circuits to an
+// arithmetic cycle advance: O(ports), not O(ports×n).
 package switchmodel
 
 import (
 	"fmt"
-	"runtime"
-	"sync/atomic"
 
 	"repro/internal/clock"
 	"repro/internal/ethernet"
@@ -166,10 +163,6 @@ type Stats struct {
 	StallCycles uint64
 }
 
-// numStatFields is the number of uint64 counters in Stats, mirrored by the
-// seqlock publication slots below.
-const numStatFields = 9
-
 // pktRing is a FIFO of packets over a reusable circular buffer. The
 // append-and-reslice queue it replaces leaked its backing array's head on
 // every dequeue (o.queue = o.queue[1:] strands the popped cell forever, the
@@ -214,7 +207,7 @@ func (q *pktRing) pop() *Packet {
 }
 
 // at returns the i-th queued packet in FIFO order (0 = front), for
-// snapshotting and metrics; i must be < len().
+// snapshotting; i must be < len().
 func (q *pktRing) at(i int) *Packet {
 	j := q.head + i
 	if j >= len(q.buf) {
@@ -258,24 +251,10 @@ type Switch struct {
 	// ingress, so steady-state rounds allocate nothing.
 	free []*Packet
 
-	// stats is owned by the ticking goroutine; readers go through the
-	// seqlock-published copy below, so Stats() and Cycle() are safe to
-	// call concurrently with an in-flight RunParallel (the runner's worker
-	// pool may tick this switch on any of its worker goroutines).
+	// stats is owned by the ticking goroutine (the runner's worker pool
+	// may tick this switch on any of its worker goroutines); Stats copies
+	// it between runs.
 	stats Stats
-	// Seqlock publication: pubSeq is odd while the writer is mid-publish;
-	// readers retry until they see the same even value on both sides of
-	// copying pubStat. Replaces an atomic.Pointer[Stats] store whose
-	// per-round heap copy was the last steady-state allocation.
-	pubSeq   atomic.Uint64
-	pubStat  [numStatFields]atomic.Uint64
-	pubLast  Stats // last published counters; quiet rounds skip the seqlock
-	pubCycle atomic.Int64
-
-	// metrics, when non-nil, mirrors the switch counters into the
-	// observability registry at the end of every TickBatch (see
-	// publishMetrics); the per-flit hot loops stay untouched.
-	metrics *switchMetrics
 
 	// probe, when non-nil, is called once per released flit with the
 	// absolute cycle, for bandwidth-over-time measurements (Figure 6
@@ -345,53 +324,10 @@ func (s *Switch) NumPorts() int { return s.cfg.Ports }
 // MACTable returns the switch's routing table.
 func (s *Switch) MACTable() *MACTableRouter { return s.router }
 
-// Stats returns a snapshot of the switch counters as of the most recently
-// completed TickBatch. It reads the seqlock-published copy, so it is safe
-// to call from any goroutine while a parallel run is in flight — the
-// snapshot is always internally consistent (whole-round granularity),
-// never a torn mid-round view.
-func (s *Switch) Stats() Stats {
-	for {
-		s1 := s.pubSeq.Load()
-		if s1&1 == 0 {
-			var st Stats
-			st.PacketsIn = s.pubStat[0].Load()
-			st.PacketsOut = s.pubStat[1].Load()
-			st.FlitsIn = s.pubStat[2].Load()
-			st.FlitsOut = s.pubStat[3].Load()
-			st.DropsBufFull = s.pubStat[4].Load()
-			st.DropsStale = s.pubStat[5].Load()
-			st.DropsUnroutable = s.pubStat[6].Load()
-			st.BytesSwitched = s.pubStat[7].Load()
-			st.StallCycles = s.pubStat[8].Load()
-			if s.pubSeq.Load() == s1 {
-				return st
-			}
-		}
-		runtime.Gosched() // writer mid-publish; it finishes in a few stores
-	}
-}
-
-// publishStats makes the current counters visible to concurrent readers.
-// Rounds that moved no counter skip the write side entirely; the published
-// copy is already identical.
-func (s *Switch) publishStats() {
-	if s.stats != s.pubLast {
-		s.pubSeq.Add(1) // odd: readers hold off
-		s.pubStat[0].Store(s.stats.PacketsIn)
-		s.pubStat[1].Store(s.stats.PacketsOut)
-		s.pubStat[2].Store(s.stats.FlitsIn)
-		s.pubStat[3].Store(s.stats.FlitsOut)
-		s.pubStat[4].Store(s.stats.DropsBufFull)
-		s.pubStat[5].Store(s.stats.DropsStale)
-		s.pubStat[6].Store(s.stats.DropsUnroutable)
-		s.pubStat[7].Store(s.stats.BytesSwitched)
-		s.pubStat[8].Store(s.stats.StallCycles)
-		s.pubSeq.Add(1) // even: snapshot complete
-		s.pubLast = s.stats
-	}
-	s.pubCycle.Store(int64(s.cycle))
-}
+// Stats returns a copy of the switch counters as of the most recently
+// completed TickBatch. Read it between runs: during a RunParallel the
+// switch is ticked on a worker goroutine and the copy would race with it.
+func (s *Switch) Stats() Stats { return s.stats }
 
 // SetProbe installs a per-released-flit callback for bandwidth
 // measurement.
@@ -423,10 +359,6 @@ func (s *Switch) TickBatch(n int, in, out []*token.Batch) {
 		}
 		if idle {
 			s.cycle += clock.Cycles(n)
-			s.publishStats()
-			if s.metrics != nil {
-				s.publishMetrics()
-			}
 			return
 		}
 	}
@@ -497,13 +429,6 @@ func (s *Switch) TickBatch(n int, in, out []*token.Batch) {
 		s.releasePort(p, n, out[p])
 	}
 	s.cycle += clock.Cycles(n)
-
-	// Publish this round's counters for concurrent readers: a handful of
-	// atomic stores per changed round, nothing per flit, no allocation.
-	s.publishStats()
-	if s.metrics != nil {
-		s.publishMetrics()
-	}
 }
 
 func (s *Switch) releasePort(p int, n int, out *token.Batch) {

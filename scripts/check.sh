@@ -38,7 +38,7 @@ echo "== checkpoint determinism smoke =="
 go run ./cmd/firesim snap verify -nodes 4 -cycles 2048 -extra 2048 >/dev/null
 go run ./cmd/firesim snap verify -nodes 4 -cycles 2048 -extra 2048 -parallel >/dev/null
 # firesim top has no unit tests: drive it once end to end.
-go run ./cmd/firesim top -nodes 4 -slices 2 -horizon-us 50 -format prometheus >/dev/null
+go run ./cmd/firesim top -nodes 4 -slices 2 -horizon-us 50 >/dev/null
 
 echo "== examples =="
 # The examples have no unit tests: run the two quick ones end to end.
